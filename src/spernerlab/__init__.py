@@ -21,6 +21,7 @@ from .families import (
     is_k_sperner,
     is_t_intersecting,
     longest_chain,
+    longest_chain_members,
     shade,
     shadow,
     verify_katona_shadow,
@@ -69,13 +70,11 @@ from .search import (
     BoundReport,
     Budget,
     SearchResult,
-    SearchSpec,
     bounds_table,
     construct_A,
     construct_B,
     construct_layers,
     g_function,
-    max_family,
     max_family_size,
     size_A,
     size_B,

@@ -65,6 +65,8 @@ from .generators import (
     seeded,
 )
 from .search import (
+    DEFAULT_NODE_BUDGET,
+    DEFAULT_TIME_BUDGET,
     Budget,
     bounds_table,
     construct_A,
@@ -337,21 +339,22 @@ def _scan_records(args):
         records.append({"check": check, "params": params, "verdict": verdict,
                         "margin": margin, "witness_path": path, "note": note})
 
+    def oracle_rec(check, params_doc, res, expected):
+        if not res.proven_optimal:
+            rec(check, params_doc, "budget-exceeded")
+        else:
+            rec(check, params_doc, "holds" if res.best_size == expected else "violated",
+                margin=res.best_size - expected)
+
     # even-case oracle equality
     for n in range(2, args.n_max + 1):
         for t in range(1, n):
             if (n + t) % 2:
                 continue
             for k in range(1, 4):
-                p = Params(n=n, t=t, k=k)
-                expected = size_layers(p)
-                res = max_family_size(n, t, k, use_compression=True)
-                if not res.proven_optimal:
-                    rec("even_case_oracle", {"n": n, "t": t, "k": k}, "budget-exceeded")
-                else:
-                    rec("even_case_oracle", {"n": n, "t": t, "k": k},
-                        "holds" if res.best_size == expected else "violated",
-                        margin=res.best_size - expected)
+                oracle_rec("even_case_oracle", {"n": n, "t": t, "k": k},
+                           max_family_size(n, t, k, use_compression=True),
+                           size_layers(Params(n=n, t=t, k=k)))
     # odd small case
     res = max_family_size(5, 2, 2, use_compression=True)
     rec("odd_small_case", {"n": 5, "t": 2, "k": 2},
@@ -417,13 +420,6 @@ def _scan_records(args):
                 "holds" if chk.holds else "violated", margin=chk.lhs - chk.rhs)
     # classical bound oracles: antichain, k largest layers, t-intersecting
     # antichain, and the intersecting k-Sperner closed form
-    def oracle_rec(check, params_doc, res, expected):
-        if not res.proven_optimal:
-            rec(check, params_doc, "budget-exceeded")
-        else:
-            rec(check, params_doc, "holds" if res.best_size == expected else "violated",
-                margin=res.best_size - expected)
-
     for n in range(2, min(args.n_max, 5) + 1):
         oracle_rec("classical_sperner", {"n": n},
                    max_family_size(n, 0, 1), binomial(n, n // 2))
@@ -547,8 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--layers", help="lo:hi member-size window")
     c.add_argument("--use-compression", action="store_true")
-    c.add_argument("--budget-nodes", type=int, default=20_000_000)
-    c.add_argument("--budget-secs", type=float, default=600.0)
+    c.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET)
+    c.add_argument("--budget-secs", type=float, default=DEFAULT_TIME_BUDGET)
     c.add_argument("--no-cache", action="store_true")
     c.add_argument("--out")
     c.set_defaults(fn=cmd_search)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .families import InvariantViolation, PreconditionError
+from .families import InvariantViolation, PreconditionError, binomial
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,11 +84,8 @@ def binom_swap(n: int, a: int, b: int) -> bool:
     h = n // 2
     offsets = (a, b, a + 1, b - 1)
     if n <= 60 or h + min(offsets) < 0 or h + max(offsets) > n:
-
-        def c(r):
-            return math.comb(n, r) if 0 <= r <= n else 0
-
-        return c(h + a) + c(h + b) <= c(h + a + 1) + c(h + b - 1)
+        return (binomial(n, h + a) + binomial(n, h + b)
+                <= binomial(n, h + a + 1) + binomial(n, h + b - 1))
     base = h + min(offsets)
 
     def scaled(off):
@@ -227,11 +224,8 @@ def minimal_chain_n(t: int, k: int, m: int, n_max: int):
     best = None
     for n in range(start, max(t, 2 * m) , -2):
         mid = (n + t) // 2
-
-        def c(r):
-            return math.comb(n, r) if 0 <= r <= n else 0
-
-        if all(c(mid - j) + c(mid + k + j - 1) <= c(mid + j - 1) + c(mid + k - j)
+        if all(binomial(n, mid - j) + binomial(n, mid + k + j - 1)
+               <= binomial(n, mid + j - 1) + binomial(n, mid + k - j)
                for j in range(1, m + 1)):
             best = n
         else:
@@ -294,16 +288,12 @@ def verify_chain(g: CoeffVector) -> ChainReport:
     gpp = to_gdoubleprime(gp)
     n, t, k, m = g.n, g.t, g.k, g.m
     mid = (n + t) // 2
-
-    def c(r):
-        return math.comb(n, r) if 0 <= r <= n else 0
-
     steps = []
     for j in range(1, m + 1):
-        lhs = c(mid - j) + c(mid + k + j - 1)
-        rhs = c(mid + j - 1) + c(mid + k - j)
+        lhs = binomial(n, mid - j) + binomial(n, mid + k + j - 1)
+        rhs = binomial(n, mid + j - 1) + binomial(n, mid + k - j)
         steps.append(SwapStep(j=j, lhs=lhs, rhs=rhs, active=gp.value(j) > 0))
-    final = n * sum(c(mid + i) for i in range(k))
+    final = n * sum(binomial(n, mid + i) for i in range(k))
     return ChainReport(
         mass_g=g.total(),
         mass_gprime=gp.total(),

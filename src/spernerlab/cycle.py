@@ -64,12 +64,6 @@ class Interval:
     start: int
 
 
-def make_interval(start: int, length: int, n: int) -> Interval:
-    if not 1 <= length <= n - 1:
-        raise PreconditionError(f"interval length must lie in [1, {n - 1}], got {length}")
-    return Interval(length=length, start=start % n)
-
-
 def arc_overlap(n: int, a: Interval, b: Interval) -> int:
     """Exact number of shared positions of two cyclic arcs."""
     d = (b.start - a.start) % n
@@ -119,9 +113,6 @@ class IntervalFamily:
     def __iter__(self):
         return iter(self.members)
 
-    def __contains__(self, iv):
-        return iv in set(self.members)
-
     def __eq__(self, other):
         return (isinstance(other, IntervalFamily)
                 and self.perm == other.perm and self.members == other.members)
@@ -143,9 +134,6 @@ class IntervalFamily:
         for run in chains.values():
             run.sort()
         return chains
-
-    def to_family(self) -> Family:
-        return Family(self.n, (interval_mask(self.perm, iv) for iv in self.members))
 
 
 def interval_weight(G: IntervalFamily) -> int:
@@ -204,19 +192,6 @@ def is_sigma_ks_ti(G: IntervalFamily, params: Params) -> bool:
     for i in range(len(ms)):
         for j in range(i + 1, len(ms)):
             if arc_overlap(n, ms[i], ms[j]) < t:
-                return False
-    return True
-
-
-def _chain_minima_ti(members_by_chain: dict[int, list[Interval]], n: int, t: int) -> bool:
-    """t-intersection of a per-chain-nested family via its chain minima."""
-    minima = [run[0] for run in members_by_chain.values()]
-    if len(minima) == 1 and sum(len(r) for r in members_by_chain.values()) > 1:
-        if minima[0].length < t:
-            return False
-    for i in range(len(minima)):
-        for j in range(i + 1, len(minima)):
-            if arc_overlap(n, minima[i], minima[j]) < t:
                 return False
     return True
 

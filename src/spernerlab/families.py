@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,10 +59,6 @@ def elements_of(mask: int) -> list[int]:
         mask >>= 1
         e += 1
     return out
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,9 +139,6 @@ class Family:
     def __iter__(self):
         return iter(self.members)
 
-    def __contains__(self, mask):
-        return mask in set(self.members)
-
     def __eq__(self, other):
         return isinstance(other, Family) and self.n == other.n and self.members == other.members
 
@@ -156,7 +150,9 @@ class Family:
 
     def layer(self, i: int) -> tuple[int, ...]:
         """All members of cardinality i (a contiguous slice of members)."""
-        return tuple(m for m in self.members if m.bit_count() == i)
+        lo = bisect_left(self.members, i, key=int.bit_count)
+        hi = bisect_right(self.members, i, key=int.bit_count)
+        return self.members[lo:hi]
 
     def profile(self) -> dict[int, int]:
         """Map cardinality -> number of members of that cardinality."""
@@ -175,11 +171,6 @@ class Family:
         if not self.members:
             raise PreconditionError("empty family has no maximum size")
         return self.members[-1].bit_count()
-
-    def union(self, other: "Family") -> "Family":
-        if other.n != self.n:
-            raise PreconditionError("union of families over different ground sets")
-        return Family(self.n, self.members + other.members)
 
 
 def is_t_intersecting(fam: Family, t: int) -> bool:
@@ -200,23 +191,38 @@ def is_t_intersecting(fam: Family, t: int) -> bool:
     return True
 
 
-def longest_chain(fam: Family) -> int:
-    """Number of sets in the longest nested chain inside fam (0 if empty).
+def longest_chain_members(fam: Family) -> list[int]:
+    """One longest nested chain inside fam, from its top member down ([]
+    if empty).
 
     Canonical order sorts by cardinality, so a single increasing pass of
-    longest-path DP over the containment DAG suffices.
+    longest-path DP over the containment DAG suffices.  The top is the
+    first member of maximal height; each step back goes to the first
+    predecessor that attained the height.
     """
     ms = fam.members
     best = [1] * len(ms)
-    out = 0
+    back = [-1] * len(ms)
+    top = 0
     for i, a in enumerate(ms):
         for j in range(i):
             b = ms[j]
             if b != a and (a & b) == b and best[j] + 1 > best[i]:
                 best[i] = best[j] + 1
-        if best[i] > out:
-            out = best[i]
+                back[i] = j
+        if best[i] > best[top]:
+            top = i
+    out = []
+    i = top if ms else -1
+    while i != -1:
+        out.append(ms[i])
+        i = back[i]
     return out
+
+
+def longest_chain(fam: Family) -> int:
+    """Number of sets in the longest nested chain inside fam (0 if empty)."""
+    return len(longest_chain_members(fam))
 
 
 def is_k_sperner(fam: Family, k: int) -> bool:

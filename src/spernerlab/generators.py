@@ -20,29 +20,7 @@ from .cycle import (
     is_full_consecutive,
     is_sigma_ks_ti,
 )
-from .families import Family, Params, PreconditionError, is_t_intersecting, longest_chain
-
-
-def _longest_chain_members(members: list[int]) -> list[int]:
-    """One longest nested chain among the masks, as a list of masks."""
-    ms = sorted(members, key=lambda m: (m.bit_count(), m))
-    best = [1] * len(ms)
-    back = [-1] * len(ms)
-    top = 0
-    for i, a in enumerate(ms):
-        for j in range(i):
-            b = ms[j]
-            if b != a and (a & b) == b and best[j] + 1 > best[i]:
-                best[i] = best[j] + 1
-                back[i] = j
-        if best[i] > best[top]:
-            top = i
-    out = []
-    i = top
-    while i != -1:
-        out.append(ms[i])
-        i = back[i]
-    return out
+from .families import Family, Params, PreconditionError, longest_chain_members
 
 
 def random_valid_family(rng: random.Random, n: int, t: int, k: int) -> Family:
@@ -73,7 +51,7 @@ def random_valid_family(rng: random.Random, n: int, t: int, k: int) -> Family:
         members.add(m)
     pool = list(members)
     while True:
-        chain = _longest_chain_members(pool)
+        chain = longest_chain_members(Family(n, pool))
         if len(chain) <= k:
             break
         pool.remove(rng.choice(chain))
@@ -223,15 +201,6 @@ def random_dominance_triple(rng: random.Random, length: int, cap: int = 30):
     return a, b, d
 
 
-def random_family_json(rng: random.Random, n: int, density: float = 0.3) -> dict:
-    """A canonical family JSON dict, handy for CLI round-trip tests."""
-    fam = random_inner_family(rng, n, density)
-    return fam.to_json_dict()
-
-
 def seeded(seed: int) -> random.Random:
     return random.Random(seed)
 
-
-def validity_report(fam: Family, t: int, k: int) -> tuple[bool, bool]:
-    return is_t_intersecting(fam, t), longest_chain(fam) <= k

@@ -25,7 +25,7 @@ import itertools
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .families import (
     Family,
@@ -59,23 +59,6 @@ def scd_anchor(mask: int, n: int) -> int:
 class Budget:
     nodes: int = DEFAULT_NODE_BUDGET
     seconds: float = DEFAULT_TIME_BUDGET
-
-
-@dataclass(frozen=True, slots=True)
-class SearchSpec:
-    params: Params
-    layer_window: tuple[int, int] | None = None
-    budget: Budget = field(default_factory=Budget)
-    mode: str = "exact"
-    use_compression: bool = False
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "lower-bound-only"):
-            raise PreconditionError(f"unknown mode {self.mode!r}")
-        if self.layer_window is not None:
-            lo, hi = self.layer_window
-            if not 0 <= lo <= hi <= self.params.n:
-                raise PreconditionError(f"bad layer window {self.layer_window}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,17 +107,8 @@ class _Engine:
         {1..s} and every member size lies in [s, hi]."""
         n, t, k = self.n, self.t, self.k
         chosen0 = (1 << s) - 1
-        masks = []
-        for size in range(s, hi + 1):
-            for comb in itertools.combinations(range(n), size):
-                m = 0
-                for b in comb:
-                    m |= 1 << b
-                if m == chosen0:
-                    continue
-                if t and (m & chosen0).bit_count() < t:
-                    continue
-                masks.append(m)
+        masks = [m for size in range(s, hi + 1) for m in _layer_masks(n, size)
+                 if m != chosen0 and (not t or (m & chosen0).bit_count() >= t)]
         masks.sort(key=lambda m: (-math.comb(n, m.bit_count()), m.bit_count(), m))
         # initial chain heights relative to the pinned minimum member
         keep, dn0 = [], []
@@ -284,17 +258,8 @@ def construct_layers(params: Params) -> Family:
         raise PreconditionError("layer construction needs n + t even")
     n, k = params.n, params.k
     mid = (n + params.t) // 2
-    masks = []
-    for i in range(k):
-        size = mid + i
-        if size > n:
-            break
-        for comb in itertools.combinations(range(n), size):
-            m = 0
-            for b in comb:
-                m |= 1 << b
-            masks.append(m)
-    return Family(n, masks)
+    return Family(n, (m for size in range(mid, min(mid + k, n + 1))
+                      for m in _layer_masks(n, size)))
 
 
 def size_layers(params: Params) -> int:
@@ -305,6 +270,8 @@ def size_layers(params: Params) -> int:
 
 
 def _layer_masks(n, size, required=0, forbidden=0):
+    """The size-subsets of [n] that contain `required` and avoid
+    `forbidden`, as masks in combination order."""
     req_bits = [i for i in range(n) if required >> i & 1]
     free = [i for i in range(n) if not (required >> i & 1) and not (forbidden >> i & 1)]
     base = 0
@@ -463,19 +430,6 @@ def max_family_size(n: int, t: int, k: int, *, layer_window=None,
     return SearchResult(best_size=best, witness=Family(n, witness),
                         proven_optimal=proven, nodes=nodes, elapsed=elapsed,
                         notes=tuple(notes))
-
-
-def max_family(spec: SearchSpec) -> SearchResult:
-    """Spec-driven front end of the oracle."""
-    p = spec.params
-    if spec.mode == "lower-bound-only":
-        seeds = _construction_seeds(p.n, p.t, p.k)
-        best = max(seeds, key=len) if seeds else ()
-        return SearchResult(best_size=len(best), witness=Family(p.n, best),
-                            proven_optimal=False, nodes=0, elapsed=0.0,
-                            notes=("lower bound only: best construction, no search",))
-    return max_family_size(p.n, p.t, p.k, layer_window=spec.layer_window,
-                           use_compression=spec.use_compression, budget=spec.budget)
 
 
 @dataclass(frozen=True, slots=True)

@@ -139,12 +139,14 @@ class TestAudits:
         profs.write_text(json.dumps([
             {"n": 12, "t": 2, "k": 2, "m": 1, "counts": [3, 9, 9, 3]},
             {"n": 12, "t": 2, "k": 2, "m": 1, "counts": [24, 0, 0, 0]},
+            {"n": -2, "t": 2, "k": 2, "m": 1, "counts": [3, 9, 9, 3]},
         ]))
         rc = main(["coeff-audit", str(profs)])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["profiles"][0]["verdict"] == "holds"
         assert doc["profiles"][1]["verdict"] == "skipped-precondition"
+        assert doc["profiles"][2]["verdict"] == "skipped-precondition"
 
 
 class TestScan:

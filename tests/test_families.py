@@ -13,13 +13,20 @@ from spernerlab.families import (
     is_k_sperner,
     is_t_intersecting,
     longest_chain,
+    longest_chain_members,
     mask_from,
     shade,
     shadow,
     verify_katona_shadow,
     weight,
 )
-from spernerlab.generators import random_uniform_t_intersecting
+from spernerlab.compression import _peel_antichains
+from spernerlab.generators import (
+    random_inner_family,
+    random_uniform_t_intersecting,
+    random_valid_family,
+    seeded,
+)
 
 
 def pascal_binomial(n, r):
@@ -95,6 +102,9 @@ class TestFamilyCanonical:
         fam = Family.from_sets(5, [[1], [2], [1, 2], [1, 2, 3]])
         assert len(fam.layer(1)) == 2
         assert fam.profile() == {1: 2, 2: 1, 3: 1}
+        assert fam.layer(0) == () and fam.layer(4) == ()
+        assert fam.layer(3) == (mask_from([1, 2, 3], 5),)
+        assert Family(5).layer(2) == ()
 
     def test_mask_helpers(self):
         assert elements_of(mask_from([3, 1], 5)) == [1, 3]
@@ -152,6 +162,37 @@ class TestLongestChain:
     def test_k_sperner(self):
         fam = Family.from_sets(3, [[1], [1, 2]])
         assert is_k_sperner(fam, 2) and not is_k_sperner(fam, 1)
+
+    def test_members_form_a_longest_chain(self):
+        # Mirsky: the number of antichains peeled off equals the height
+        rng = random.Random(3)
+        for _ in range(200):
+            n = rng.randint(2, 6)
+            fam = random_inner_family(rng, n, density=rng.uniform(0.05, 0.6))
+            chain = longest_chain_members(fam)
+            assert set(chain) <= set(fam.members)
+            for upper, lower in zip(chain, chain[1:]):
+                assert upper != lower and upper & lower == lower
+            assert len(chain) == len(_peel_antichains(fam, n + 2))
+
+    def test_members_tie_breaks(self):
+        # top: first member of maximal height; back: first predecessor
+        fam = Family.from_sets(3, [[1], [2], [1, 2], [1, 3]])
+        assert longest_chain_members(fam) == [mask_from([1, 2], 3), mask_from([1], 3)]
+        assert longest_chain_members(Family(3)) == []
+
+    def test_random_valid_family_pinned(self):
+        # the chain tie-breaks decide which members get deleted (1, 13 and
+        # 3 deletions for these draws)
+        pinned = {
+            (1, 6, 2, 2): [[2, 5], [2, 5, 6], [1, 2, 4, 5]],
+            (28, 8, 1, 2): [[2, 3, 6, 7], [2, 3, 5, 8], [1, 2, 5, 6, 8], [1, 2, 4, 7, 8],
+                            [2, 3, 4, 7, 8], [1, 2, 3, 4, 5, 7], [1, 2, 4, 5, 6, 7, 8]],
+            (42, 9, 3, 1): [[1, 2, 4, 6, 8], [1, 2, 6, 7, 8], [1, 2, 5, 6, 9],
+                            [1, 2, 4, 5, 6, 7], [1, 2, 3, 6, 7, 9]],
+        }
+        for (s, n, t, k), sets in pinned.items():
+            assert random_valid_family(seeded(s), n, t, k).to_sets() == sets
 
 
 class TestShadowShade:

@@ -14,13 +14,11 @@ from spernerlab.families import (
 )
 from spernerlab.search import (
     Budget,
-    SearchSpec,
     bounds_table,
     construct_A,
     construct_B,
     construct_layers,
     g_function,
-    max_family,
     max_family_size,
     scd_anchor,
     size_A,
@@ -110,16 +108,6 @@ class TestOracleSmall:
         res = max_family_size(7, 1, 3, use_compression=True, budget=Budget(nodes=50, seconds=60))
         assert not res.proven_optimal
         assert any("budget" in note for note in res.notes)
-
-    def test_spec_front_end(self):
-        spec = SearchSpec(params=Params(n=6, t=2, k=1), use_compression=True)
-        res = max_family(spec)
-        assert res.best_size == 15 and res.proven_optimal
-
-    def test_lower_bound_mode(self):
-        spec = SearchSpec(params=Params(n=6, t=2, k=2), mode="lower-bound-only")
-        res = max_family(spec)
-        assert res.best_size == 21 and not res.proven_optimal
 
     def test_window_restriction_flagged(self):
         res = max_family_size(5, 1, 1, layer_window=(3, 3))
