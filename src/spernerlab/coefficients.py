@@ -65,7 +65,7 @@ def profile_vector(n: int, t: int, k: int, m: int, counts) -> CoeffVector:
 def weighted_sum(vec: CoeffVector) -> int:
     """Sum of count * C(n, (n+t)/2 + class index)."""
     mid = (vec.n + vec.t) // 2
-    return sum(v * math.comb(vec.n, mid + vec.lo + idx) for idx, v in enumerate(vec.values))
+    return sum(v * binomial(vec.n, mid + vec.lo + idx) for idx, v in enumerate(vec.values))
 
 
 def binom_swap(n: int, a: int, b: int) -> bool:

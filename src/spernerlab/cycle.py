@@ -9,6 +9,7 @@ ground sets far beyond the bitmask enumeration limit.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -123,16 +124,11 @@ class IntervalFamily:
     def __repr__(self):
         return f"IntervalFamily(n={self.n}, members={len(self.members)})"
 
-    def replace(self, members) -> "IntervalFamily":
-        return IntervalFamily(self.perm, members)
-
-    def by_chain(self) -> dict[int, list[Interval]]:
-        """Group members by their chain (= start position), lengths sorted."""
-        chains: dict[int, list[Interval]] = {}
-        for iv in self.members:
-            chains.setdefault(iv.start, []).append(iv)
-        for run in chains.values():
-            run.sort()
+    def by_chain(self) -> dict[int, list[int]]:
+        """Member lengths per chain (= start position), ascending."""
+        chains: dict[int, list[int]] = {}
+        for iv in self.members:  # members are ordered by length first
+            chains.setdefault(iv.start, []).append(iv.length)
         return chains
 
 
@@ -180,89 +176,60 @@ def is_sigma_ks_ti(G: IntervalFamily, params: Params) -> bool:
     most k intervals.
 
     Weaker than global k-Sperner-ness: nesting across different chains is
-    deliberately ignored.
+    deliberately ignored.  An arc only gains positions as it grows, so two
+    members of one chain share the shorter one's length, and two chains
+    share least in their shortest members.
     """
     n, t, k = G.n, params.t, params.k
-    per_chain: dict[int, int] = {}
-    for iv in G.members:
-        per_chain[iv.start] = per_chain.get(iv.start, 0) + 1
-        if per_chain[iv.start] > k:
-            return False
-    ms = G.members
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            if arc_overlap(n, ms[i], ms[j]) < t:
-                return False
-    return True
+    chains = G.by_chain()
+    if any(len(run) > k or (len(run) > 1 and run[0] < t) for run in chains.values()):
+        return False
+    lows = [Interval(length=run[0], start=h) for h, run in chains.items()]
+    return all(arc_overlap(n, a, b) >= t for a, b in itertools.combinations(lows, 2))
+
+
+def _close_gaps(run: list[int], n: int) -> list[int]:
+    """One chain's lengths, sorted, with their gaps closed.
+
+    While a length is missing strictly between the minimum and the maximum,
+    the first gap replaces the maximum when it is at least n/2 and the
+    minimum otherwise.  Every replacement strictly increases the weight.
+    """
+    run = sorted(run)
+    for _ in range(n * n):
+        g = next((a + 1 for a, b in zip(run, run[1:]) if b > a + 1), None)
+        if g is None:
+            return run
+        old = run.pop() if 2 * g >= n else run.pop(0)
+        if math.comb(n, g) <= math.comb(n, old):
+            raise InvariantViolation(
+                f"gap fill did not increase weight: len {old} -> {g} at n={n}")
+        bisect.insort(run, g)
+    raise InvariantViolation("gap closing failed to terminate")
 
 
 def make_consecutive(G: IntervalFamily, params: Params, validate: bool = True) -> IntervalFamily:
-    """Close the length gaps inside every chain.
-
-    While some chain holds a missing length strictly between its minimum
-    and maximum, the gap interval replaces the chain maximum when the gap
-    length is at least n/2 and the chain minimum otherwise.  Every
-    replacement strictly increases the total weight; per-chain counts and
-    both defining properties are untouched.
-    """
+    """Close the length gaps inside every chain (see _close_gaps).  Per-chain
+    counts and both defining properties are untouched."""
     if validate and not is_sigma_ks_ti(G, params):
         raise PreconditionError("make_consecutive input is not sigma-k-Sperner t-intersecting")
     n = G.n
-    chains = G.by_chain()
-    guard = n * n + len(G.members) * n
-    changed = True
-    while changed:
-        changed = False
-        for h in sorted(chains):
-            run = chains[h]
-            lengths = [iv.length for iv in run]
-            have = set(lengths)
-            gaps = [ell for ell in range(lengths[0] + 1, lengths[-1]) if ell not in have]
-            while gaps:
-                guard -= 1
-                if guard < 0:
-                    raise InvariantViolation("make_consecutive failed to terminate")
-                g = gaps[0]
-                gap_iv = Interval(length=g, start=h)
-                if 2 * g >= n:
-                    old = run[-1]
-                else:
-                    old = run[0]
-                if math.comb(n, g) <= math.comb(n, old.length):
-                    raise InvariantViolation(
-                        f"gap fill did not increase weight: len {old.length} -> {g} at n={n}")
-                run.remove(old)
-                run.append(gap_iv)
-                run.sort()
-                changed = True
-                lengths = [iv.length for iv in run]
-                have = set(lengths)
-                gaps = [ell for ell in range(lengths[0] + 1, lengths[-1]) if ell not in have]
-    out = G.replace([iv for run in chains.values() for iv in run])
+    out = IntervalFamily(G.perm, [Interval(length=ell, start=h)
+                                  for h, run in sorted(G.by_chain().items())
+                                  for ell in _close_gaps(run, n)])
     if len(out) != len(G):
         raise InvariantViolation("make_consecutive changed the family size")
     return out
 
 
 def is_consecutive(G: IntervalFamily) -> bool:
-    for run in G.by_chain().values():
-        lens = [iv.length for iv in run]
-        if lens != list(range(lens[0], lens[0] + len(lens))):
-            return False
-    return True
+    return all(run[-1] - run[0] == len(run) - 1 for run in G.by_chain().values())
 
 
 def is_full_consecutive(G: IntervalFamily, k: int) -> bool:
     chains = G.by_chain()
-    if len(chains) != G.n:
-        return False
-    for run in chains.values():
-        if len(run) != k:
-            return False
-        lens = [iv.length for iv in run]
-        if lens != list(range(lens[0], lens[0] + k)):
-            return False
-    return True
+    return len(chains) == G.n and all(
+        len(run) == k and run[-1] - run[0] == k - 1 for run in chains.values())
 
 
 def fill_full(G: IntervalFamily, params: Params, validate: bool = True) -> IntervalFamily:
@@ -272,6 +239,7 @@ def fill_full(G: IntervalFamily, params: Params, validate: bool = True) -> Inter
     Chains grow one step above their current maximum; a chain whose run is
     pinned against the band top (or is empty) instead receives the interval
     of size mid+m, which meets every band member in at least t elements.
+    Chains never interact, so each one is filled on its own.
     """
     if (params.n + params.t) % 2:
         raise PreconditionError("fill_full band arithmetic requires n + t even")
@@ -288,24 +256,20 @@ def fill_full(G: IntervalFamily, params: Params, validate: bool = True) -> Inter
     top = mid + k - 1 + m
     if not 1 <= mid - m <= top <= n - 1:
         raise PreconditionError("band does not fit inside [1, n-1]")
-    cur = make_consecutive(G, params, validate=False)
-    for _ in range(k * n + 1):
-        chains = cur.by_chain()
-        deficit = [h for h in range(n) if len(chains.get(h, ())) < k]
-        if not deficit:
-            break
-        h = deficit[0]
-        run = chains.get(h, [])
-        if not run:
-            add = Interval(length=mid + m, start=h)
-        elif run[-1].length + 1 <= top:
-            add = Interval(length=run[-1].length + 1, start=h)
-        else:
-            add = Interval(length=mid + m, start=h)
-            if add in set(run):
+    chains = G.by_chain()
+    members = []
+    for h in range(n):
+        run = _close_gaps(chains.get(h, []), n)
+        while len(run) < k:
+            if run and run[-1] + 1 <= top:
+                add = run[-1] + 1
+            elif mid + m in run:
                 raise InvariantViolation("fill_full patch interval already present")
-        cur = cur.replace(cur.members + (add,))
-        cur = make_consecutive(cur, params, validate=False)
+            else:
+                add = mid + m
+            run = _close_gaps(run + [add], n)
+        members.extend(Interval(length=ell, start=h) for ell in run)
+    cur = IntervalFamily(G.perm, members)
     if not is_full_consecutive(cur, k):
         raise InvariantViolation("fill_full did not reach a full consecutive family")
     if not is_sigma_ks_ti(cur, params):
@@ -326,12 +290,6 @@ def bar_complement(iv: Interval, n: int, t: int) -> Interval:
         raise PreconditionError(
             f"bar complement of a length-{iv.length} interval would cover the whole cycle")
     return Interval(length=out_len, start=(iv.start + iv.length - t // 2) % n)
-
-
-def _proper_subintervals(iv: Interval, n: int):
-    for ell in range(1, iv.length):
-        for off in range(iv.length - ell + 1):
-            yield Interval(length=ell, start=(iv.start + off) % n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -367,16 +325,23 @@ def check_complement_closure(G: IntervalFamily, params: Params, validate: bool =
         raise PreconditionError("member sizes do not fit the band")
     if mid - m < t + 1:
         raise PreconditionError("band bottom too small for bar complements")
-    members = set(G.members)
+    chains = G.by_chain()
     failures = []
     for iv in G.members:
         bc = bar_complement(iv, n, t)
-        for sub in _proper_subintervals(bc, n):
-            if sub in members:
-                failures.append(
-                    f"proper subinterval {sub} of bar complement of {iv} is a member")
-                break
-        if iv.length == mid - m and bc not in members:
+        # the proper subintervals at offset off have lengths 1..L-off (L-1 at
+        # off = 0); one of them is a member iff that chain's shortest one fits
+        hits = []
+        for off in range(bc.length):
+            run = chains.get((bc.start + off) % n)
+            if run and run[0] <= bc.length - max(off, 1):
+                hits.append((run[0], off))
+        if hits:
+            ell, off = min(hits)
+            sub = Interval(length=ell, start=(bc.start + off) % n)
+            failures.append(
+                f"proper subinterval {sub} of bar complement of {iv} is a member")
+        if iv.length == mid - m and bc.length not in chains.get(bc.start, ()):
             failures.append(f"bar complement {bc} of bottom member {iv} is missing")
     return ComplementCheck(holds=not failures, failures=tuple(failures))
 
@@ -446,15 +411,15 @@ def _missing_side_families(G: IntervalFamily, mid: int, j: int):
     no member (can only sit below members) and those inside no member (can
     only sit above).  Containment is arc containment across all chains."""
     n = G.n
-    members = set(G.members)
-    spans = {h: (run[0].length, run[-1].length) for h, run in G.by_chain().items()}
+    chains = G.by_chain()
+    spans = {h: (run[0], run[-1]) for h, run in chains.items()}
     h1 = set()
     h2 = set()
     for h in range(n):
         for ell in range(mid, mid + j + 1):
-            iv = Interval(length=ell, start=h)
-            if iv in members:
+            if ell in chains.get(h, ()):
                 continue
+            iv = Interval(length=ell, start=h)
             contains = False
             inside = False
             for h2start, (lo, hi) in spans.items():
@@ -473,7 +438,7 @@ def _missing_side_families(G: IntervalFamily, mid: int, j: int):
     return h1, h2
 
 
-def check_count_inequalities(G: IntervalFamily, params: Params, validate: bool = True) -> InequalitiesCheck:
+def check_count_inequalities(G: IntervalFamily, params: Params) -> InequalitiesCheck:
     """Evaluate the four counting inequalities a full consecutive family
     inside the band must satisfy, and verify the two missing-interval side
     families are disjoint.  Any failure is a bug trap."""
@@ -481,7 +446,7 @@ def check_count_inequalities(G: IntervalFamily, params: Params, validate: bool =
     if (n + t) % 2:
         raise PreconditionError("count inequalities require n + t even")
     mid = (n + t) // 2
-    if validate and not is_full_consecutive(G, k):
+    if not is_full_consecutive(G, k):
         raise PreconditionError("count inequalities need a full consecutive family")
     prof = g_profile(G, params)
     m = prof.m

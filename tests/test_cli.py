@@ -140,6 +140,8 @@ class TestAudits:
             {"n": 12, "t": 2, "k": 2, "m": 1, "counts": [3, 9, 9, 3]},
             {"n": 12, "t": 2, "k": 2, "m": 1, "counts": [24, 0, 0, 0]},
             {"n": -2, "t": 2, "k": 2, "m": 1, "counts": [3, 9, 9, 3]},
+            # band bottom (n+t)/2 - m below zero: empty classes weigh 0
+            {"n": 4, "t": 2, "k": 1, "m": 4, "counts": [0] * 9},
         ]))
         rc = main(["coeff-audit", str(profs)])
         assert rc == 0
@@ -147,6 +149,7 @@ class TestAudits:
         assert doc["profiles"][0]["verdict"] == "holds"
         assert doc["profiles"][1]["verdict"] == "skipped-precondition"
         assert doc["profiles"][2]["verdict"] == "skipped-precondition"
+        assert doc["profiles"][3]["verdict"] == "holds"
 
 
 class TestScan:

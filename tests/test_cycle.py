@@ -147,6 +147,34 @@ class TestSigmaPredicate:
             inner = IntervalFamily(perm, [iv for iv in res.intervals])
             assert is_sigma_ks_ti(inner, Params(n=n, t=t, k=k))
 
+    def test_matches_pairwise_definition(self):
+        def pairwise(G, t, k):
+            per_chain = {}
+            for iv in G.members:
+                per_chain[iv.start] = per_chain.get(iv.start, 0) + 1
+                if per_chain[iv.start] > k:
+                    return False
+            ms = G.members
+            return all(arc_overlap(G.n, ms[i], ms[j]) >= t
+                       for i in range(len(ms)) for j in range(i + 1, len(ms)))
+
+        rng = random.Random(32)
+        seen = set()
+        for _ in range(3000):
+            n = rng.randint(3, 12)
+            t = rng.randint(1, n - 1)
+            k = rng.randint(1, 3)
+            members = []
+            for _ in range(rng.randint(0, 6)):
+                # reuse a chain often, so chains hold several members
+                h = rng.choice(members).start if members and rng.random() < 0.4 else rng.randrange(n)
+                members.append(Interval(length=rng.randint(max(1, t - 1), n - 1), start=h))
+            G = IntervalFamily(identity_perm(n), members)
+            expected = pairwise(G, t, k)
+            assert is_sigma_ks_ti(G, Params(n=n, t=t, k=k)) == expected, (n, t, k, G.members)
+            seen.add(expected)
+        assert seen == {True, False}
+
 
 class TestMakeConsecutive:
     def test_already_consecutive(self):
@@ -177,6 +205,29 @@ class TestMakeConsecutive:
             assert is_sigma_ks_ti(out, p)
             assert len(out) == len(G)
             assert interval_weight(out) >= interval_weight(G)
+
+    # (seed, n, t, k, m) of random_sigma_ksti -> make_consecutive and fill_full
+    # outputs: (length, start) members, and fill_full's bottom per chain
+    PINNED = [
+        ((1, 10, 2, 3, 1), [(5, 7), (5, 9), (6, 7)],
+         [7, 7, 7, 7, 7, 7, 7, 5, 7, 5]),
+        ((4, 12, 4, 3, 1), [(7, 4), (8, 0), (8, 7), (9, 0), (9, 5), (9, 8), (10, 8), (10, 11)],
+         [8, 9, 9, 9, 7, 9, 9, 8, 9, 9, 9, 9]),
+        ((15, 12, 2, 3, 2), [(5, 0), (5, 11), (6, 0), (6, 2), (6, 10), (6, 11), (11, 3)],
+         [5, 9, 6, 9, 9, 9, 9, 9, 9, 9, 6, 5]),
+    ]
+
+    @pytest.mark.parametrize("cell,consecutive,bottoms", PINNED)
+    def test_transforms_pinned(self, cell, consecutive, bottoms):
+        seed, n, t, k, m = cell
+        G = random_sigma_ksti(random.Random(seed), n, t, k, m)
+        p = Params(n=n, t=t, k=k)
+        out = make_consecutive(G, p)
+        assert out != G
+        assert [(iv.length, iv.start) for iv in out.members] == consecutive
+        full = fill_full(G, p)
+        assert full.members == tuple(sorted(Interval(length=b + i, start=h)
+                                            for h, b in enumerate(bottoms) for i in range(k)))
 
 
 class TestFillFull:
@@ -261,6 +312,29 @@ class TestComplementClosure:
         broken = IntervalFamily(G.perm, [iv for iv in G.members if iv != victim])
         chk = check_complement_closure(broken, p, validate=False)
         assert not chk.holds
+
+    def test_member_inside_bar_complement_detected(self):
+        # a length-3 member at start 6 sits inside the bar complements of
+        # seven layer members; each failure names the shortest member inside,
+        # nearest the start of the bar complement
+        p = Params(n=10, t=2, k=2)
+        G = layers_interval_family(10, 2, 2)
+        G = IntervalFamily(G.perm, G.members + (Interval(length=3, start=6),))
+        chk = check_complement_closure(G, p, validate=False)
+        inside = "proper subinterval Interval(length=3, start=6) of bar complement of"
+        assert chk.failures == (
+            "proper subinterval Interval(length=6, start=8) of bar complement of "
+            "Interval(length=3, start=6) is a member",
+            "bar complement Interval(length=9, start=8) of bottom member "
+            "Interval(length=3, start=6) is missing",
+            f"{inside} Interval(length=6, start=0) is a member",
+            f"{inside} Interval(length=6, start=1) is a member",
+            f"{inside} Interval(length=6, start=8) is a member",
+            f"{inside} Interval(length=6, start=9) is a member",
+            f"{inside} Interval(length=7, start=0) is a member",
+            f"{inside} Interval(length=7, start=8) is a member",
+            f"{inside} Interval(length=7, start=9) is a member",
+        )
 
     def test_t1_one_sided_overlap_breaks_the_claim(self):
         # Frozen finding: with t = 1 the bar complement extends into its
