@@ -17,6 +17,7 @@ from .families import (
     Params,
     PreconditionError,
     binomial,
+    chain_heights,
     complement_family,
     is_k_sperner,
     is_t_intersecting,

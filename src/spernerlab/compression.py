@@ -24,6 +24,7 @@ from .families import (
     InvariantViolation,
     Params,
     PreconditionError,
+    chain_heights,
     is_k_sperner,
     is_t_intersecting,
     longest_chain,
@@ -136,23 +137,17 @@ def antichain_shadow_holds(fam: Family, j: int) -> bool:
 
 
 def _peel_antichains(fam: Family, k: int) -> list[list[int]]:
-    """Partition members into at most k antichains by repeatedly removing
-    the minimal sets."""
-    remaining = list(fam.members)
-    layers: list[list[int]] = []
-    while remaining:
-        if len(layers) == k:
-            raise InvariantViolation(
-                "peeling needed more than k antichains: input had a chain longer than k")
-        minimal = []
-        rest = []
-        for m in remaining:
-            if any(o != m and (m & o) == o for o in remaining):
-                rest.append(m)
-            else:
-                minimal.append(m)
-        layers.append(minimal)
-        remaining = rest
+    """Partition members into at most k antichains: the j-th holds the
+    members of chain height j, in canonical order, which is what
+    repeatedly removing the minimal sets peels off."""
+    heights = chain_heights(fam)
+    top = max(heights, default=0)
+    if top > k:
+        raise InvariantViolation(
+            "peeling needed more than k antichains: input had a chain longer than k")
+    layers: list[list[int]] = [[] for _ in range(top)]
+    for m, h in zip(fam.members, heights):
+        layers[h - 1].append(m)
     return layers
 
 

@@ -9,6 +9,7 @@ cross-multiplication.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_left, bisect_right
@@ -173,56 +174,134 @@ class Family:
         return self.members[-1].bit_count()
 
 
+@functools.cache
+def _bit_clear(n: int, i: int) -> int:
+    """Lattice bitset (bit X set for mask X) of every mask over [n] with
+    bit i clear: runs of 2^i ones with period 2^(i+1), built by doubling."""
+    x = (1 << (1 << i)) - 1
+    width = 2 << i
+    while width < 1 << n:
+        x |= x << width
+        width <<= 1
+    return x
+
+
+def _lattice(masks, n: int) -> int:
+    """The masks as one lattice bitset over [n]."""
+    b = bytearray(((1 << n) + 7) >> 3)
+    for m in masks:
+        b[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(b, "little")
+
+
+def _as_bytes(bits: int, n: int) -> bytes:
+    """A lattice bitset as bytes: bit X is b[X >> 3] >> (X & 7) & 1.  Shifting
+    the int instead would copy all 2^n bits on every lookup."""
+    return bits.to_bytes(((1 << n) + 7) >> 3, "little")
+
+
+def _add_one(bits: int, n: int) -> int:
+    """Every mask over [n] that is a mask in bits plus one element."""
+    out = 0
+    for i in range(n):
+        out |= (bits & _bit_clear(n, i)) << (1 << i)
+    return out
+
+
+def _drop_one(bits: int, n: int) -> int:
+    """Every mask that is a mask in bits minus one element."""
+    out = 0
+    for i in range(n):
+        out |= (bits >> (1 << i)) & _bit_clear(n, i)
+    return out
+
+
+def _up_closure(bits: int, n: int) -> int:
+    """Every mask over [n] that contains some mask in bits."""
+    for i in range(n):
+        bits |= (bits & _bit_clear(n, i)) << (1 << i)
+    return bits
+
+
 def is_t_intersecting(fam: Family, t: int) -> bool:
     """True iff every unordered pair of members meets in >= t elements.
 
-    Vacuously true for families with at most one member.
+    Vacuously true for families with at most one member.  Otherwise, once
+    every member has at least t elements, a member A meets another member
+    in fewer than t elements iff [n] minus A contains a member with at most
+    t-1 of its elements deleted.  So: t-1 deletion passes and one
+    up-closure on the lattice, then one lookup per member.
     """
     if t < 0:
         raise PreconditionError("t must be >= 0")
-    if t == 0:
-        return True
     ms = fam.members
-    for i in range(len(ms)):
-        a = ms[i]
-        for j in range(i + 1, len(ms)):
-            if (a & ms[j]).bit_count() < t:
-                return False
+    if t == 0 or len(ms) < 2:
+        return True
+    if ms[0].bit_count() < t:
+        return False
+    n = fam.n
+    near = _lattice(ms, n)
+    for _ in range(t - 1):
+        near |= _drop_one(near, n)
+    up = _as_bytes(_up_closure(near, n), n)
+    full = (1 << n) - 1
+    for a in ms:
+        x = full ^ a
+        if up[x >> 3] >> (x & 7) & 1:
+            return False
     return True
+
+
+def chain_heights(fam: Family) -> list[int]:
+    """For each member, in canonical order, the number of sets in the
+    longest chain of members that ends at it.
+
+    Round h keeps, as one lattice bitset, the members of height >= h; the
+    next round keeps those of them that strictly contain one of them (the
+    up-closure of the masks one element above them).  By Mirsky's theorem
+    the height classes are antichains, and the longest chain is the fewest
+    antichains that cover the family.
+    """
+    n, ms = fam.n, fam.members
+    heights = [0] * len(ms)
+    level = _lattice(ms, n)
+    h = 0
+    while level:
+        h += 1
+        b = _as_bytes(level, n)
+        for i, m in enumerate(ms):
+            if b[m >> 3] >> (m & 7) & 1:
+                heights[i] = h
+        level &= _up_closure(_add_one(level, n), n)
+    return heights
 
 
 def longest_chain_members(fam: Family) -> list[int]:
     """One longest nested chain inside fam, from its top member down ([]
     if empty).
 
-    Canonical order sorts by cardinality, so a single increasing pass of
-    longest-path DP over the containment DAG suffices.  The top is the
-    first member of maximal height; each step back goes to the first
-    predecessor that attained the height.
+    The top is the first member of maximal height; each step back goes to
+    the first earlier member, in canonical order, of one less height that
+    is a proper subset.
     """
     ms = fam.members
-    best = [1] * len(ms)
-    back = [-1] * len(ms)
-    top = 0
-    for i, a in enumerate(ms):
-        for j in range(i):
-            b = ms[j]
-            if b != a and (a & b) == b and best[j] + 1 > best[i]:
-                best[i] = best[j] + 1
-                back[i] = j
-        if best[i] > best[top]:
-            top = i
-    out = []
-    i = top if ms else -1
-    while i != -1:
+    if not ms:
+        return []
+    heights = chain_heights(fam)
+    h = max(heights)
+    i = heights.index(h)
+    out = [ms[i]]
+    while h > 1:
+        h -= 1
+        a = ms[i]
+        i = next(j for j in range(i) if heights[j] == h and ms[j] & a == ms[j])
         out.append(ms[i])
-        i = back[i]
     return out
 
 
 def longest_chain(fam: Family) -> int:
     """Number of sets in the longest nested chain inside fam (0 if empty)."""
-    return len(longest_chain_members(fam))
+    return max(chain_heights(fam), default=0)
 
 
 def is_k_sperner(fam: Family, k: int) -> bool:

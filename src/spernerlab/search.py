@@ -29,9 +29,13 @@ from dataclasses import dataclass
 
 from .families import (
     Family,
+    InvariantViolation,
     Params,
     PreconditionError,
     binomial,
+    is_t_intersecting,
+    longest_chain,
+    shade,
 )
 
 DEFAULT_NODE_BUDGET = 20_000_000
@@ -427,7 +431,12 @@ def max_family_size(n: int, t: int, k: int, *, layer_window=None,
         n, t, k, s_range, hi_for_s, budget, seeds=seeds)
     if not proven:
         notes.append("budget exceeded: best found so far, optimality not proven")
-    return SearchResult(best_size=best, witness=Family(n, witness),
+    fam = Family(n, witness)
+    if len(fam) != best or not is_t_intersecting(fam, t) or longest_chain(fam) > k:
+        raise InvariantViolation(
+            f"search ({n},{t},{k}) returned a witness that is not a {t}-intersecting "
+            f"{k}-Sperner family of size {best}")
+    return SearchResult(best_size=best, witness=fam,
                         proven_optimal=proven, nodes=nodes, elapsed=elapsed,
                         notes=tuple(notes))
 
@@ -521,7 +530,14 @@ def g_function(params: Params, budget: Budget | None = None) -> GFunctionResult:
         dfs((1 << len(layer)) - 1, [], 0, 0)
     except _BudgetExceeded:
         state["proven"] = False
-    return GFunctionResult(value=state["best"], witness=Family(n, state["witness"]),
+    fam = Family(n, state["witness"])
+    shade_size = len(shade(fam, top)) if top <= n else 0
+    if (any(m.bit_count() != base for m in fam) or not is_t_intersecting(fam, t)
+            or state["shade"] != shade_size or state["best"] != len(fam) - shade_size):
+        raise InvariantViolation(
+            f"g_function ({n},{t},{k}) returned a witness that does not attain "
+            f"{state['best']} inside the {t}-intersecting families of layer {base}")
+    return GFunctionResult(value=state["best"], witness=fam,
                            shade_size=state["shade"], proven_optimal=state["proven"],
                            nodes=state["nodes"])
 

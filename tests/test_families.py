@@ -2,12 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spernerlab.families import (
     Family,
     Params,
     PreconditionError,
     binomial,
+    chain_heights,
     complement_family,
     elements_of,
     is_k_sperner,
@@ -193,6 +195,100 @@ class TestLongestChain:
         }
         for (s, n, t, k), sets in pinned.items():
             assert random_valid_family(seeded(s), n, t, k).to_sets() == sets
+
+
+def pair_loop_t_intersecting(fam, t):
+    """Reference: every unordered pair of members, compared directly."""
+    ms = fam.members
+    return all((ms[i] & ms[j]).bit_count() >= t
+               for i in range(len(ms)) for j in range(i + 1, len(ms)))
+
+
+def pair_loop_chain_members(fam):
+    """Reference: longest-path DP over the containment DAG with back
+    pointers to the first improving predecessor."""
+    ms = fam.members
+    best = [1] * len(ms)
+    back = [-1] * len(ms)
+    top = 0
+    for i, a in enumerate(ms):
+        for j in range(i):
+            b = ms[j]
+            if b != a and (a & b) == b and best[j] + 1 > best[i]:
+                best[i] = best[j] + 1
+                back[i] = j
+        if best[i] > best[top]:
+            top = i
+    out = []
+    i = top if ms else -1
+    while i != -1:
+        out.append(ms[i])
+        i = back[i]
+    return out
+
+
+def pair_loop_peel(fam):
+    """Reference: repeatedly remove the minimal sets."""
+    remaining = list(fam.members)
+    layers = []
+    while remaining:
+        minimal = []
+        rest = []
+        for m in remaining:
+            if any(o != m and (m & o) == o for o in remaining):
+                rest.append(m)
+            else:
+                minimal.append(m)
+        layers.append(minimal)
+        remaining = rest
+    return layers
+
+
+def test_lattice_matches_pair_loops():
+    rng = random.Random(11)
+    outcomes = set()
+    for n in range(1, 25):
+        full = (1 << n) - 1
+        cases = [Family(n), Family(n, [rng.randrange(1 << n)])]
+        for _ in range(8 if n < 16 else 1):
+            size = rng.randint(2, 40 if n >= 16 else min(80, 1 << n))
+            cases.append(Family(n, [rng.randrange(1 << n) for _ in range(size)]))
+            core = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+            cases.append(Family(n, [core | rng.getrandbits(n) & rng.getrandbits(n)
+                                    for _ in range(size)]))
+            cases.append(Family(n, [full ^ (1 << rng.randrange(n)) ^ (1 << rng.randrange(n))
+                                    for _ in range(size)]))
+        if n >= 3:
+            # a member with fewer than t elements next to large ones
+            cases.append(Family(n, [1, full, full ^ 2]))
+        for fam in cases:
+            chain = longest_chain_members(fam)
+            assert chain == pair_loop_chain_members(fam)
+            assert longest_chain(fam) == len(chain)
+            assert _peel_antichains(fam, n + 1) == pair_loop_peel(fam)
+            for t in range(6):
+                got = is_t_intersecting(fam, t)
+                assert got == pair_loop_t_intersecting(fam, t), (n, t, fam.members)
+                if len(fam) >= 2 and t >= 1:
+                    outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=30))))
+def test_chain_heights_definition(case):
+    n, masks = case
+    fam = Family(n, masks)
+    height = dict(zip(fam.members, chain_heights(fam)))
+    for a, h in height.items():
+        below = [b for b in height if b != a and a & b == b]
+        # every member of the family below a sits lower, and for h > 1 one
+        # of them sits exactly one lower
+        assert all(height[b] < h for b in below)
+        assert h == 1 or any(height[b] == h - 1 for b in below)
+        # each height class is an antichain
+        assert not any(height[b] == h for b in below)
 
 
 class TestShadowShade:

@@ -3,8 +3,11 @@ import random
 
 import pytest
 
+from spernerlab import search
+from spernerlab.cli import main
 from spernerlab.families import (
     Family,
+    InvariantViolation,
     Params,
     PreconditionError,
     binomial,
@@ -108,6 +111,18 @@ class TestOracleSmall:
         res = max_family_size(7, 1, 3, use_compression=True, budget=Budget(nodes=50, seconds=60))
         assert not res.proven_optimal
         assert any("budget" in note for note in res.notes)
+
+    def test_witness_self_check(self, monkeypatch, tmp_path):
+        # {1,2} and {3,4} share nothing: not 1-intersecting
+        def bad_engine(n, t, k, s_range, hi_for_s, budget, seeds=()):
+            return 2, (0b0011, 0b1100), True, 1, 0.0
+        monkeypatch.setattr(search, "_max_family_engine", bad_engine)
+        with pytest.raises(InvariantViolation):
+            max_family_size(4, 1, 1)
+        out = tmp_path / "r.json"
+        rc = main(["search", "--n", "4", "--t", "1", "--k", "1", "--no-cache",
+                   "--out", str(out)])
+        assert rc == 1 and not out.exists()
 
     def test_window_restriction_flagged(self):
         res = max_family_size(5, 1, 1, layer_window=(3, 3))
@@ -213,6 +228,13 @@ class TestGFunction:
     def test_parity_enforced(self):
         with pytest.raises(PreconditionError):
             g_function(Params(n=6, t=2, k=1))
+
+    def test_witness_self_check(self, monkeypatch):
+        # an empty shade makes the recomputed objective disagree with the
+        # incremental one
+        monkeypatch.setattr(search, "shade", lambda fam, level: Family(fam.n))
+        with pytest.raises(InvariantViolation):
+            g_function(Params(n=5, t=2, k=2))
 
 
 class TestBoundsTable:
