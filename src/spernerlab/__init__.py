@@ -9,8 +9,6 @@ Five layers, mirroring how the mathematics is organized:
 * search        brute-force extremal oracle, constructions, bound table
 """
 
-__version__ = "0.1.0"
-
 from .families import (
     Family,
     InvariantViolation,

@@ -1,29 +1,25 @@
 """Command-line surface: every counting check as a runnable command.
 
 Subcommands: check, compress, cycle-audit, coeff-audit, search, construct,
-bounds, scan.  Exit codes: 0 all holds, 1 a checked fact was violated,
-2 usage or parse error.  All file I/O uses the canonical family JSON
-format {"n": N, "sets": [[...], ...]} with 1-based sorted elements.
+bounds, scan.  Exit codes: 0 all facts hold; 1 a checked fact was
+violated or a bug trap (InvariantViolation) fired; 2 a usage error or
+malformed input; any other exception propagates with its traceback.  All
+file I/O uses the canonical family JSON format {"n": N, "sets": [[...], ...]}
+with 1-based sorted elements.
 
 Output bytes are a pure function of (command, arguments, seed): no
 timestamps or timings go into files (wall-clock summaries go to stderr).
-Expensive commands cache their output under SPERNERLAB_CACHE_DIR (default
-~/.cache/spernerlab), keyed by command, parameters, seed and version;
---no-cache bypasses the cache entirely.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
-import os
 import sys
 import time
 
-from . import __version__
 from .families import (
     Family,
     InvariantViolation,
@@ -95,28 +91,6 @@ def _emit(text: str, out_path):
 def _load_family(path) -> Family:
     with open(path) as fh:
         return Family.from_json_dict(json.load(fh))
-
-
-def _cache_dir():
-    return os.environ.get("SPERNERLAB_CACHE_DIR",
-                          os.path.join(os.path.expanduser("~"), ".cache", "spernerlab"))
-
-
-def _cache_lookup(key_obj):
-    key = hashlib.sha256(json.dumps(key_obj, sort_keys=True).encode()).hexdigest()
-    path = os.path.join(_cache_dir(), key + ".json")
-    if os.path.exists(path):
-        with open(path) as fh:
-            return path, fh.read()
-    return path, None
-
-
-def _cache_store(path, text):
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------- check
@@ -223,9 +197,16 @@ def cmd_cycle_audit(args) -> int:
 def cmd_coeff_audit(args) -> int:
     with open(args.profiles) as fh:
         profiles = json.load(fh)
+    if not isinstance(profiles, list):
+        raise PreconditionError("profiles JSON must be a list")
     verdicts = []
     violated = 0
     for idx, prof in enumerate(profiles):
+        if (not isinstance(prof, dict) or any(type(prof.get(key)) is not int for key in "ntkm")
+                or not isinstance(prof.get("counts"), list)
+                or any(type(c) is not int for c in prof["counts"])):
+            raise PreconditionError(
+                f"profile {idx} needs integers 'n', 't', 'k', 'm' and a list of integer 'counts'")
         entry = {"index": idx}
         try:
             vec = profile_vector(prof["n"], prof["t"], prof["k"], prof["m"], prof["counts"])
@@ -253,28 +234,23 @@ def cmd_coeff_audit(args) -> int:
 
 # ---------------------------------------------------------------- search
 
+def _layer_window(text):
+    """Parse the --layers argument "lo:hi" into a pair of ints."""
+    lo, _, hi = text.partition(":")
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}") from None
+
+
 def cmd_search(args) -> int:
-    window = None
-    if args.layers:
-        lo, hi = args.layers.split(":")
-        window = (int(lo), int(hi))
-    key_obj = {"command": "search", "version": __version__, "n": args.n, "t": args.t,
-               "k": args.k, "layers": window, "use_compression": args.use_compression,
-               "budget_nodes": args.budget_nodes, "budget_secs": args.budget_secs}
-    cache_path, hit = (None, None)
-    if not args.no_cache:
-        cache_path, hit = _cache_lookup(key_obj)
-    if hit is not None:
-        _emit(hit, args.out)
-        print("cache hit", file=sys.stderr)
-        return 0
     t0 = time.monotonic()
-    res = max_family_size(args.n, args.t, args.k, layer_window=window,
+    res = max_family_size(args.n, args.t, args.k, layer_window=args.layers,
                           use_compression=args.use_compression,
                           budget=Budget(nodes=args.budget_nodes, seconds=args.budget_secs))
     doc = {
         "n": args.n, "t": args.t, "k": args.k,
-        "layers": list(window) if window else None,
+        "layers": list(args.layers) if args.layers else None,
         "use_compression": args.use_compression,
         "best_size": res.best_size,
         "proven_optimal": res.proven_optimal,
@@ -282,10 +258,7 @@ def cmd_search(args) -> int:
         "notes": list(res.notes),
         "witness": res.witness.to_json_dict(),
     }
-    text = _dump(doc)
-    if cache_path and res.proven_optimal:
-        _cache_store(cache_path, text)
-    _emit(text, args.out)
+    _emit(_dump(doc), args.out)
     print(f"search finished in {time.monotonic() - t0:.2f}s, {res.nodes} nodes",
           file=sys.stderr)
     return 0
@@ -471,17 +444,6 @@ CSV_COLUMNS = ["check", "params", "verdict", "margin", "witness_path", "note"]
 
 
 def cmd_scan(args) -> int:
-    key_obj = {"command": "scan", "version": __version__, "seed": args.seed,
-               "n_max": args.n_max, "trials": args.trials, "format": args.format,
-               "inject": getattr(args, "inject_violation", False)}
-    cache_path, hit = (None, None)
-    if not args.no_cache:
-        cache_path, hit = _cache_lookup(key_obj)
-    if hit is not None:
-        _emit(hit, args.out)
-        print("cache hit", file=sys.stderr)
-        violated = '"verdict": "violated"' in hit or ',violated,' in hit
-        return 1 if violated else 0
     records = _scan_records(args)
     if args.format == "csv":
         buf = io.StringIO()
@@ -494,14 +456,15 @@ def cmd_scan(args) -> int:
         text = buf.getvalue()
     else:
         text = _dump({"seed": args.seed, "records": records})
-    if cache_path:
-        _cache_store(cache_path, text)
     _emit(text, args.out)
     violated = any(r["verdict"] == "violated" for r in records)
     return 1 if violated else 0
 
 
 # ------------------------------------------------------------------ main
+
+NO_CACHE_HELP = "no-op: nothing is cached; kept so existing command lines still parse"
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -541,11 +504,11 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--t", type=int, required=True)
     c.add_argument("--k", type=int, required=True)
-    c.add_argument("--layers", help="lo:hi member-size window")
+    c.add_argument("--layers", type=_layer_window, help="lo:hi member-size window")
     c.add_argument("--use-compression", action="store_true")
     c.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET)
     c.add_argument("--budget-secs", type=float, default=DEFAULT_TIME_BUDGET)
-    c.add_argument("--no-cache", action="store_true")
+    c.add_argument("--no-cache", action="store_true", help=NO_CACHE_HELP)
     c.add_argument("--out")
     c.set_defaults(fn=cmd_search)
 
@@ -569,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n-max", type=int, default=6)
     c.add_argument("--trials", type=int, default=60)
     c.add_argument("--format", choices=["json", "csv"], default="json")
-    c.add_argument("--no-cache", action="store_true")
+    c.add_argument("--no-cache", action="store_true", help=NO_CACHE_HELP)
     c.add_argument("--inject-violation", action="store_true", help=argparse.SUPPRESS)
     c.add_argument("--out")
     c.set_defaults(fn=cmd_scan)
@@ -585,8 +548,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except (PreconditionError, FileNotFoundError, json.JSONDecodeError, KeyError,
-            ValueError) as exc:
+    except (PreconditionError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

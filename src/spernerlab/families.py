@@ -44,8 +44,8 @@ def mask_from(elements, n: int) -> int:
     """Build a subset mask from an iterable of 1-based elements."""
     m = 0
     for e in elements:
-        if not 1 <= e <= n:
-            raise PreconditionError(f"element {e} outside ground set [{n}]")
+        if type(e) is not int or not 1 <= e <= n:
+            raise PreconditionError(f"element {e!r} outside ground set [{n}]")
         m |= 1 << (e - 1)
     return m
 
@@ -127,8 +127,10 @@ class Family:
 
     @classmethod
     def from_json_dict(cls, d) -> "Family":
-        if not isinstance(d, dict) or "n" not in d or "sets" not in d:
-            raise PreconditionError("family JSON needs keys 'n' and 'sets'")
+        if (not isinstance(d, dict) or type(d.get("n")) is not int
+                or not isinstance(d.get("sets"), list)
+                or not all(isinstance(s, list) for s in d["sets"])):
+            raise PreconditionError("family JSON needs an integer 'n' and a list of lists 'sets'")
         return cls.from_sets(d["n"], d["sets"])
 
     def to_json_dict(self) -> dict:

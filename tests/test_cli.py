@@ -9,18 +9,12 @@ import spernerlab
 from spernerlab.cli import main
 
 
-@pytest.fixture
-def cache_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPERNERLAB_CACHE_DIR", str(tmp_path / "cache"))
-    return tmp_path
-
-
 def write_family(path, n, sets):
     path.write_text(json.dumps({"n": n, "sets": sets}))
 
 
 class TestCheck:
-    def test_report_fields(self, cache_env, tmp_path, capsys):
+    def test_report_fields(self, tmp_path, capsys):
         fam = tmp_path / "fam.json"
         write_family(fam, 6, [[1, 2, 3], [1, 2, 3, 4]])
         rc = main(["check", str(fam), "--t", "2", "--k", "2"])
@@ -32,7 +26,7 @@ class TestCheck:
         assert doc["weight"] == 35
         assert doc["layer_profile"] == {"3": 1, "4": 1}
 
-    def test_chain_violation_reported(self, cache_env, tmp_path, capsys):
+    def test_chain_violation_reported(self, tmp_path, capsys):
         fam = tmp_path / "fam.json"
         write_family(fam, 4, [[1], [1, 2], [1, 2, 3]])
         rc = main(["check", str(fam), "--t", "1", "--k", "2"])
@@ -40,15 +34,28 @@ class TestCheck:
         doc = json.loads(capsys.readouterr().out)
         assert doc["k_sperner"] is False
 
-    def test_malformed_exits_2(self, cache_env, tmp_path):
+    def test_malformed_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"nope\": 1}")
         assert main(["check", str(bad), "--t", "1", "--k", "1"]) == 2
 
-    def test_missing_file_exits_2(self, cache_env):
+    @pytest.mark.parametrize("data", [
+        b'{"n": 4, "sets": [[1, "x"]]}',
+        b'{"n": 4, "sets": [1]}',
+        b'{"n": "4", "sets": []}',
+        b'{"n": 4, "sets": [[1.5]]}',
+        b'{"n": true, "sets": [[true]]}',
+        b'{"n": 4, "sets": [[\xff]]}',
+    ])
+    def test_malformed_input_exits_2(self, tmp_path, data):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        assert main(["check", str(bad), "--t", "1", "--k", "1"]) == 2
+
+    def test_missing_file_exits_2(self):
         assert main(["check", "/nonexistent.json", "--t", "1", "--k", "1"]) == 2
 
-    def test_report_round_trips(self, cache_env, tmp_path, capsys):
+    def test_report_round_trips(self, tmp_path, capsys):
         fam = tmp_path / "fam.json"
         write_family(fam, 5, [[1, 2], [1, 3]])
         main(["check", str(fam), "--t", "1", "--k", "1"])
@@ -57,7 +64,7 @@ class TestCheck:
 
 
 class TestCompress:
-    def test_normalizes_and_reports(self, cache_env, tmp_path, capsys):
+    def test_normalizes_and_reports(self, tmp_path, capsys):
         fam = tmp_path / "fam.json"
         write_family(fam, 6, [[1, 2, 3]])
         rc = main(["compress", str(fam), "--t", "2", "--k", "1"])
@@ -69,7 +76,7 @@ class TestCompress:
 
 
 class TestSearchCommand:
-    def test_result_and_cache(self, cache_env, tmp_path, capsys):
+    def test_result_is_deterministic(self, tmp_path, capsys):
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"
         rc = main(["search", "--n", "5", "--t", "2", "--k", "2",
@@ -83,34 +90,43 @@ class TestSearchCommand:
         assert doc["best_size"] == 9 and doc["proven_optimal"]
         assert doc["witness"]["n"] == 5
 
-    def test_no_cache_bypass(self, cache_env, tmp_path):
-        out = tmp_path / "r.json"
-        rc = main(["search", "--n", "4", "--t", "2", "--k", "1", "--no-cache",
-                   "--out", str(out)])
-        assert rc == 0
-        assert json.loads(out.read_text())["best_size"] == 4
-        assert not (cache_env / "cache").exists()
+    def test_no_cache_is_a_no_op(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for out, flags in ((a, ["--no-cache"]), (b, [])):
+            rc = main(["search", "--n", "4", "--t", "2", "--k", "1", *flags,
+                       "--out", str(out)])
+            assert rc == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads(a.read_text())["best_size"] == 4
 
-    def test_layer_window(self, cache_env, tmp_path):
+    def test_layer_window(self, tmp_path):
         out = tmp_path / "r.json"
         rc = main(["search", "--n", "5", "--t", "1", "--k", "1",
                    "--layers", "3:3", "--no-cache", "--out", str(out)])
         assert rc == 0
         assert json.loads(out.read_text())["best_size"] == 10
+        assert main(["search", "--n", "5", "--t", "1", "--k", "1", "--layers", "3"]) == 2
+
+    def test_internal_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("engine bug")
+        monkeypatch.setattr("spernerlab.cli.max_family_size", broken)
+        with pytest.raises(KeyError):
+            main(["search", "--n", "4", "--t", "1", "--k", "1"])
 
 
 class TestConstructAndBounds:
-    def test_construct_b(self, cache_env, capsys):
+    def test_construct_b(self, capsys):
         rc = main(["construct", "--which", "B", "--n", "5", "--t", "2", "--k", "2"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["size"] == doc["size_formula"] == doc["size_closed_form"] == 8
 
-    def test_construct_parity_error(self, cache_env):
+    def test_construct_parity_error(self):
         assert main(["construct", "--which", "layers", "--n", "5", "--t", "2",
                      "--k", "1"]) == 2
 
-    def test_bounds(self, cache_env, capsys):
+    def test_bounds(self, capsys):
         rc = main(["bounds", "--n", "6", "--t", "1", "--k", "2"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
@@ -119,7 +135,7 @@ class TestConstructAndBounds:
 
 
 class TestAudits:
-    def test_cycle_audit_clean(self, cache_env, tmp_path):
+    def test_cycle_audit_clean(self, tmp_path):
         out = tmp_path / "cyc.json"
         rc = main(["cycle-audit", "--n", "12", "--t", "2", "--k", "2",
                    "--trials", "8", "--seed", "5", "--out", str(out)])
@@ -127,14 +143,27 @@ class TestAudits:
         doc = json.loads(out.read_text())
         assert doc["violations"] == 0 and len(doc["trials"]) == 8
 
-    def test_cycle_audit_deterministic(self, cache_env, tmp_path):
+    def test_cycle_audit_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
             main(["cycle-audit", "--n", "12", "--t", "2", "--k", "2",
                   "--trials", "5", "--seed", "9", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_coeff_audit_mixed_verdicts(self, cache_env, tmp_path, capsys):
+    @pytest.mark.parametrize("text", [
+        '[[1]]',
+        '{"n": 12}',
+        '[{"n": 12}]',
+        '[{"n": 12, "t": 2, "k": 2, "m": 1, "counts": 5}]',
+        '[{"n": 12, "t": 2, "k": 2, "m": 1, "counts": [3, 9.5, 9, 3]}]',
+        '[{"n": "12", "t": 2, "k": 2, "m": 1, "counts": [3, 9, 9, 3]}]',
+    ])
+    def test_coeff_audit_malformed_exits_2(self, tmp_path, text):
+        profs = tmp_path / "p.json"
+        profs.write_text(text)
+        assert main(["coeff-audit", str(profs)]) == 2
+
+    def test_coeff_audit_mixed_verdicts(self, tmp_path, capsys):
         profs = tmp_path / "p.json"
         profs.write_text(json.dumps([
             {"n": 12, "t": 2, "k": 2, "m": 1, "counts": [3, 9, 9, 3]},
@@ -153,7 +182,7 @@ class TestAudits:
 
 
 class TestScan:
-    def test_clean_scan_and_determinism(self, cache_env, tmp_path):
+    def test_clean_scan_and_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
             rc = main(["scan", "--seed", "7", "--n-max", "4", "--trials", "4",
@@ -167,13 +196,13 @@ class TestScan:
                 "averaging_identity", "binomial_swap_suffix",
                 "rearrangement_dominance"} <= names
 
-    def test_injected_violation_exits_1(self, cache_env, tmp_path):
+    def test_injected_violation_exits_1(self, tmp_path):
         out = tmp_path / "s.json"
         rc = main(["scan", "--seed", "7", "--n-max", "4", "--trials", "2",
                    "--no-cache", "--inject-violation", "--out", str(out)])
         assert rc == 1
 
-    def test_csv_projection(self, cache_env, tmp_path):
+    def test_csv_projection(self, tmp_path):
         out = tmp_path / "s.csv"
         rc = main(["scan", "--seed", "7", "--n-max", "4", "--trials", "2",
                    "--no-cache", "--format", "csv", "--out", str(out)])
@@ -182,22 +211,48 @@ class TestScan:
         assert lines[0] == "check,params,verdict,margin,witness_path,note"
         assert len(lines) > 10
 
-    def test_scan_cache_round_trip(self, cache_env, tmp_path):
+    def test_no_cache_is_a_no_op(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        rc = main(["scan", "--seed", "11", "--n-max", "4", "--trials", "2",
-                   "--out", str(a)])
-        assert rc == 0
-        rc = main(["scan", "--seed", "11", "--n-max", "4", "--trials", "2",
-                   "--out", str(b)])
-        assert rc == 0
+        for out, flags in ((a, ["--no-cache"]), (b, [])):
+            rc = main(["scan", "--seed", "11", "--n-max", "4", "--trials", "2", *flags,
+                       "--out", str(out)])
+            assert rc == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_scan_witness_paths_follow_out(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for out in (a, b):
+            rc = main(["scan", "--seed", "7", "--n-max", "2", "--trials", "1",
+                       "--inject-violation", "--out", str(out)])
+            assert rc == 1
+        paths = [r["witness_path"] for r in json.loads(b.read_text())["records"]
+                 if r["witness_path"] is not None]
+        assert paths
+        for path in paths:
+            assert path.startswith(str(b) + ".witness.")
+            assert os.path.exists(path)
 
 
 class TestEntryPoint:
     def test_usage_error_exit_2(self):
         assert main(["not-a-command"]) == 2
 
-    def test_module_invocation(self, tmp_path):
+    def test_writes_nothing_but_out(self, tmp_path, monkeypatch):
+        home, cache, work = tmp_path / "home", tmp_path / "cache", tmp_path / "work"
+        home.mkdir()
+        work.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setenv("SPERNERLAB_CACHE_DIR", str(cache))
+        monkeypatch.chdir(work)
+        outs = [work / "search.json", work / "scan.json"]
+        assert main(["search", "--n", "5", "--t", "2", "--k", "2", "--use-compression",
+                     "--out", str(outs[0])]) == 0
+        assert main(["scan", "--seed", "7", "--n-max", "3", "--trials", "2",
+                     "--out", str(outs[1])]) == 0
+        assert sorted(p for p in tmp_path.rglob("*") if not p.is_dir()) == sorted(outs)
+        assert not cache.exists()
+
+    def test_module_invocation(self):
         # The child gets a minimal environment plus the directory this
         # process imported spernerlab from: src/ on an uninstalled
         # checkout, the install location otherwise.
@@ -206,7 +261,6 @@ class TestEntryPoint:
             [sys.executable, "-m", "spernerlab.cli", "bounds", "--n", "4",
              "--t", "1", "--k", "1"],
             capture_output=True, text=True,
-            env={"PATH": "/usr/bin:/bin", "SPERNERLAB_CACHE_DIR": str(tmp_path),
-                 "PYTHONPATH": import_dir})
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": import_dir})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["bounds"]["sperner"]["value"] == 6
