@@ -235,12 +235,27 @@ def cmd_coeff_audit(args) -> int:
 # ---------------------------------------------------------------- search
 
 def _layer_window(text):
-    """Parse the --layers argument "lo:hi" into a pair of ints."""
+    """Parse the --layers argument "lo:hi" into a pair of ints with
+    0 <= lo <= hi."""
     lo, _, hi = text.partition(":")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}") from None
+    if not 0 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"expected a window with 0 <= lo <= hi, got {text!r}")
+    return lo, hi
+
+
+def _positive_int(text):
+    """Parse a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a count of at least 1, got {text!r}")
+    return value
 
 
 def cmd_search(args) -> int:
@@ -490,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--t", type=int, required=True)
     c.add_argument("--k", type=int, required=True)
-    c.add_argument("--trials", type=int, default=100)
+    c.add_argument("--trials", type=_positive_int, default=100)
     c.add_argument("--seed", type=int, default=1729)
     c.add_argument("--out")
     c.set_defaults(fn=cmd_cycle_audit)
@@ -506,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--layers", type=_layer_window, help="lo:hi member-size window")
     c.add_argument("--use-compression", action="store_true")
-    c.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET)
+    c.add_argument("--budget-nodes", type=_positive_int, default=DEFAULT_NODE_BUDGET)
     c.add_argument("--budget-secs", type=float, default=DEFAULT_TIME_BUDGET)
     c.add_argument("--no-cache", action="store_true", help=NO_CACHE_HELP)
     c.add_argument("--out")
@@ -530,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("scan", help="full regression matrix; exit 1 on any violation")
     c.add_argument("--seed", type=int, default=1729)
     c.add_argument("--n-max", type=int, default=6)
-    c.add_argument("--trials", type=int, default=60)
+    c.add_argument("--trials", type=_positive_int, default=60)
     c.add_argument("--format", choices=["json", "csv"], default="json")
     c.add_argument("--no-cache", action="store_true", help=NO_CACHE_HELP)
     c.add_argument("--inject-violation", action="store_true", help=argparse.SUPPRESS)

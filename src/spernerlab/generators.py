@@ -123,20 +123,20 @@ def random_full_consecutive(rng: random.Random, n: int, t: int, k: int, m: int,
         bottoms = [rng.randint(mid - m, mid + m) for _ in range(n)]
         bottoms[pinned] = mid - m
         ok = True
+        # raising a bottom only lengthens its arc, so every pair before the
+        # last short pair stays good and the scan resumes there
+        h1, h2 = 0, 1
         for _ in range(4 * n * n):
-            bad = None
-            for h1 in range(n):
+            while h1 < n - 1:
                 iv1 = Interval(length=bottoms[h1], start=h1)
-                for h2 in range(h1 + 1, n):
-                    if arc_overlap(n, iv1, Interval(length=bottoms[h2], start=h2)) < t:
-                        bad = (h1, h2)
-                        break
-                if bad:
+                while h2 < n and arc_overlap(n, iv1, Interval(length=bottoms[h2], start=h2)) >= t:
+                    h2 += 1
+                if h2 < n:
                     break
-            if bad is None:
+                h1, h2 = h1 + 1, h1 + 2
+            else:
                 break
-            h1, h2 = bad
-            raisable = [h for h in bad if h != pinned and bottoms[h] < mid + m]
+            raisable = [h for h in (h1, h2) if h != pinned and bottoms[h] < mid + m]
             if not raisable:
                 ok = False
                 break

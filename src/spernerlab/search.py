@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
+import operator
 import time
 from dataclasses import dataclass
 
@@ -79,6 +79,15 @@ class _BudgetExceeded(Exception):
     pass
 
 
+_BITS01 = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _members(pool: int) -> bytes:
+    """One 0/1 byte per bit of pool, lowest bit first: a selector for
+    itertools.compress."""
+    return bin(pool)[:1:-1].encode().translate(_BITS01)
+
+
 class _Engine:
     """Branch-and-bound over one (n, t, k); shared incumbent across the
     per-minimum-size root branches."""
@@ -99,13 +108,6 @@ class _Engine:
             self.best = len(masks)
             self.witness = masks
 
-    def _tick(self):
-        self.nodes += 1
-        if self.nodes > self.node_cap:
-            raise _BudgetExceeded("node budget exhausted")
-        if not self.nodes % 4096 and time.monotonic() > self.deadline:
-            raise _BudgetExceeded("time budget exhausted")
-
     def run_branch(self, s: int, hi: int):
         """Prove the branch where the minimum-size member is exactly
         {1..s} and every member size lies in [s, hi]."""
@@ -114,18 +116,9 @@ class _Engine:
         masks = [m for size in range(s, hi + 1) for m in _layer_masks(n, size)
                  if m != chosen0 and (not t or (m & chosen0).bit_count() >= t)]
         masks.sort(key=lambda m: (-math.comb(n, m.bit_count()), m.bit_count(), m))
-        # initial chain heights relative to the pinned minimum member
-        keep, dn0 = [], []
-        for m in masks:
-            d = 2 if (m & chosen0) == chosen0 else 1
-            if d <= k:
-                keep.append(m)
-                dn0.append(d)
-        masks = keep
+        # with k = 1 no member may contain the pinned minimum member
+        masks = [m for m in masks if (m & chosen0) != chosen0 or k >= 2]
         C = len(masks)
-        index = {m: i for i, m in enumerate(masks)}
-        full = (1 << n) - 1
-        partner = [index.get(full ^ m, -1) for m in masks]
         tconf = [0] * C
         sup = [0] * C
         sub = [0] * C
@@ -143,98 +136,110 @@ class _Engine:
                 elif inter == mj:
                     sub[i] |= 1 << j
                     sup[j] |= 1 << i
-        anchors = {}
-        cid = []
-        for m in masks:
-            a = scd_anchor(m, n)
-            cid.append(anchors.setdefault(a, len(anchors)))
-        nchains = len(anchors)
-        used0 = [0] * nchains
-        a0 = scd_anchor(chosen0, n)
-        if a0 in anchors:
-            used0[anchors[a0]] = 1
-        dn = dn0[:]
-        up = [1] * C
-        chosen = [chosen0]
-        self.seed(chosen)
-        self._masks = masks
-        # include/exclude chains can reach the candidate count
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 3 * C + 1000))
-        pool0 = (1 << C) - 1
-        self._dfs(pool0, 1, chosen, used0, dn, up, tconf, sup, sub, partner, cid)
+        # One packed integer per candidate, summed over the pool at each
+        # node: a w-bit counter per symmetric chain, then one bit at the
+        # complement's index for the lower member of each complement pair.
+        # A counter stays below n + 2 and its top bit is a guard that the
+        # tests below set without carrying into the next counter.
+        chain_of = {}
+        cid = [chain_of.setdefault(scd_anchor(m, n), len(chain_of)) for m in masks]
+        w = max(n + 1, k).bit_length() + 1
+        off = w * len(chain_of)
+        field = [1 << w * c for c in cid]
+        if t:
+            # a set and its complement never share a t-intersecting family
+            index = {m: i for i, m in enumerate(masks)}
+            full = (1 << n) - 1
+            for i, m in enumerate(masks):
+                j = index.get(full ^ m, -1)
+                if j > i:
+                    field[i] |= 1 << off + j
+        unit = sum(1 << w * c for c in range(len(chain_of)))
+        guard = unit << w - 1
+        # counter + ge[j - 1] has its guard bit set iff the counter is >= j;
+        # roomy[j - 1] holds the guard bits of the chains with room >= j
+        ge = [unit * ((1 << w - 1) - j) for j in range(1, k + 1)]
+        room = [k] * len(chain_of)
+        roomy = [guard] * k
+        c0 = chain_of.get(scd_anchor(chosen0, n))
+        if c0 is not None:
+            room[c0] = k - 1
+            roomy[k - 1] ^= 1 << w * c0 + w - 1
+        # below[h - 1]: candidates with a tracked chain of h chosen members
+        # strictly below them; above[h - 1] likewise strictly above.  An
+        # include raises heights through the new member only.
+        below = (sum(1 << i for i, m in enumerate(masks) if (m & chosen0) == chosen0),
+                 *[0] * (k - 1))
+        above = (0,) * k
+        self.seed((chosen0,))
 
-    def _dfs(self, pool, cc, chosen, used, dn, up, tconf, sup, sub, partner, cid):
-        self._tick()
-        k = self.k
-        if cc + pool.bit_count() <= self.best:
-            return
-        idxs = []
-        p = pool
-        while p:
-            lsb = p & -p
-            idxs.append(lsb.bit_length() - 1)
-            p ^= lsb
-        cnt: dict[int, int] = {}
-        for i in idxs:
-            c = cid[i]
-            cnt[c] = cnt.get(c, 0) + 1
-        b1 = cc
-        for c, ct in cnt.items():
-            room = k - used[c]
-            if room > 0:
-                b1 += room if room < ct else ct
-        if b1 <= self.best:
-            return
-        if self.t:
-            pairs = 0
-            for i in idxs:
-                j = partner[i]
-                if j > i and pool >> j & 1:
-                    pairs += 1
-            if cc + len(idxs) - pairs <= self.best:
-                return
-        # branch on the most conflicted candidate
-        bi = idxs[0]
-        if self.t:
-            bconf = -1
-            for i in idxs:
-                cdeg = (pool & tconf[i]).bit_count()
-                if cdeg > bconf:
-                    bconf = cdeg
-                    bi = i
-        # include
-        i = bi
-        newpool = pool & ~tconf[i] & ~(1 << i)
-        undo = []
-        aff = newpool & (sup[i] | sub[i])
-        a = aff
-        while a:
-            lsb = a & -a
-            j = lsb.bit_length() - 1
-            a ^= lsb
-            od, ou = dn[j], up[j]
-            nd, nu = od, ou
-            if sup[i] >> j & 1 and dn[i] + 1 > nd:
-                nd = dn[i] + 1
-            if sub[i] >> j & 1 and up[i] + 1 > nu:
-                nu = up[i] + 1
-            if nd != od or nu != ou:
-                undo.append((j, od, ou))
-                dn[j], up[j] = nd, nu
-            if nd + nu - 1 > k:
-                newpool &= ~(1 << j)
-        chosen.append(self._masks[i])
-        used[cid[i]] += 1
-        if cc + 1 > self.best:
-            self.best = cc + 1
-            self.witness = tuple(chosen)
-        self._dfs(newpool, cc + 1, chosen, used, dn, up, tconf, sup, sub, partner, cid)
-        used[cid[i]] -= 1
-        chosen.pop()
-        for j, od, ou in undo:
-            dn[j], up[j] = od, ou
-        # exclude
-        self._dfs(pool & ~(1 << i), cc, chosen, used, dn, up, tconf, sup, sub, partner, cid)
+        # Depth-first include/exclude search in preorder: a node, its include
+        # child's subtree, then its exclude child.  The stack holds, per
+        # include still open, what the exclude child needs; its included
+        # indices are the chosen members after the pinned one.
+        node_cap, deadline = self.node_cap, self.deadline
+        best, nodes = self.best, self.nodes
+        bit_count, and_ = int.bit_count, operator.and_
+        compress, islice = itertools.compress, itertools.islice
+        ids = range(C)
+        stack = []
+        pool, cc = (1 << C) - 1, 1
+        try:
+            while True:
+                nodes += 1
+                if nodes > node_cap:
+                    raise _BudgetExceeded("node budget exhausted")
+                if not nodes % 4096 and time.monotonic() > deadline:
+                    raise _BudgetExceeded("time budget exhausted")
+                size = pool.bit_count()
+                if cc + size > best:
+                    sel = _members(pool)
+                    packed = sum(compress(field, sel))
+                    if (
+                            # at most `room` more members per symmetric chain
+                            cc + sum(map(bit_count, map(and_, map(packed.__add__, ge), roomy)))
+                            > best
+                            # at most one member per complement pair
+                            and cc + size - (packed >> off & pool).bit_count() > best):
+                        # branch on the most conflicted candidate, lowest index first
+                        degs = list(map(bit_count, map(pool.__and__, compress(tconf, sel))))
+                        i = next(islice(compress(ids, sel), degs.index(max(degs)), None))
+                        bit = 1 << i
+                        h = 1
+                        while h <= k and below[h - 1] & bit:
+                            h += 1
+                        new_below = (*map(sup[i].__or__, below[:h]), *below[h:])
+                        h = 1
+                        while h <= k and above[h - 1] & bit:
+                            h += 1
+                        new_above = (*map(sub[i].__or__, above[:h]), *above[h:])
+                        # drop every candidate that would close a chain of k + 1
+                        closes = new_below[k - 1] | new_above[k - 1]
+                        for x in range(k - 1):
+                            closes |= new_below[x] & new_above[k - 2 - x]
+                        c = cid[i]
+                        r = room[c]
+                        if r:  # a room of 0 adds nothing to the cap and stays 0
+                            room[c] = r - 1
+                            roomy[r - 1] ^= 1 << w * c + w - 1
+                        stack.append((pool, cc, i, below, above, r))
+                        pool &= ~(tconf[i] | bit | closes)
+                        below, above = new_below, new_above
+                        cc += 1
+                        if cc > best:
+                            best = cc
+                            self.witness = (chosen0, *(masks[f[2]] for f in stack))
+                        continue
+                if not stack:
+                    return
+                pool, cc, i, below, above, r = stack.pop()
+                if r:
+                    c = cid[i]
+                    room[c] = r
+                    roomy[r - 1] ^= 1 << w * c + w - 1
+                pool &= ~(1 << i)
+        finally:
+            self.best, self.nodes = best, nodes
 
 
 def _max_family_engine(n: int, t: int, k: int, s_range, hi_for_s, budget: Budget,
@@ -382,8 +387,7 @@ def _construction_seeds(n, t, k):
 
 
 def max_family_size(n: int, t: int, k: int, *, layer_window=None,
-                    use_compression=False, budget: Budget | None = None,
-                    seeds=None) -> SearchResult:
+                    use_compression=False, budget: Budget | None = None) -> SearchResult:
     """Exact maximum size of a t-intersecting k-Sperner family over [n].
 
     t = 0 disables the intersection constraint (classical Sperner/Erdos
@@ -402,6 +406,7 @@ def max_family_size(n: int, t: int, k: int, *, layer_window=None,
         notes.append(f"window restricted to sizes [{lo}, {hi}]: optimum relative to the window")
     else:
         lo, hi = (0 if t == 0 else 1), n
+    window = lo, hi
     if use_compression:
         if t == 0:
             raise PreconditionError("compression banding applies to t >= 1 only")
@@ -425,17 +430,19 @@ def max_family_size(n: int, t: int, k: int, *, layer_window=None,
         def hi_for_s(s):
             return hi
         s_range = range(lo, hi + 1)
-    if seeds is None:
-        seeds = _construction_seeds(n, t, k)
+    # a subfamily of a t-intersecting k-Sperner family is one too
+    seeds = [tuple(m for m in seed if window[0] <= m.bit_count() <= window[1])
+             for seed in _construction_seeds(n, t, k)]
     best, witness, proven, nodes, elapsed = _max_family_engine(
         n, t, k, s_range, hi_for_s, budget, seeds=seeds)
     if not proven:
         notes.append("budget exceeded: best found so far, optimality not proven")
     fam = Family(n, witness)
-    if len(fam) != best or not is_t_intersecting(fam, t) or longest_chain(fam) > k:
+    if (len(fam) != best or not is_t_intersecting(fam, t) or longest_chain(fam) > k
+            or any(not window[0] <= m.bit_count() <= window[1] for m in fam)):
         raise InvariantViolation(
             f"search ({n},{t},{k}) returned a witness that is not a {t}-intersecting "
-            f"{k}-Sperner family of size {best}")
+            f"{k}-Sperner family of size {best} with member sizes in {list(window)}")
     return SearchResult(best_size=best, witness=fam,
                         proven_optimal=proven, nodes=nodes, elapsed=elapsed,
                         notes=tuple(notes))
@@ -482,64 +489,62 @@ def g_function(params: Params, budget: Budget | None = None) -> GFunctionResult:
             if (layer[i] & layer[j]).bit_count() < t:
                 tconf[i] |= 1 << j
                 tconf[j] |= 1 << i
-    state = {"best": 0, "witness": (), "shade": 0, "nodes": 0,
-             "deadline": time.monotonic() + budget.seconds, "proven": True}
-
-    def dfs(pool, chosen, shade_union, cc):
-        state["nodes"] += 1
-        if state["nodes"] > budget.nodes:
-            raise _BudgetExceeded
-        if not state["nodes"] % 4096 and time.monotonic() > state["deadline"]:
-            raise _BudgetExceeded
-        obj = cc - shade_union.bit_count()
-        if obj > state["best"]:
-            state["best"] = obj
-            state["witness"] = tuple(chosen)
-            state["shade"] = shade_union.bit_count()
-        if not pool:
-            return
-        cap = pool.bit_count()
-        if obj + cap <= state["best"]:
-            return
-        # a greedy matching of conflicting pool pairs: each matched pair
-        # contributes at most one future member
-        matched = 0
-        avail = pool
-        p = pool
-        while p:
-            lsb = p & -p
-            i = lsb.bit_length() - 1
-            p ^= lsb
-            if not avail >> i & 1:
-                continue
-            other = avail & tconf[i] & ~lsb
-            if other:
-                matched += 1
-                avail &= ~(other & -other) & ~lsb
-        if obj + cap - matched <= state["best"]:
-            return
-        lsb = pool & -pool
-        i = lsb.bit_length() - 1
-        chosen.append(layer[i])
-        dfs(pool & ~tconf[i] & ~lsb, chosen, shade_union | shades[i], cc + 1)
-        chosen.pop()
-        dfs(pool ^ lsb, chosen, shade_union, cc)
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 3 * len(layer) + 1000))
+    ids = range(len(layer))
+    best, best_shade, witness = 0, 0, ()
+    nodes, proven = 0, True
+    deadline = time.monotonic() + budget.seconds
+    # preorder: a node, its include child's subtree, then its exclude child;
+    # the stack holds, per include still open, what the exclude child needs,
+    # and its included bits are the chosen members
+    stack = []
+    pool, shade_union, cc = (1 << len(layer)) - 1, 0, 0
     try:
-        dfs((1 << len(layer)) - 1, [], 0, 0)
+        while True:
+            nodes += 1
+            if nodes > budget.nodes:
+                raise _BudgetExceeded
+            if not nodes % 4096 and time.monotonic() > deadline:
+                raise _BudgetExceeded
+            obj = cc - shade_union.bit_count()
+            if obj > best:
+                best, best_shade = obj, shade_union.bit_count()
+                witness = tuple(layer[f[3].bit_length() - 1] for f in stack)
+            cap = pool.bit_count()
+            if obj + cap > best:
+                # a greedy matching of conflicting pool pairs: each matched
+                # pair contributes at most one future member
+                matched = 0
+                avail = pool
+                for i in itertools.compress(ids, _members(pool)):
+                    bit = 1 << i
+                    if avail & bit:
+                        other = avail & tconf[i]
+                        if other:
+                            matched += 1
+                            avail ^= bit | other & -other
+                if obj + cap - matched > best:
+                    lsb = pool & -pool
+                    i = lsb.bit_length() - 1
+                    stack.append((pool, shade_union, cc, lsb))
+                    pool &= ~(tconf[i] | lsb)
+                    shade_union |= shades[i]
+                    cc += 1
+                    continue
+            if not stack:
+                break
+            pool, shade_union, cc, lsb = stack.pop()
+            pool ^= lsb
     except _BudgetExceeded:
-        state["proven"] = False
-    fam = Family(n, state["witness"])
+        proven = False
+    fam = Family(n, witness)
     shade_size = len(shade(fam, top)) if top <= n else 0
     if (any(m.bit_count() != base for m in fam) or not is_t_intersecting(fam, t)
-            or state["shade"] != shade_size or state["best"] != len(fam) - shade_size):
+            or best_shade != shade_size or best != len(fam) - shade_size):
         raise InvariantViolation(
             f"g_function ({n},{t},{k}) returned a witness that does not attain "
-            f"{state['best']} inside the {t}-intersecting families of layer {base}")
-    return GFunctionResult(value=state["best"], witness=fam,
-                           shade_size=state["shade"], proven_optimal=state["proven"],
-                           nodes=state["nodes"])
+            f"{best} inside the {t}-intersecting families of layer {base}")
+    return GFunctionResult(value=best, witness=fam, shade_size=best_shade,
+                           proven_optimal=proven, nodes=nodes)
 
 
 @dataclass(frozen=True, slots=True)

@@ -107,6 +107,20 @@ class TestSearchCommand:
         assert json.loads(out.read_text())["best_size"] == 10
         assert main(["search", "--n", "5", "--t", "1", "--k", "1", "--layers", "3"]) == 2
 
+    @pytest.mark.parametrize("window", ["3:1", "-1:2"])
+    def test_bad_layer_window_exits_2(self, tmp_path, window):
+        out = tmp_path / "r.json"
+        assert main(["search", "--n", "4", "--t", "1", "--k", "1", f"--layers={window}",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("budget", ["-1", "0"])
+    def test_bad_node_budget_exits_2(self, tmp_path, budget):
+        out = tmp_path / "r.json"
+        assert main(["search", "--n", "4", "--t", "1", "--k", "1", "--budget-nodes", budget,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_internal_error_is_not_a_usage_error(self, monkeypatch):
         def broken(*args, **kwargs):
             raise KeyError("engine bug")
@@ -149,6 +163,13 @@ class TestAudits:
             main(["cycle-audit", "--n", "12", "--t", "2", "--k", "2",
                   "--trials", "5", "--seed", "9", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("trials", ["-1", "0"])
+    def test_cycle_audit_bad_trials_exits_2(self, tmp_path, trials):
+        out = tmp_path / "a.json"
+        assert main(["cycle-audit", "--n", "12", "--t", "2", "--k", "2", "--trials", trials,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [
         '[[1]]',
@@ -195,6 +216,11 @@ class TestScan:
         assert {"even_case_oracle", "compression_invariants", "cycle_universals",
                 "averaging_identity", "binomial_swap_suffix",
                 "rearrangement_dominance"} <= names
+
+    def test_bad_trials_exits_2(self, tmp_path):
+        out = tmp_path / "scan.json"
+        assert main(["scan", "--trials", "-3", "--no-cache", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_injected_violation_exits_1(self, tmp_path):
         out = tmp_path / "s.json"

@@ -288,6 +288,33 @@ class TestBarComplement:
             bar_complement(Interval(length=2, start=0), 6, 2)
 
 
+class TestFullConsecutiveGenerator:
+    # one instance per acceptance cell (t, k, m, n) from random.Random(2026):
+    # the per-chain bottom lengths, then the generator's next random() draw
+    @pytest.mark.parametrize("cell, bottoms, draw", [
+        ((2, 1, 0, 12), [7] * 12, 0.44965483256793637),
+        ((2, 2, 1, 14), [8, 7, 9, 9, 7, 7, 9, 9, 9, 8, 9, 9, 9, 8], 0.751025958158618),
+        ((2, 3, 1, 16), [9, 10, 10, 8, 8, 9, 10, 10, 10, 9, 10, 10, 10, 9, 10, 9],
+         0.002534841106863861),
+        ((2, 3, 2, 18), [10, 12, 12, 8, 10, 12, 12, 12, 11, 12, 12, 12, 12, 11, 10, 9, 12, 8],
+         0.011488831153233958),
+        ((3, 3, 2, 21), [12, 14, 14, 10, 11, 14, 14, 14, 13, 14, 14, 14, 14, 14, 13, 13, 14,
+                         11, 10, 12, 11], 0.8051359010960496),
+        ((4, 2, 1, 24), [14, 15, 15, 13, 13, 13, 15, 15, 15, 14] + [15] * 9 + [14] * 5,
+         0.9996561240104579),
+        ((4, 3, 2, 32), [20, 20, 20, 18, 18, 20, 20, 16, 19, 20, 20, 19, 20, 19, 18, 18, 20,
+                         20, 18, 18, 20, 20, 20, 20, 19, 18, 19, 18, 18, 18, 19, 20],
+         0.8181321997112609),
+    ])
+    def test_pinned_instances(self, cell, bottoms, draw):
+        t, k, m, n = cell
+        rng = random.Random(2026)
+        G = random_full_consecutive(rng, n, t, k, m)
+        assert sorted((iv.start, iv.length) for iv in G.members) == sorted(
+            (h, b + i) for h, b in enumerate(bottoms) for i in range(k))
+        assert rng.random() == draw
+
+
 class TestComplementClosure:
     def test_pure_layers(self):
         p = Params(n=10, t=2, k=2)

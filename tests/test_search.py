@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -129,6 +130,22 @@ class TestOracleSmall:
         assert res.best_size == binomial(5, 3)
         assert any("window" in note for note in res.notes)
 
+    def test_window_bounds_the_seeds(self):
+        # the constructions hold sets of sizes 2 and 3 only: a window that
+        # excludes them must not let them through as the incumbent
+        res = max_family_size(4, 1, 1, layer_window=(4, 4))
+        assert (res.best_size, res.proven_optimal) == (1, True)
+        res = max_family_size(4, 1, 1, layer_window=(3, 3))
+        assert (res.best_size, res.proven_optimal) == (4, True)
+        assert all(m.bit_count() == 3 for m in res.witness)
+
+    def test_witness_outside_window_is_caught(self, monkeypatch):
+        def engine(n, t, k, s_range, hi_for_s, budget, seeds=()):
+            return 1, (0b0011,), True, 1, 0.0
+        monkeypatch.setattr(search, "_max_family_engine", engine)
+        with pytest.raises(InvariantViolation):
+            max_family_size(4, 1, 1, layer_window=(3, 3))
+
     def test_matches_intersecting_k_sperner_theorem(self):
         # the t=1 maxima have known closed forms for both parities of n
         for (n, k) in [(5, 2), (6, 2), (6, 3), (5, 3)]:
@@ -139,6 +156,44 @@ class TestOracleSmall:
             if n <= 5:
                 unres = max_family_size(n, 1, k)
                 assert unres.best_size == expected
+
+
+class TestEngineNodeCounts:
+    """Pinned (size, proven, nodes): the engine visits the same nodes in the
+    same order whatever its internals, so these repeat exactly."""
+
+    @pytest.mark.parametrize("cell, nodes, expected", [
+        ((6, 1, 2), 1_000_000, (26, True, 49258)),
+        ((6, 1, 2), 100, (26, False, 101)),
+        ((8, 2, 3), 5000, (92, True, 3855)),
+        ((9, 3, 3), 5000, (129, True, 1455)),
+        ((9, 1, 2), 5000, (210, False, 5001)),
+    ])
+    def test_search(self, cell, nodes, expected):
+        res = max_family_size(*cell, use_compression=True,
+                              budget=Budget(nodes=nodes, seconds=1e9))
+        assert (res.best_size, res.proven_optimal, res.nodes) == expected
+
+    @pytest.mark.parametrize("cell, expected", [
+        ((8, 3, 2), (13, True, 3525)),
+        ((9, 4, 2), (19, False, 5001)),
+    ])
+    def test_g_function(self, cell, expected):
+        res = g_function(Params(*cell), Budget(nodes=5000, seconds=1e9))
+        assert (res.value, res.proven_optimal, res.nodes) == expected
+
+    def test_recursion_limit_untouched(self):
+        # the engines keep their own stacks: deep searches need no deeper
+        # interpreter stack, and the process-wide limit stays as it was
+        before = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            max_family_size(9, 1, 2, use_compression=True,
+                            budget=Budget(nodes=2000, seconds=1e9))
+            g_function(Params(9, 2, 3), Budget(nodes=2000, seconds=1e9))
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(before)
 
 
 class TestConstructions:
