@@ -63,7 +63,7 @@ rng = random.Random(7)
 p = Params(n=20, t=2, k=3)
 G = random_full_consecutive(rng, 20, 2, 3, m=2)
 prof = g_profile(G, p)
-print("size-class profile (classes -m..k+m-1):", prof.counts, " total", prof.total())
+print("size-class profile (classes -m..k+m-1):", prof.values, " total", prof.total())
 chk = check_count_inequalities(G, p)
 for r in chk.records:
     print(f"  inequality ({r.name}) at j={r.j}: {r.lhs} <= {r.rhs}  -> {r.holds}")

@@ -10,7 +10,6 @@ from spernerlab import (
     binom_swap,
     g_profile,
     minimal_n0,
-    profile_vector,
     rearrangement_dominance,
     to_gdoubleprime,
     to_gprime,
@@ -30,8 +29,7 @@ print("=== rebalancing a harvested profile ===")
 rng = random.Random(11)
 p = Params(n=24, t=4, k=3)
 G = random_full_consecutive(rng, 24, 4, 3, m=2)
-prof = g_profile(G, p)
-g = profile_vector(prof.n, prof.t, prof.k, prof.m, prof.counts)
+g = g_profile(G, p)
 print("profile g   (classes -m..k+m-1):", g.values, " mass", g.total())
 gp = to_gprime(g)
 print("stage g'   (top classes rehomed):", gp.values, " mass", gp.total())

@@ -163,8 +163,7 @@ def cmd_cycle_audit(args) -> int:
         wb = check_weight_bound(G, p)
         record["weight_bound"] = {"holds": wb.holds, "weight": wb.total_weight,
                                   "bound": wb.bound, "margin": wb.bound - wb.total_weight}
-        prof = g_profile(G, p)
-        chain_rep = verify_chain(profile_vector(prof.n, prof.t, prof.k, prof.m, prof.counts))
+        chain_rep = verify_chain(g_profile(G, p))
         record["coefficient_chain"] = chain_rep.ok
         # the weight bound and the rebalancing chain only promise to hold
         # above a size threshold; below it a failure is a finding, not a bug
@@ -391,8 +390,7 @@ def _scan_records(args):
             ineq = check_count_inequalities(G, p)
             closure = check_complement_closure(G, p)
             wb = check_weight_bound(G, p)
-            prof = g_profile(G, p)
-            chain_rep = verify_chain(profile_vector(prof.n, prof.t, prof.k, prof.m, prof.counts))
+            chain_rep = verify_chain(g_profile(G, p))
             ok = ineq.holds and closure.holds and wb.holds and chain_rep.ok
             rec("cycle_universals", {"n": n, "t": t, "k": k, "m": m, "trial": trial},
                 "holds" if ok else "violated",

@@ -14,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .coefficients import CoeffVector, profile_vector
 from .families import (
     Family,
     InvariantViolation,
@@ -346,42 +347,23 @@ def check_complement_closure(G: IntervalFamily, params: Params, validate: bool =
     return ComplementCheck(holds=not failures, failures=tuple(failures))
 
 
-@dataclass(frozen=True, slots=True)
-class GProfile:
-    """Interval counts per size class: counts[i + m] intervals of size
-    mid + i, for i = -m .. k+m-1."""
-
-    n: int
-    t: int
-    k: int
-    m: int
-    counts: tuple[int, ...]
-
-    def g(self, i: int) -> int:
-        if not -self.m <= i <= self.k + self.m - 1:
-            return 0
-        return self.counts[i + self.m]
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-
-def g_profile(G: IntervalFamily, params: Params) -> GProfile:
-    """Count members per size class centered at (n+t)/2."""
+def g_profile(G: IntervalFamily, params: Params) -> CoeffVector:
+    """Count members per size class centered at (n+t)/2, as the stage-g
+    vector: value(i) intervals of size mid + i, for i = -m .. k+m-1."""
     if (params.n + params.t) % 2:
         raise PreconditionError("g-profile requires n + t even")
     n, t, k = G.n, params.t, params.k
     mid = (n + t) // 2
     lens = [iv.length for iv in G.members]
     if not lens:
-        return GProfile(n=n, t=t, k=k, m=0, counts=(0,) * k)
+        return profile_vector(n, t, k, 0, (0,) * k)
     m = max(0, mid - min(lens))
     if min(lens) < mid - m or max(lens) > mid + k - 1 + m:
         raise PreconditionError("member sizes do not fit the band")
     counts = [0] * (k + 2 * m)
     for ell in lens:
         counts[ell - mid + m] += 1
-    return GProfile(n=n, t=t, k=k, m=m, counts=tuple(counts))
+    return profile_vector(n, t, k, m, counts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -452,7 +434,7 @@ def check_count_inequalities(G: IntervalFamily, params: Params) -> InequalitiesC
     m = prof.m
     if m >= k:
         raise PreconditionError(f"count inequalities need m < k, got m={m}")
-    g = prof.g
+    g = prof.value
     records = []
     for j in range(0, m):
         if j < k - m:
@@ -520,9 +502,10 @@ def averaging_identity(fam: Family) -> AveragingCheck:
     if n > 7:
         raise PreconditionError("averaging identity enumerates (n-1)! orders; need n <= 7")
     inner = [m for m in fam.members if 0 < m.bit_count() < n]
+    inner_fam = Family(n, inner)
     lhs = 0
     for perm in all_cyclic_perms(n):
-        res = restrict_to_cycle(Family(n, inner), perm)
+        res = restrict_to_cycle(inner_fam, perm)
         lhs += interval_weight(res.intervals)
     rhs = math.factorial(n) * len(inner)
     return AveragingCheck(holds=lhs == rhs, lhs=lhs, rhs=rhs)

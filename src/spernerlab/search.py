@@ -6,8 +6,12 @@ be relabeled to {1..s}, then runs a depth-first include/exclude search over
 the remaining candidate masks with three prunes:
 
 * pairwise intersection conflicts filter the pool on every inclusion;
-* an incremental longest-chain tracker rejects additions that would close a
-  chain of k+1 nested members;
+* an incremental longest-chain tracker drops candidates that would close a
+  chain of k+1 nested members.  It is not exact: an include raises heights
+  through the new member only, so it can miss a chosen set lying between
+  the new member and a candidate.  The search then explores a superset of
+  the valid families, and the witness check turns any invalid result into
+  InvariantViolation (exit code 1);
 * upper bounds: remaining-count, a symmetric-chain-decomposition cap
   (at most k per chain, minus what the chosen sets already use), and a
   complement-pair cap (a set and its complement never share a family when
@@ -28,6 +32,7 @@ import time
 from dataclasses import dataclass
 
 from .families import (
+    MAX_ENUM_N,
     Family,
     InvariantViolation,
     Params,
@@ -71,12 +76,7 @@ class SearchResult:
     witness: Family
     proven_optimal: bool
     nodes: int
-    elapsed: float
     notes: tuple[str, ...]
-
-
-class _BudgetExceeded(Exception):
-    pass
 
 
 _BITS01 = bytes.maketrans(b"01", b"\x00\x01")
@@ -88,30 +88,19 @@ def _members(pool: int) -> bytes:
     return bin(pool)[:1:-1].encode().translate(_BITS01)
 
 
-class _Engine:
-    """Branch-and-bound over one (n, t, k); shared incumbent across the
-    per-minimum-size root branches."""
-
-    def __init__(self, n: int, t: int, k: int, budget: Budget):
-        if t < 0 or k < 1 or n < 1:
-            raise PreconditionError("engine needs n >= 1, t >= 0, k >= 1")
-        self.n, self.t, self.k = n, t, k
-        self.best = 0
-        self.witness: tuple[int, ...] = ()
-        self.nodes = 0
-        self.node_cap = budget.nodes
-        self.deadline = time.monotonic() + budget.seconds
-
-    def seed(self, masks):
-        masks = tuple(masks)
-        if len(masks) > self.best:
-            self.best = len(masks)
-            self.witness = masks
-
-    def run_branch(self, s: int, hi: int):
-        """Prove the branch where the minimum-size member is exactly
-        {1..s} and every member size lies in [s, hi]."""
-        n, t, k = self.n, self.t, self.k
+def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
+                       seeds) -> tuple[int, tuple[int, ...], bool, int]:
+    """Branch and bound over the root branches (s, hi), in order: in each,
+    the minimum-size member is exactly {1..s} and every member size lies in
+    [s, hi].  One incumbent, the first largest seed to start with, is shared
+    across the branches.  Returns (best, witness, proven, nodes); proven is
+    False when the node or time budget ran out first."""
+    node_cap, deadline = budget.nodes, time.monotonic() + budget.seconds
+    witness = max(seeds, key=len, default=())
+    best, nodes = len(witness), 0
+    bit_count, and_ = int.bit_count, operator.and_
+    compress, islice = itertools.compress, itertools.islice
+    for s, hi in branches:
         chosen0 = (1 << s) - 1
         masks = [m for size in range(s, hi + 1) for m in _layer_masks(n, size)
                  if m != chosen0 and (not t or (m & chosen0).bit_count() >= t)]
@@ -171,93 +160,68 @@ class _Engine:
         below = (sum(1 << i for i, m in enumerate(masks) if (m & chosen0) == chosen0),
                  *[0] * (k - 1))
         above = (0,) * k
-        self.seed((chosen0,))
+        if not best:
+            best, witness = 1, (chosen0,)
 
         # Depth-first include/exclude search in preorder: a node, its include
         # child's subtree, then its exclude child.  The stack holds, per
         # include still open, what the exclude child needs; its included
         # indices are the chosen members after the pinned one.
-        node_cap, deadline = self.node_cap, self.deadline
-        best, nodes = self.best, self.nodes
-        bit_count, and_ = int.bit_count, operator.and_
-        compress, islice = itertools.compress, itertools.islice
         ids = range(C)
         stack = []
         pool, cc = (1 << C) - 1, 1
-        try:
-            while True:
-                nodes += 1
-                if nodes > node_cap:
-                    raise _BudgetExceeded("node budget exhausted")
-                if not nodes % 4096 and time.monotonic() > deadline:
-                    raise _BudgetExceeded("time budget exhausted")
-                size = pool.bit_count()
-                if cc + size > best:
-                    sel = _members(pool)
-                    packed = sum(compress(field, sel))
-                    if (
-                            # at most `room` more members per symmetric chain
-                            cc + sum(map(bit_count, map(and_, map(packed.__add__, ge), roomy)))
-                            > best
-                            # at most one member per complement pair
-                            and cc + size - (packed >> off & pool).bit_count() > best):
-                        # branch on the most conflicted candidate, lowest index first
-                        degs = list(map(bit_count, map(pool.__and__, compress(tconf, sel))))
-                        i = next(islice(compress(ids, sel), degs.index(max(degs)), None))
-                        bit = 1 << i
-                        h = 1
-                        while h <= k and below[h - 1] & bit:
-                            h += 1
-                        new_below = (*map(sup[i].__or__, below[:h]), *below[h:])
-                        h = 1
-                        while h <= k and above[h - 1] & bit:
-                            h += 1
-                        new_above = (*map(sub[i].__or__, above[:h]), *above[h:])
-                        # drop every candidate that would close a chain of k + 1
-                        closes = new_below[k - 1] | new_above[k - 1]
-                        for x in range(k - 1):
-                            closes |= new_below[x] & new_above[k - 2 - x]
-                        c = cid[i]
-                        r = room[c]
-                        if r:  # a room of 0 adds nothing to the cap and stays 0
-                            room[c] = r - 1
-                            roomy[r - 1] ^= 1 << w * c + w - 1
-                        stack.append((pool, cc, i, below, above, r))
-                        pool &= ~(tconf[i] | bit | closes)
-                        below, above = new_below, new_above
-                        cc += 1
-                        if cc > best:
-                            best = cc
-                            self.witness = (chosen0, *(masks[f[2]] for f in stack))
-                        continue
-                if not stack:
-                    return
-                pool, cc, i, below, above, r = stack.pop()
-                if r:
+        while True:
+            nodes += 1
+            if nodes > node_cap or not nodes % 4096 and time.monotonic() > deadline:
+                return best, witness, False, nodes
+            size = pool.bit_count()
+            if cc + size > best:
+                sel = _members(pool)
+                packed = sum(compress(field, sel))
+                if (
+                        # at most `room` more members per symmetric chain
+                        cc + sum(map(bit_count, map(and_, map(packed.__add__, ge), roomy)))
+                        > best
+                        # at most one member per complement pair
+                        and cc + size - (packed >> off & pool).bit_count() > best):
+                    # branch on the most conflicted candidate, lowest index first
+                    degs = list(map(bit_count, map(pool.__and__, compress(tconf, sel))))
+                    i = next(islice(compress(ids, sel), degs.index(max(degs)), None))
+                    bit = 1 << i
+                    h = 1
+                    while h <= k and below[h - 1] & bit:
+                        h += 1
+                    new_below = (*map(sup[i].__or__, below[:h]), *below[h:])
+                    h = 1
+                    while h <= k and above[h - 1] & bit:
+                        h += 1
+                    new_above = (*map(sub[i].__or__, above[:h]), *above[h:])
+                    # drop every candidate that would close a chain of k + 1
+                    closes = new_below[k - 1] | new_above[k - 1]
+                    for x in range(k - 1):
+                        closes |= new_below[x] & new_above[k - 2 - x]
                     c = cid[i]
-                    room[c] = r
-                    roomy[r - 1] ^= 1 << w * c + w - 1
-                pool &= ~(1 << i)
-        finally:
-            self.best, self.nodes = best, nodes
-
-
-def _max_family_engine(n: int, t: int, k: int, s_range, hi_for_s, budget: Budget,
-                       seeds=()) -> tuple[int, tuple[int, ...], bool, int, float]:
-    eng = _Engine(n, t, k, budget)
-    for fam_masks in seeds:
-        eng.seed(fam_masks)
-    t0 = time.monotonic()
-    proven = True
-    try:
-        for s in s_range:
-            hi = hi_for_s(s)
-            if hi < s:
-                continue
-            eng.run_branch(s, hi)
-    except _BudgetExceeded:
-        proven = False
-    return eng.best, eng.witness, proven, eng.nodes, time.monotonic() - t0
+                    r = room[c]
+                    if r:  # a room of 0 adds nothing to the cap and stays 0
+                        room[c] = r - 1
+                        roomy[r - 1] ^= 1 << w * c + w - 1
+                    stack.append((pool, cc, i, below, above, r))
+                    pool &= ~(tconf[i] | bit | closes)
+                    below, above = new_below, new_above
+                    cc += 1
+                    if cc > best:
+                        best = cc
+                        witness = (chosen0, *(masks[f[2]] for f in stack))
+                    continue
+            if not stack:
+                break
+            pool, cc, i, below, above, r = stack.pop()
+            if r:
+                c = cid[i]
+                room[c] = r
+                roomy[r - 1] ^= 1 << w * c + w - 1
+            pool &= ~(1 << i)
+    return best, witness, True, nodes
 
 
 def construct_layers(params: Params) -> Family:
@@ -397,55 +361,46 @@ def max_family_size(n: int, t: int, k: int, *, layer_window=None,
     """
     if budget is None:
         budget = Budget()
-    if n > 24:
-        raise PreconditionError("exhaustive search enumerates subsets: needs n <= 24")
+    if n > MAX_ENUM_N:
+        raise PreconditionError(f"exhaustive search enumerates subsets: needs n <= {MAX_ENUM_N}")
+    if use_compression and t == 0:
+        raise PreconditionError("compression banding applies to t >= 1 only")
+    if n < 1 or t < 0 or k < 1:
+        raise PreconditionError("engine needs n >= 1, t >= 0, k >= 1")
     notes = []
-    mid_up = (n + t + 1) // 2
     if layer_window is not None:
         lo, hi = layer_window
         notes.append(f"window restricted to sizes [{lo}, {hi}]: optimum relative to the window")
     else:
         lo, hi = (0 if t == 0 else 1), n
-    window = lo, hi
     if use_compression:
-        if t == 0:
-            raise PreconditionError("compression banding applies to t >= 1 only")
-        lo = max(lo, mid_up - (k - 1))
-        s_hi = min(hi, mid_up)
         if (n + t) % 2 == 0:
             notes.append(
                 "size band justified by the shade lift and shadow down-shift transforms (n+t even)")
-
-            def hi_for_s(s):
-                return min(hi, 2 * ((n + t) // 2) - s + k - 1)
         else:
             notes.append(
                 "minimum-size floor licensed by the shade lift; odd-parity ceiling uses the "
                 "ceil-variant down-shift (documented extension)")
-
-            def hi_for_s(s):
-                return min(hi, 2 * mid_up - s + k - 1)
-        s_range = range(lo, s_hi + 1)
+        # s <= mid_up keeps every band top at or above s: no branch is empty
+        mid_up = (n + t + 1) // 2
+        branches = [(s, min(hi, 2 * mid_up - s + k - 1))
+                    for s in range(max(lo, mid_up - (k - 1)), min(hi, mid_up) + 1)]
     else:
-        def hi_for_s(s):
-            return hi
-        s_range = range(lo, hi + 1)
+        branches = [(s, hi) for s in range(lo, hi + 1)]
     # a subfamily of a t-intersecting k-Sperner family is one too
-    seeds = [tuple(m for m in seed if window[0] <= m.bit_count() <= window[1])
+    seeds = [tuple(m for m in seed if lo <= m.bit_count() <= hi)
              for seed in _construction_seeds(n, t, k)]
-    best, witness, proven, nodes, elapsed = _max_family_engine(
-        n, t, k, s_range, hi_for_s, budget, seeds=seeds)
+    best, witness, proven, nodes = _max_family_engine(n, t, k, branches, budget, seeds)
     if not proven:
         notes.append("budget exceeded: best found so far, optimality not proven")
     fam = Family(n, witness)
     if (len(fam) != best or not is_t_intersecting(fam, t) or longest_chain(fam) > k
-            or any(not window[0] <= m.bit_count() <= window[1] for m in fam)):
+            or any(not lo <= m.bit_count() <= hi for m in fam)):
         raise InvariantViolation(
             f"search ({n},{t},{k}) returned a witness that is not a {t}-intersecting "
-            f"{k}-Sperner family of size {best} with member sizes in {list(window)}")
+            f"{k}-Sperner family of size {best} with member sizes in {[lo, hi]}")
     return SearchResult(best_size=best, witness=fam,
-                        proven_optimal=proven, nodes=nodes, elapsed=elapsed,
-                        notes=tuple(notes))
+                        proven_optimal=proven, nodes=nodes, notes=tuple(notes))
 
 
 @dataclass(frozen=True, slots=True)
@@ -466,8 +421,9 @@ def g_function(params: Params, budget: Budget | None = None) -> GFunctionResult:
     if budget is None:
         budget = Budget()
     n, t, k = params.n, params.t, params.k
-    if n > 24:
-        raise PreconditionError("the g-function search enumerates a layer: needs n <= 24")
+    if n > MAX_ENUM_N:
+        raise PreconditionError(
+            f"the g-function search enumerates a layer: needs n <= {MAX_ENUM_N}")
     base = (n + t - 1) // 2
     top = base + k
     layer = list(_layer_masks(n, base))
@@ -498,44 +454,40 @@ def g_function(params: Params, budget: Budget | None = None) -> GFunctionResult:
     # and its included bits are the chosen members
     stack = []
     pool, shade_union, cc = (1 << len(layer)) - 1, 0, 0
-    try:
-        while True:
-            nodes += 1
-            if nodes > budget.nodes:
-                raise _BudgetExceeded
-            if not nodes % 4096 and time.monotonic() > deadline:
-                raise _BudgetExceeded
-            obj = cc - shade_union.bit_count()
-            if obj > best:
-                best, best_shade = obj, shade_union.bit_count()
-                witness = tuple(layer[f[3].bit_length() - 1] for f in stack)
-            cap = pool.bit_count()
-            if obj + cap > best:
-                # a greedy matching of conflicting pool pairs: each matched
-                # pair contributes at most one future member
-                matched = 0
-                avail = pool
-                for i in itertools.compress(ids, _members(pool)):
-                    bit = 1 << i
-                    if avail & bit:
-                        other = avail & tconf[i]
-                        if other:
-                            matched += 1
-                            avail ^= bit | other & -other
-                if obj + cap - matched > best:
-                    lsb = pool & -pool
-                    i = lsb.bit_length() - 1
-                    stack.append((pool, shade_union, cc, lsb))
-                    pool &= ~(tconf[i] | lsb)
-                    shade_union |= shades[i]
-                    cc += 1
-                    continue
-            if not stack:
-                break
-            pool, shade_union, cc, lsb = stack.pop()
-            pool ^= lsb
-    except _BudgetExceeded:
-        proven = False
+    while True:
+        nodes += 1
+        if nodes > budget.nodes or not nodes % 4096 and time.monotonic() > deadline:
+            proven = False
+            break
+        obj = cc - shade_union.bit_count()
+        if obj > best:
+            best, best_shade = obj, shade_union.bit_count()
+            witness = tuple(layer[f[3].bit_length() - 1] for f in stack)
+        cap = pool.bit_count()
+        if obj + cap > best:
+            # a greedy matching of conflicting pool pairs: each matched
+            # pair contributes at most one future member
+            matched = 0
+            avail = pool
+            for i in itertools.compress(ids, _members(pool)):
+                bit = 1 << i
+                if avail & bit:
+                    other = avail & tconf[i]
+                    if other:
+                        matched += 1
+                        avail ^= bit | other & -other
+            if obj + cap - matched > best:
+                lsb = pool & -pool
+                i = lsb.bit_length() - 1
+                stack.append((pool, shade_union, cc, lsb))
+                pool &= ~(tconf[i] | lsb)
+                shade_union |= shades[i]
+                cc += 1
+                continue
+        if not stack:
+            break
+        pool, shade_union, cc, lsb = stack.pop()
+        pool ^= lsb
     fam = Family(n, witness)
     shade_size = len(shade(fam, top)) if top <= n else 0
     if (any(m.bit_count() != base for m in fam) or not is_t_intersecting(fam, t)

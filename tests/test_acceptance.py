@@ -13,7 +13,6 @@ import pytest
 from spernerlab.coefficients import (
     binom_swap,
     minimal_n0,
-    profile_vector,
     rearrangement_dominance,
     verify_chain,
 )
@@ -240,8 +239,7 @@ def test_criterion_7_coefficient_chain():
         pytest.skip("criterion 5 must run first to provide the harvest")
     violations = 0
     for prof in _harvested_profiles:
-        vec = profile_vector(prof.n, prof.t, prof.k, prof.m, prof.counts)
-        rep = verify_chain(vec)
+        rep = verify_chain(prof)
         kn = prof.k * prof.n
         if not (rep.ok and rep.mass_g == rep.mass_gprime == rep.mass_gdoubleprime == kn):
             violations += 1

@@ -28,8 +28,7 @@ def harvest(rng, cells, per_cell):
         p = Params(n=n, t=t, k=k)
         for _ in range(per_cell):
             G = random_full_consecutive(rng, n, t, k, m)
-            prof = g_profile(G, p)
-            out.append(profile_vector(prof.n, prof.t, prof.k, prof.m, prof.counts))
+            out.append(g_profile(G, p))
     return out
 
 

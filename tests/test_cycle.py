@@ -392,7 +392,7 @@ class TestGProfile:
     def test_pure_layers(self):
         p = Params(n=8, t=2, k=3)
         prof = g_profile(layers_interval_family(8, 2, 3), p)
-        assert prof.m == 0 and prof.counts == (8, 8, 8)
+        assert prof.m == 0 and prof.values == (8, 8, 8)
 
     def test_full_consecutive_total(self):
         rng = random.Random(26)
@@ -410,7 +410,7 @@ class TestGProfile:
         prof = g_profile(G, Params(n=12, t=2, k=2))
         mid = 7
         for i in range(-prof.m, prof.k + prof.m):
-            assert prof.g(i) == sum(1 for iv in G.members if iv.length == mid + i)
+            assert prof.value(i) == sum(1 for iv in G.members if iv.length == mid + i)
 
 
 class TestInequalities:

@@ -115,8 +115,8 @@ class TestOracleSmall:
 
     def test_witness_self_check(self, monkeypatch, tmp_path):
         # {1,2} and {3,4} share nothing: not 1-intersecting
-        def bad_engine(n, t, k, s_range, hi_for_s, budget, seeds=()):
-            return 2, (0b0011, 0b1100), True, 1, 0.0
+        def bad_engine(n, t, k, branches, budget, seeds):
+            return 2, (0b0011, 0b1100), True, 1
         monkeypatch.setattr(search, "_max_family_engine", bad_engine)
         with pytest.raises(InvariantViolation):
             max_family_size(4, 1, 1)
@@ -140,8 +140,8 @@ class TestOracleSmall:
         assert all(m.bit_count() == 3 for m in res.witness)
 
     def test_witness_outside_window_is_caught(self, monkeypatch):
-        def engine(n, t, k, s_range, hi_for_s, budget, seeds=()):
-            return 1, (0b0011,), True, 1, 0.0
+        def engine(n, t, k, branches, budget, seeds):
+            return 1, (0b0011,), True, 1
         monkeypatch.setattr(search, "_max_family_engine", engine)
         with pytest.raises(InvariantViolation):
             max_family_size(4, 1, 1, layer_window=(3, 3))
@@ -172,6 +172,16 @@ class TestEngineNodeCounts:
     def test_search(self, cell, nodes, expected):
         res = max_family_size(*cell, use_compression=True,
                               budget=Budget(nodes=nodes, seconds=1e9))
+        assert (res.best_size, res.proven_optimal, res.nodes) == expected
+
+    @pytest.mark.parametrize("cell, kwargs, expected", [
+        ((6, 1, 2), {}, (26, True, 49372)),
+        ((6, 1, 2), {"layer_window": (2, 5)}, (26, True, 49370)),
+        ((6, 0, 2), {}, (35, True, 7)),
+    ])
+    def test_search_plans(self, cell, kwargs, expected):
+        # the unrestricted, windowed and t = 0 branch plans
+        res = max_family_size(*cell, **kwargs)
         assert (res.best_size, res.proven_optimal, res.nodes) == expected
 
     @pytest.mark.parametrize("cell, expected", [
