@@ -32,24 +32,8 @@ from .families import (
     weight,
 )
 from .compression import antichain_shadow_holds, normalize, shade_expansion_holds
-from .coefficients import (
-    minimal_chain_n,
-    minimal_n0,
-    profile_vector,
-    rearrangement_dominance,
-    verify_chain,
-)
-from .cycle import (
-    averaging_identity,
-    check_complement_closure,
-    check_count_inequalities,
-    check_weight_bound,
-    fill_full,
-    g_profile,
-    interval_weight,
-    is_sigma_ks_ti,
-    make_consecutive,
-)
+from .coefficients import minimal_n0, profile_vector, rearrangement_dominance, verify_chain
+from .cycle import averaging_identity, check_instance, transforms_keep_weight
 from .generators import (
     random_antichain_above_middle,
     random_dominance_triple,
@@ -148,40 +132,13 @@ def cmd_cycle_audit(args) -> int:
     violations = 0
     for trial in range(args.trials):
         m = rng.randint(0, max(0, mmax))
-        record = {"trial": trial, "m": m}
         G = random_full_consecutive(rng, args.n, args.t, args.k, m)
-        ineq = check_count_inequalities(G, p)
-        record["inequalities"] = [
-            {"name": r.name, "j": r.j, "lhs": r.lhs, "rhs": r.rhs, "holds": r.holds}
-            for r in ineq.records]
-        record["side_families_disjoint"] = ineq.disjoint
-        if p.t >= 2:
-            closure_holds = check_complement_closure(G, p).holds
-        else:
-            closure_holds = None  # one-sided overlap: claim out of force at t=1
-        record["complement_closure"] = closure_holds
-        wb = check_weight_bound(G, p)
-        record["weight_bound"] = {"holds": wb.holds, "weight": wb.total_weight,
-                                  "bound": wb.bound, "margin": wb.bound - wb.total_weight}
-        chain_rep = verify_chain(g_profile(G, p))
-        record["coefficient_chain"] = chain_rep.ok
-        # the weight bound and the rebalancing chain only promise to hold
-        # above a size threshold; below it a failure is a finding, not a bug
-        threshold = minimal_chain_n(p.t, p.k, m, 4 * args.n + 100)
-        above = threshold is not None and args.n >= threshold
-        record["above_chain_threshold"] = above
-        ok = (ineq.holds and closure_holds is not False
-              and (not above or (wb.holds and chain_rep.ok)))
+        record = {"trial": trial, "m": m, **check_instance(G, p)}
         # weight monotonicity of the two transforms on a loose instance
         loose = random_sigma_ksti(rng, args.n, args.t, args.k, m)
-        w0 = interval_weight(loose)
-        cons = make_consecutive(loose, p, validate=False)
-        filled = fill_full(cons, p, validate=False)
-        record["weight_monotone"] = (interval_weight(cons) >= w0
-                                     and interval_weight(filled) >= interval_weight(cons))
-        ok = ok and record["weight_monotone"]
-        record["ok"] = ok
-        if not ok:
+        record["weight_monotone"] = transforms_keep_weight(loose, p)
+        record["ok"] = record["ok"] and record["weight_monotone"]
+        if not record["ok"]:
             violations += 1
             record["witness"] = {"members": [[iv.start, iv.length] for iv in G.members]}
         trials.append(record)
@@ -387,14 +344,11 @@ def _scan_records(args):
         p = Params(n=n, t=t, k=k)
         for trial in range(per_cell):
             G = random_full_consecutive(rng, n, t, k, m)
-            ineq = check_count_inequalities(G, p)
-            closure = check_complement_closure(G, p)
-            wb = check_weight_bound(G, p)
-            chain_rep = verify_chain(g_profile(G, p))
-            ok = ineq.holds and closure.holds and wb.holds and chain_rep.ok
+            chk = check_instance(G, p)
+            ok = chk["ok"]
             rec("cycle_universals", {"n": n, "t": t, "k": k, "m": m, "trial": trial},
                 "holds" if ok else "violated",
-                margin=wb.bound - wb.total_weight,
+                margin=chk["weight_bound"]["margin"],
                 witness=None if ok else {
                     "intervals": [[iv.start, iv.length] for iv in G.members]})
     # averaging identity

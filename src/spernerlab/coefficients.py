@@ -13,6 +13,7 @@ rely on and raise InvariantViolation when one fails (bug traps).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -212,6 +213,7 @@ def prefix_bounds(gpp: CoeffVector) -> list[tuple[int, int, int, str]]:
     return out
 
 
+@functools.cache
 def minimal_chain_n(t: int, k: int, m: int, n_max: int):
     """Smallest n with n + t even such that, for every same-parity n' in
     [n, n_max] and every fold step j = 1..m, the combined swap inequality

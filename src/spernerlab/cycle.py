@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .coefficients import CoeffVector, profile_vector
+from .coefficients import CoeffVector, minimal_chain_n, profile_vector, verify_chain
 from .families import (
     Family,
     InvariantViolation,
@@ -482,6 +482,45 @@ def check_weight_bound(G: IntervalFamily, params: Params) -> WeightBoundCheck:
     bound = n * sum(math.comb(n, mid + i) for i in range(k))
     w = interval_weight(G)
     return WeightBoundCheck(holds=w <= bound, total_weight=w, bound=bound)
+
+
+def check_instance(G: IntervalFamily, params: Params) -> dict:
+    """Every cycle-method check on one full consecutive family inside the
+    band, as a JSON-ready record.
+
+    The closure claim is out of force at t = 1 (one-sided overlap), so it
+    reads None there.  The weight bound and the rebalancing chain only
+    promise to hold above a size threshold; below it a failure is a
+    finding, not a bug, and does not clear `ok`.
+    """
+    n, t, k = params.n, params.t, params.k
+    ineq = check_count_inequalities(G, params)
+    closure = check_complement_closure(G, params).holds if t >= 2 else None
+    wb = check_weight_bound(G, params)
+    prof = g_profile(G, params)
+    chain_ok = verify_chain(prof).ok
+    threshold = minimal_chain_n(t, k, prof.m, 4 * n + 100)
+    above = threshold is not None and n >= threshold
+    return {
+        "inequalities": [{"name": r.name, "j": r.j, "lhs": r.lhs, "rhs": r.rhs,
+                          "holds": r.holds} for r in ineq.records],
+        "side_families_disjoint": ineq.disjoint,
+        "complement_closure": closure,
+        "weight_bound": {"holds": wb.holds, "weight": wb.total_weight,
+                         "bound": wb.bound, "margin": wb.bound - wb.total_weight},
+        "coefficient_chain": chain_ok,
+        "above_chain_threshold": above,
+        "ok": (ineq.holds and closure is not False
+               and (not above or (wb.holds and chain_ok))),
+    }
+
+
+def transforms_keep_weight(G: IntervalFamily, params: Params) -> bool:
+    """True iff make_consecutive and then fill_full never lower the weight
+    of the sigma-k-Sperner t-intersecting family G."""
+    cons = make_consecutive(G, params, validate=False)
+    filled = fill_full(cons, params, validate=False)
+    return interval_weight(G) <= interval_weight(cons) <= interval_weight(filled)
 
 
 @dataclass(frozen=True, slots=True)

@@ -100,8 +100,7 @@ def random_inner_family(rng: random.Random, n: int, density: float = 0.35) -> Fa
     return Family(n, members)
 
 
-def random_full_consecutive(rng: random.Random, n: int, t: int, k: int, m: int,
-                            max_tries: int = 200) -> IntervalFamily:
+def random_full_consecutive(rng: random.Random, n: int, t: int, k: int, m: int) -> IntervalFamily:
     """A full consecutive sigma-k-Sperner t-intersecting interval family
     with minimum size exactly (n+t)/2 - m and maximum within the band.
 
@@ -118,7 +117,7 @@ def random_full_consecutive(rng: random.Random, n: int, t: int, k: int, m: int,
     if mid - m < 1 or mid + m + k - 1 > n - 1:
         raise PreconditionError("band does not fit inside [1, n-1]")
     perm = identity_perm(n)
-    for _ in range(max_tries):
+    for _ in range(200):
         pinned = rng.randrange(n)
         bottoms = [rng.randint(mid - m, mid + m) for _ in range(n)]
         bottoms[pinned] = mid - m
@@ -155,8 +154,7 @@ def random_full_consecutive(rng: random.Random, n: int, t: int, k: int, m: int,
         f"could not generate a full consecutive instance for n={n}, t={t}, k={k}, m={m}")
 
 
-def random_sigma_ksti(rng: random.Random, n: int, t: int, k: int, m: int,
-                      target: int | None = None) -> IntervalFamily:
+def random_sigma_ksti(rng: random.Random, n: int, t: int, k: int, m: int) -> IntervalFamily:
     """A (generally non-consecutive, non-full) sigma-k-Sperner
     t-intersecting family with member sizes inside the band."""
     if (n + t) % 2:
@@ -165,8 +163,7 @@ def random_sigma_ksti(rng: random.Random, n: int, t: int, k: int, m: int,
     if mid - m < 1 or mid + m + k - 1 > n - 1:
         raise PreconditionError("band does not fit inside [1, n-1]")
     perm = identity_perm(n)
-    if target is None:
-        target = rng.randint(1, k * n // 2)
+    target = rng.randint(1, k * n // 2)
     members: list[Interval] = []
     per_chain = [0] * n
     attempts = 40 * target
@@ -184,11 +181,11 @@ def random_sigma_ksti(rng: random.Random, n: int, t: int, k: int, m: int,
     return IntervalFamily(perm, members)
 
 
-def random_dominance_triple(rng: random.Random, length: int, cap: int = 30):
+def random_dominance_triple(rng: random.Random, length: int):
     """(a, b, d) satisfying the rearrangement-dominance hypotheses: d
     non-increasing, equal totals, every proper suffix of a at most b's."""
-    d = sorted((rng.randint(0, cap) for _ in range(length)), reverse=True)
-    b = [rng.randint(0, cap) for _ in range(length)]
+    d = sorted((rng.randint(0, 30) for _ in range(length)), reverse=True)
+    b = [rng.randint(0, 30) for _ in range(length)]
     a = list(b)
     for _ in range(rng.randint(0, 3 * length)):
         src = rng.randrange(1, length) if length > 1 else 0

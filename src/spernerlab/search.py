@@ -69,6 +69,12 @@ class Budget:
     nodes: int = DEFAULT_NODE_BUDGET
     seconds: float = DEFAULT_TIME_BUDGET
 
+    def __post_init__(self):
+        # nan compares false, so it is refused instead of lifting the limit
+        if not (self.nodes >= 1 and self.seconds > 0):
+            raise PreconditionError(
+                f"budget needs nodes >= 1 and seconds > 0, got {self.nodes} and {self.seconds}")
+
 
 @dataclass(frozen=True, slots=True)
 class SearchResult:

@@ -19,13 +19,9 @@ from spernerlab.coefficients import (
 from spernerlab.compression import normalize
 from spernerlab.cycle import (
     averaging_identity,
-    check_complement_closure,
-    check_count_inequalities,
-    check_weight_bound,
-    fill_full,
+    check_instance,
     g_profile,
-    interval_weight,
-    make_consecutive,
+    transforms_keep_weight,
 )
 from spernerlab.families import (
     Family,
@@ -173,9 +169,11 @@ def test_criterion_4_averaging_identity():
 
 
 def test_criterion_5_cycle_universals():
-    """On >= 1000 seeded full consecutive instances per cell: the four
-    counting inequalities, the bar-complement closure, and weight
-    non-decrease under both interval transforms, with zero violations."""
+    """On >= 1000 seeded full consecutive instances per cell, each cell at
+    or above the swap-chain threshold: the four counting inequalities, the
+    bar-complement closure, the weight bound, the rebalancing chain, and
+    weight non-decrease under both interval transforms, with zero
+    violations."""
     rng = seeded(51)
     _harvested_profiles.clear()
     violations = 0
@@ -184,19 +182,12 @@ def test_criterion_5_cycle_universals():
         p = Params(n=n, t=t, k=k)
         for _ in range(TRIALS_PER_CELL):
             G = random_full_consecutive(rng, n, t, k, m)
-            ineq = check_count_inequalities(G, p)
-            closure = check_complement_closure(G, p)
-            wb = check_weight_bound(G, p)
-            if not (ineq.holds and closure.holds and wb.holds):
+            chk = check_instance(G, p)
+            if not (chk["ok"] and chk["above_chain_threshold"]
+                    and chk["complement_closure"] is True):
                 violations += 1
-            prof = g_profile(G, p)
-            _harvested_profiles.append(prof)
-            loose = random_sigma_ksti(rng, n, t, k, m)
-            w0 = interval_weight(loose)
-            cons = make_consecutive(loose, p, validate=False)
-            filled = fill_full(cons, p, validate=False)
-            if not (interval_weight(cons) >= w0
-                    and interval_weight(filled) >= interval_weight(cons)):
+            _harvested_profiles.append(g_profile(G, p))
+            if not transforms_keep_weight(random_sigma_ksti(rng, n, t, k, m), p):
                 violations += 1
             total += 1
     report(5, violations == 0 and total == len(CELLS) * TRIALS_PER_CELL,

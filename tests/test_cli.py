@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -121,6 +122,13 @@ class TestSearchCommand:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("secs", ["0", "-1", "nan"])
+    def test_bad_time_budget_exits_2(self, tmp_path, secs):
+        out = tmp_path / "r.json"
+        assert main(["search", "--n", "6", "--t", "1", "--k", "2", "--budget-secs", secs,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_internal_error_is_not_a_usage_error(self, monkeypatch):
         def broken(*args, **kwargs):
             raise KeyError("engine bug")
@@ -163,6 +171,38 @@ class TestAudits:
             main(["cycle-audit", "--n", "12", "--t", "2", "--k", "2",
                   "--trials", "5", "--seed", "9", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("argv, digest", [
+        ("cycle-audit --n 12 --t 2 --k 2 --trials 20 --seed 5",
+         "c5369b711cd083431550274abc2e2a47c8a6674881b95a8f44adafe929e0f0ac"),
+        ("cycle-audit --n 15 --t 1 --k 2 --trials 20 --seed 5",
+         "e465e8bd5ff602a00dbe921f5c160ff30c17af1630d1b25c628068c5079de2c5"),
+        ("cycle-audit --n 14 --t 4 --k 2 --trials 40 --seed 3",
+         "b83acdb4e64a9d614ef4a4a19b88e89cd30eda42aec603cd436b5285def49022"),
+        ("scan --seed 7 --n-max 4 --trials 4",
+         "3616c7907c17dde05618859b415d95b7027791de1ad8908b7d634dc027b5128a"),
+    ])
+    def test_output_bytes_pinned(self, tmp_path, argv, digest):
+        out = tmp_path / "out.json"
+        assert main([*argv.split(), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_closure_out_of_force_at_t1(self, tmp_path):
+        out = tmp_path / "out.json"
+        assert main(["cycle-audit", "--n", "15", "--t", "1", "--k", "2", "--trials", "20",
+                     "--seed", "5", "--out", str(out)]) == 0
+        trials = json.loads(out.read_text())["trials"]
+        assert len(trials) == 20
+        assert all(tr["complement_closure"] is None for tr in trials)
+
+    def test_chain_failures_below_threshold_are_findings(self, tmp_path):
+        out = tmp_path / "out.json"
+        assert main(["cycle-audit", "--n", "14", "--t", "4", "--k", "2", "--trials", "40",
+                     "--seed", "3", "--out", str(out)]) == 0
+        below = [tr for tr in json.loads(out.read_text())["trials"]
+                 if not tr["above_chain_threshold"]]
+        assert len(below) == 21
+        assert all(tr["coefficient_chain"] is False and tr["ok"] for tr in below)
 
     @pytest.mark.parametrize("trials", ["-1", "0"])
     def test_cycle_audit_bad_trials_exits_2(self, tmp_path, trials):

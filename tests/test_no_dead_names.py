@@ -1,12 +1,19 @@
-"""Every module-level name the package defines is used somewhere.
+"""Every module-level name the package defines is used somewhere, and
+every parameter default is overridden somewhere.
 
 A name defined in src/spernerlab/*.py must occur as a whole word at least
 once outside its own definition, in src/, tests/ or demos/.  The import
 lists of __init__.py are re-exports, not uses, and this file does not
 count either, so dead API cannot hide behind either of them.
+
+A parameter with a default, in any function or method of the package,
+must be passed in at least one call in the same files.  Calls
+match by callee name (`__init__` by its class name); a parameter counts
+as passed by keyword, by position, or through `*` or `**`.
 """
 
 import ast
+import collections
 import pathlib
 import re
 
@@ -27,12 +34,16 @@ def _definitions(path):
     return out
 
 
+def _files():
+    """Python files under src/, tests/ and demos/, except this one."""
+    return [p for d in ("src", "tests", "demos") for p in sorted((ROOT / d).rglob("*.py"))
+            if p.resolve() != pathlib.Path(__file__).resolve()]
+
+
 def _corpus():
     """Source lines to search, per file, with the re-export lists blanked."""
-    files = [p for d in ("src", "tests", "demos") for p in sorted((ROOT / d).rglob("*.py"))
-             if p.resolve() != pathlib.Path(__file__).resolve()]
     out = {}
-    for path in files:
+    for path in _files():
         lines = path.read_text().splitlines()
         if path == PACKAGE / "__init__.py":
             for node in ast.parse("\n".join(lines)).body:
@@ -56,3 +67,56 @@ def test_every_module_level_name_is_used():
             if not used:
                 unused.append(f"{path.name}:{first} {name}")
     assert not unused, "defined but never used: " + ", ".join(unused)
+
+
+def _calls():
+    """Per callee name: the keywords passed and the most positional
+    arguments in one call; and the callees some call spreads `*` or `**`
+    into."""
+    keywords, most, spread = collections.defaultdict(set), collections.Counter(), set()
+    for path in _files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            keywords[name].update(kw.arg for kw in node.keywords if kw.arg)
+            most[name] = max(most[name], len(node.args))
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(kw.arg is None for kw in node.keywords)):
+                spread.add(name)
+    return keywords, most, spread
+
+
+def _defaulted_params(path):
+    """(callee name, line, parameter, position or None) per parameter with a
+    default; the position skips the bound `self` or `cls` of a method."""
+    tree = ast.parse(path.read_text())
+    owner = {id(fn): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        cls = owner.get(id(fn))
+        bound = cls is not None and "staticmethod" not in [
+            getattr(d, "id", None) for d in fn.decorator_list]
+        name = cls.name if bound and fn.name == "__init__" else fn.name
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        out += [(name, fn.lineno, arg.arg, i - bound)
+                for i, arg in enumerate(positional) if i >= first]
+        out += [(name, fn.lineno, arg.arg, None)
+                for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def test_every_parameter_default_is_overridden():
+    keywords, most, spread = _calls()
+    never = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, lineno, param, pos in _defaulted_params(path):
+            if not (param in keywords[name] or name in spread
+                    or (pos is not None and most[name] > pos)):
+                never.append(f"{path.name}:{lineno} {name}({param}=...)")
+    assert not never, "parameter default never overridden: " + ", ".join(never)
