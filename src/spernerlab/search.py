@@ -3,7 +3,7 @@ bound, plus the named constructions and closed-form bound table.
 
 The oracle branches first on the size s of a minimum-size member, which can
 be relabeled to {1..s}, then runs a depth-first include/exclude search over
-the remaining candidate masks with three prunes:
+the remaining candidate masks with three prunes and a symmetry cut:
 
 * pairwise intersection conflicts filter the pool on every inclusion;
 * an incremental longest-chain tracker drops candidates that would close a
@@ -15,7 +15,23 @@ the remaining candidate masks with three prunes:
 * upper bounds: remaining-count, a symmetric-chain-decomposition cap
   (at most k per chain, minus what the chosen sets already use), and a
   complement-pair cap (a set and its complement never share a family when
-  t >= 1).
+  t >= 1);
+* orbital branching (Ostrowski, Linderoth, Rossi, Smriglio, "Orbital
+  branching", Math. Programming 2011), also in g_function.  At a node let
+  G be the relabellings of [n] that fix every chosen set: {1..s} and the
+  included members here, the included members alone in g_function.  G is
+  the product of the symmetric groups on the Venn atoms of those sets, so
+  two candidates share a G-orbit iff they meet every atom in the same
+  number of elements.  The include child is unchanged; the exclude child
+  drops the whole orbit of the branch candidate i from the pool, not only
+  i.  This is sound with the inexact chain tracker too.  G fixes every
+  chosen set, so the conflicts, the band, the k = 1 filter and the
+  tracker's levels are G-invariant; each excluded orbit is a union of
+  orbits of every descendant's smaller group; so the pool is G-invariant
+  at every node.  A family below the node that holds some j in the orbit
+  of i then maps, under a relabelling in G, to one of the same size and
+  objective that holds i, and the include subtree, explored first, leaves
+  an incumbent at least as good.
 
 With `use_compression` the candidate sizes are confined to the band the
 compression transforms land in; the justification is recorded in the
@@ -25,6 +41,7 @@ truth.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -92,6 +109,42 @@ def _members(pool: int) -> bytes:
     """One 0/1 byte per bit of pool, lowest bit first: a selector for
     itertools.compress."""
     return bin(pool)[:1:-1].encode().translate(_BITS01)
+
+
+def _refine(atoms, mask):
+    """The Venn atoms of the chosen sets once mask joins them: each atom
+    split into its parts inside and outside mask, empty parts dropped."""
+    return [p for a in atoms for p in (a & mask, a ^ a & mask) if p]
+
+
+def _count_classes(masks, n):
+    """A memoized map from an atom (a mask over [n]) to its count classes:
+    entry c is the bitmask of the indices j with |masks[j] & atom| = c."""
+    has = [sum(1 << j for j, m in enumerate(masks) if m >> x & 1) for x in range(n)]
+    everyone = (1 << len(masks)) - 1
+
+    @functools.cache
+    def classes(atom):
+        levels = [everyone]
+        for x in range(n):
+            if atom >> x & 1:
+                h = has[x]
+                levels = [levels[0] & ~h,
+                          *(hi & ~h | lo & h for lo, hi in zip(levels, levels[1:])),
+                          levels[-1] & h]
+        return levels
+    return classes
+
+
+def _orbit(classes, atoms, mask):
+    """Bitmask of the candidate indices in the orbit of mask under the
+    relabellings that fix every atom setwise: the candidates that meet each
+    atom in as many elements as mask does.  classes is _count_classes of
+    the candidate list."""
+    orbit = -1
+    for a in atoms:
+        orbit &= classes(a)[(mask & a).bit_count()]
+    return orbit
 
 
 def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
@@ -168,6 +221,9 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
         above = (0,) * k
         if not best:
             best, witness = 1, (chosen0,)
+        # the Venn atoms of the chosen sets, for orbital branching
+        classes = _count_classes(masks, n)
+        atoms = _refine([(1 << n) - 1], chosen0)
 
         # Depth-first include/exclude search in preorder: a node, its include
         # child's subtree, then its exclude child.  The stack holds, per
@@ -211,9 +267,11 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
                     if r:  # a room of 0 adds nothing to the cap and stays 0
                         room[c] = r - 1
                         roomy[r - 1] ^= 1 << w * c + w - 1
-                    stack.append((pool, cc, i, below, above, r))
+                    stack.append((pool, cc, i, below, above, r, atoms))
                     pool &= ~(tconf[i] | bit | closes)
                     below, above = new_below, new_above
+                    if len(atoms) < n:
+                        atoms = _refine(atoms, masks[i])
                     cc += 1
                     if cc > best:
                         best = cc
@@ -221,12 +279,13 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
                     continue
             if not stack:
                 break
-            pool, cc, i, below, above, r = stack.pop()
+            pool, cc, i, below, above, r, atoms = stack.pop()
             if r:
                 c = cid[i]
                 room[c] = r
                 roomy[r - 1] ^= 1 << w * c + w - 1
-            pool &= ~(1 << i)
+            # once every atom is a singleton the orbit is {i}
+            pool &= ~(_orbit(classes, atoms, masks[i]) if len(atoms) < n else 1 << i)
     return best, witness, True, nodes
 
 
@@ -452,14 +511,15 @@ def g_function(params: Params, budget: Budget | None = None) -> GFunctionResult:
                 tconf[i] |= 1 << j
                 tconf[j] |= 1 << i
     ids = range(len(layer))
+    classes = _count_classes(layer, n)
     best, best_shade, witness = 0, 0, ()
     nodes, proven = 0, True
     deadline = time.monotonic() + budget.seconds
     # preorder: a node, its include child's subtree, then its exclude child;
     # the stack holds, per include still open, what the exclude child needs,
-    # and its included bits are the chosen members
+    # and its included indices are the chosen members
     stack = []
-    pool, shade_union, cc = (1 << len(layer)) - 1, 0, 0
+    pool, shade_union, cc, atoms = (1 << len(layer)) - 1, 0, 0, [(1 << n) - 1]
     while True:
         nodes += 1
         if nodes > budget.nodes or not nodes % 4096 and time.monotonic() > deadline:
@@ -468,7 +528,7 @@ def g_function(params: Params, budget: Budget | None = None) -> GFunctionResult:
         obj = cc - shade_union.bit_count()
         if obj > best:
             best, best_shade = obj, shade_union.bit_count()
-            witness = tuple(layer[f[3].bit_length() - 1] for f in stack)
+            witness = tuple(layer[f[3]] for f in stack)
         cap = pool.bit_count()
         if obj + cap > best:
             # a greedy matching of conflicting pool pairs: each matched
@@ -483,17 +543,18 @@ def g_function(params: Params, budget: Budget | None = None) -> GFunctionResult:
                         matched += 1
                         avail ^= bit | other & -other
             if obj + cap - matched > best:
-                lsb = pool & -pool
-                i = lsb.bit_length() - 1
-                stack.append((pool, shade_union, cc, lsb))
-                pool &= ~(tconf[i] | lsb)
+                i = (pool & -pool).bit_length() - 1
+                stack.append((pool, shade_union, cc, i, atoms))
+                pool &= ~(tconf[i] | 1 << i)
                 shade_union |= shades[i]
                 cc += 1
+                if len(atoms) < n:
+                    atoms = _refine(atoms, layer[i])
                 continue
         if not stack:
             break
-        pool, shade_union, cc, lsb = stack.pop()
-        pool ^= lsb
+        pool, shade_union, cc, i, atoms = stack.pop()
+        pool &= ~(_orbit(classes, atoms, layer[i]) if len(atoms) < n else 1 << i)
     fam = Family(n, witness)
     shade_size = len(shade(fam, top)) if top <= n else 0
     if (any(m.bit_count() != base for m in fam) or not is_t_intersecting(fam, t)

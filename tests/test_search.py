@@ -1,8 +1,11 @@
+import functools
 import itertools
+import math
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spernerlab import search
 from spernerlab.cli import main
@@ -32,19 +35,125 @@ from spernerlab.search import (
 )
 
 
-def exhaustive_max(n, t, k):
-    """Ground-truth oracle: every subfamily of 2^[n], n <= 4."""
-    masks = list(range(1 << n))
-    best = 0
-    for r in range(len(masks), 0, -1):
-        if r <= best:
-            break
-        for sub in itertools.combinations(masks, r):
-            fam = Family(n, sub)
-            if is_t_intersecting(fam, t) and is_k_sperner(fam, k):
-                best = max(best, r)
-                break
+@functools.cache
+def _subfamily_records(n):
+    """One record per subfamily S of 2^[n], n <= 4, as
+    (least pairwise meet, longest chain, smallest and largest member size)
+    mapped to the largest S with that record.  The masks are in size order,
+    and S is reached from S' = S minus its last mask m: every chain through
+    m ends at m, so longest(S) = max(longest(S'), 1 + longest(S' below m))."""
+    masks = sorted(range(1 << n), key=int.bit_count)
+    below = [sum(1 << j for j in range(i) if masks[j] & m == masks[j] != m)
+             for i, m in enumerate(masks)]
+    # meets[i][c]: the earlier masks meeting masks[i] in exactly c elements
+    meets = [[sum(1 << j for j in range(i) if (masks[j] & m).bit_count() == c)
+              for c in range(n + 1)] for i, m in enumerate(masks)]
+    size = [0] * (1 << len(masks))
+    longest = [0] * (1 << len(masks))
+    meet = [n + 1] * (1 << len(masks))  # n + 1: no pair yet
+    records = {}
+    for S in range(1, 1 << len(masks)):
+        i = S.bit_length() - 1
+        rest = S ^ 1 << i
+        size[S] = size[rest] + 1
+        longest[S] = max(longest[rest], 1 + longest[rest & below[i]])
+        meet[S] = min(meet[rest], next((c for c in range(n + 1) if rest & meets[i][c]), n + 1))
+        key = (meet[S], longest[S], masks[(S & -S).bit_length() - 1].bit_count(),
+               masks[i].bit_count())
+        if size[S] > records.get(key, (0, 0))[0]:
+            records[key] = (size[S], [m for j, m in enumerate(masks) if S >> j & 1])
+    return records
+
+
+def exhaustive_max(n, t, k, window=None):
+    """Ground-truth oracle: the largest t-intersecting k-Sperner subfamily of
+    2^[n] with member sizes in window, over every subfamily, n <= 4.  The
+    argmax is rechecked with the families predicates."""
+    lo, hi = window or (0, n)
+    best, members = max(((size, members)
+                         for (meet, longest, low, high), (size, members)
+                         in _subfamily_records(n).items()
+                         if meet >= t and longest <= k and lo <= low and high <= hi),
+                        default=(0, []))
+    fam = Family(n, members)
+    assert len(fam) == best and is_t_intersecting(fam, t) and is_k_sperner(fam, k)
     return best
+
+
+# the optima of the 63 cells with n <= 7, 1 <= t < n, k <= 3
+OPTIMA_N7 = {
+    (2, 1, 1): 1, (2, 1, 2): 2, (2, 1, 3): 2,
+    (3, 1, 1): 3, (3, 1, 2): 4, (3, 1, 3): 4, (3, 2, 1): 1, (3, 2, 2): 2, (3, 2, 3): 2,
+    (4, 1, 1): 4, (4, 1, 2): 7, (4, 1, 3): 8, (4, 2, 1): 4, (4, 2, 2): 5, (4, 2, 3): 5,
+    (4, 3, 1): 1, (4, 3, 2): 2, (4, 3, 3): 2,
+    (5, 1, 1): 10, (5, 1, 2): 15, (5, 1, 3): 16, (5, 2, 1): 5, (5, 2, 2): 9, (5, 2, 3): 10,
+    (5, 3, 1): 5, (5, 3, 2): 6, (5, 3, 3): 6, (5, 4, 1): 1, (5, 4, 2): 2, (5, 4, 3): 2,
+    (6, 1, 1): 15, (6, 1, 2): 26, (6, 1, 3): 31, (6, 2, 1): 15, (6, 2, 2): 21, (6, 2, 3): 22,
+    (6, 3, 1): 6, (6, 3, 2): 11, (6, 3, 3): 12, (6, 4, 1): 6, (6, 4, 2): 7, (6, 4, 3): 7,
+    (6, 5, 1): 1, (6, 5, 2): 2, (6, 5, 3): 2,
+    (7, 1, 1): 35, (7, 1, 2): 56, (7, 1, 3): 63, (7, 2, 1): 21, (7, 2, 2): 36, (7, 2, 3): 43,
+    (7, 3, 1): 21, (7, 3, 2): 28, (7, 3, 3): 29, (7, 4, 1): 7, (7, 4, 2): 13, (7, 4, 3): 14,
+    (7, 5, 1): 7, (7, 5, 2): 8, (7, 5, 3): 8, (7, 6, 1): 1, (7, 6, 2): 2, (7, 6, 3): 2,
+}
+
+
+# g_function values at the odd cells with n <= 8, k <= 3 (see test_values_pinned)
+G_PROVEN_N8 = {
+    (2, 1, 1): 0, (2, 1, 2): 1, (2, 1, 3): 1, (3, 2, 1): 0, (3, 2, 2): 1, (3, 2, 3): 1,
+    (4, 1, 1): 0, (4, 1, 2): 2, (4, 1, 3): 3, (4, 3, 1): 0, (4, 3, 2): 1, (4, 3, 3): 1,
+    (5, 2, 1): 0, (5, 2, 2): 3, (5, 2, 3): 4, (5, 4, 1): 0, (5, 4, 2): 1, (5, 4, 3): 1,
+    (6, 1, 1): 0, (6, 1, 2): 5, (6, 1, 3): 9, (6, 3, 1): 0, (6, 3, 2): 4, (6, 3, 3): 5,
+    (6, 5, 1): 0, (6, 5, 2): 1, (6, 5, 3): 1, (7, 2, 1): 0, (7, 2, 2): 8, (7, 2, 3): 14,
+    (7, 4, 1): 0, (7, 4, 2): 5, (7, 4, 3): 6, (7, 6, 1): 0, (7, 6, 2): 1, (7, 6, 3): 1,
+    (8, 3, 2): 13, (8, 3, 3): 20, (8, 5, 1): 0, (8, 5, 2): 6, (8, 5, 3): 7,
+    (8, 7, 1): 0, (8, 7, 2): 1, (8, 7, 3): 1,
+}
+
+
+def g_brute_force(n, t, k):
+    """max |G| - |shade_{base+k}(G)| over every t-intersecting subfamily G
+    of the base = (n+t-1)/2 layer, enumerated one by one with frozensets."""
+    base = (n + t - 1) // 2
+    layer = [frozenset(c) for c in itertools.combinations(range(n), base)]
+    ups = [{a | frozenset(c) for c in itertools.combinations(set(range(n)) - a, k)}
+           for a in layer]
+    best = 0
+
+    def extend(start, chosen, shade_union):
+        nonlocal best
+        best = max(best, len(chosen) - len(shade_union))
+        for j in range(start, len(layer)):
+            if all(len(layer[j] & layer[c]) >= t for c in chosen):
+                extend(j + 1, chosen + [j], shade_union | ups[j])
+
+    extend(0, [], frozenset())
+    return best
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(0, (1 << n) - 1), max_size=3),
+    st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12, unique=True),
+    st.integers(0, 11))))
+def test_orbit_matches_brute_force(case):
+    # chosen sets, a candidate list and a candidate i: the orbit of i under
+    # the relabellings that fix every chosen set
+    n, chosen, masks, i = case
+    i %= len(masks)
+    atoms = functools.reduce(search._refine, chosen, [(1 << n) - 1])
+
+    def image(perm, m):
+        return sum(1 << perm[x] for x in range(n) if m >> x & 1)
+
+    group = [p for p in itertools.permutations(range(n))
+             if all(image(p, c) == c for c in chosen)]
+    # the group is the product of the symmetric groups on the atoms
+    assert sum(atoms) == (1 << n) - 1
+    assert len(group) == math.prod(math.factorial(a.bit_count()) for a in atoms)
+    targets = {image(p, masks[i]) for p in group}
+    expected = sum(1 << j for j, m in enumerate(masks) if m in targets)
+    assert search._orbit(search._count_classes(masks, n), atoms, masks[i]) == expected
 
 
 class TestSCD:
@@ -67,19 +176,40 @@ class TestSCD:
 
 class TestOracleSmall:
     def test_n4_against_exhaustive(self):
-        for t in (1, 2):
-            for k in (1, 2):
-                expected = exhaustive_max(4, t, k)
-                got = max_family_size(4, t, k).best_size
-                assert got == expected, (t, k, got, expected)
+        windows = [None] + [(lo, hi) for lo in range(5) for hi in range(lo, 5)]
+        for t in range(4):
+            for k in (1, 2, 3):
+                for window in windows:
+                    expected = exhaustive_max(4, t, k, window)
+                    res = max_family_size(4, t, k, layer_window=window)
+                    assert res.proven_optimal
+                    assert res.best_size == expected, (t, k, window, res.best_size, expected)
 
     def test_banded_matches_unrestricted(self):
-        for (n, t, k) in [(4, 2, 1), (5, 2, 2), (5, 1, 2), (5, 3, 2), (6, 2, 2),
-                          (6, 2, 3), (6, 4, 2), (5, 1, 3)]:
+        """The admissibility gate for the band and every prune.  OPTIMA_N7
+        was generated by the search before orbital branching, where banded
+        and unrestricted agreed and both were proven:
+
+            {(n, t, k): max_family_size(n, t, k).best_size
+             for n in range(2, 8) for t in range(1, n) for k in (1, 2, 3)}
+        """
+        for (n, t, k), expected in OPTIMA_N7.items():
             r1 = max_family_size(n, t, k)
             r2 = max_family_size(n, t, k, use_compression=True)
-            assert r1.proven_optimal and r2.proven_optimal
-            assert r1.best_size == r2.best_size
+            assert r1.proven_optimal and r2.proven_optimal, (n, t, k)
+            assert r1.best_size == r2.best_size == expected, (n, t, k)
+
+    def test_unseeded_matches_table(self, monkeypatch):
+        # without the construction seeds the incumbent no longer hides a
+        # prune that cuts an optimum away; (7, 1, k) needs far more nodes
+        # without a seed
+        monkeypatch.setattr(search, "_construction_seeds", lambda n, t, k: [])
+        for (n, t, k), expected in OPTIMA_N7.items():
+            if (n, t) == (7, 1):
+                continue
+            for compress in (False, True):
+                res = max_family_size(n, t, k, use_compression=compress)
+                assert (res.best_size, res.proven_optimal) == (expected, True), (n, t, k)
 
     def test_frozen_values(self):
         assert max_family_size(4, 2, 1, use_compression=True).best_size == 4
@@ -159,15 +289,19 @@ class TestOracleSmall:
 
 
 class TestEngineNodeCounts:
-    """Pinned (size, proven, nodes): the engine visits the same nodes in the
-    same order whatever its internals, so these repeat exactly."""
+    """Pinned (size, proven, nodes).  The search is deterministic, so these
+    repeat exactly.  A change to the branching or to a prune moves them:
+    such a change re-pins them and records the old and new counts."""
 
     @pytest.mark.parametrize("cell, nodes, expected", [
-        ((6, 1, 2), 1_000_000, (26, True, 49258)),
+        ((6, 1, 2), 1_000_000, (26, True, 5222)),
         ((6, 1, 2), 100, (26, False, 101)),
-        ((8, 2, 3), 5000, (92, True, 3855)),
-        ((9, 3, 3), 5000, (129, True, 1455)),
+        ((8, 2, 3), 5000, (92, True, 49)),
+        ((9, 3, 3), 5000, (129, True, 13)),
         ((9, 1, 2), 5000, (210, False, 5001)),
+        ((7, 1, 3), 1_000_000, (63, True, 3111)),
+        ((8, 3, 2), 5000, (49, True, 828)),
+        ((9, 4, 2), 5000, (64, True, 966)),
     ])
     def test_search(self, cell, nodes, expected):
         res = max_family_size(*cell, use_compression=True,
@@ -175,8 +309,8 @@ class TestEngineNodeCounts:
         assert (res.best_size, res.proven_optimal, res.nodes) == expected
 
     @pytest.mark.parametrize("cell, kwargs, expected", [
-        ((6, 1, 2), {}, (26, True, 49372)),
-        ((6, 1, 2), {"layer_window": (2, 5)}, (26, True, 49370)),
+        ((6, 1, 2), {}, (26, True, 5244)),
+        ((6, 1, 2), {"layer_window": (2, 5)}, (26, True, 5242)),
         ((6, 0, 2), {}, (35, True, 7)),
     ])
     def test_search_plans(self, cell, kwargs, expected):
@@ -185,8 +319,10 @@ class TestEngineNodeCounts:
         assert (res.best_size, res.proven_optimal, res.nodes) == expected
 
     @pytest.mark.parametrize("cell, expected", [
-        ((8, 3, 2), (13, True, 3525)),
-        ((9, 4, 2), (19, False, 5001)),
+        ((8, 3, 2), (13, True, 57)),
+        ((9, 4, 2), (19, True, 91)),
+        ((8, 1, 3), (28, True, 3181)),
+        ((9, 2, 3), (47, False, 5001)),
     ])
     def test_g_function(self, cell, expected):
         res = g_function(Params(*cell), Budget(nodes=5000, seconds=1e9))
@@ -293,6 +429,27 @@ class TestGFunction:
     def test_parity_enforced(self):
         with pytest.raises(PreconditionError):
             g_function(Params(n=6, t=2, k=1))
+
+    def test_small_layers_against_brute_force(self):
+        # every odd cell with k <= 3 whose layer has at most 15 members
+        cells = [(n, t, k) for n in range(2, 16) for t in range(1, n) if (n + t) % 2
+                 for k in (1, 2, 3) if binomial(n, (n + t - 1) // 2) <= 15]
+        for cell in cells:
+            res = g_function(Params(*cell))
+            assert res.proven_optimal and res.value == g_brute_force(*cell), cell
+
+    def test_values_pinned(self):
+        """G_PROVEN_N8 holds every cell that g_function proved before
+        orbital branching, out of
+
+            {(n, t, k): g_function(Params(n, t, k), Budget(nodes=200_000))
+             for n in range(2, 9) for t in range(1, n) if (n + t) % 2
+             for k in (1, 2, 3)}
+
+        (8,1,1), (8,1,2), (8,1,3) and (8,3,1) ran out of nodes there."""
+        for cell, value in G_PROVEN_N8.items():
+            res = g_function(Params(*cell), Budget(nodes=200_000, seconds=1e9))
+            assert (res.value, res.proven_optimal) == (value, True), cell
 
     def test_witness_self_check(self, monkeypatch):
         # an empty shade makes the recomputed objective disagree with the
