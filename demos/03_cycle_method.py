@@ -29,13 +29,12 @@ print("=== restriction to the cycle ===")
 fam = Family.from_sets(4, itertools.combinations(range(1, 5), 2))
 res = restrict_to_cycle(fam, identity_perm(4))
 print("of the six 2-subsets of [4], the cyclically consecutive ones:",
-      [(iv.start, iv.length) for iv in res.intervals])
+      [(iv.start, iv.length) for iv in res])
 
 print()
 print("=== closing a gap in a chain ===")
-perm = identity_perm(6)
 p = Params(n=6, t=2, k=2)
-G = IntervalFamily(perm, [Interval(length=3, start=0), Interval(length=5, start=0)])
+G = IntervalFamily(6, [Interval(length=3, start=0), Interval(length=5, start=0)])
 out = make_consecutive(G, p)
 print("chain held lengths {3, 5}; the gap length 4 >= n/2 replaces the 5:",
       sorted(iv.length for iv in out.members))
@@ -44,7 +43,7 @@ print(f"weight rose from {interval_weight(G)} to {interval_weight(out)}")
 print()
 print("=== filling to a full family: k intervals on every chain ===")
 p = Params(n=8, t=2, k=2)
-G = IntervalFamily(identity_perm(8), [Interval(length=5, start=0)])
+G = IntervalFamily(8, [Interval(length=5, start=0)])
 full = fill_full(G, p)
 print(f"one interval grew to {len(full)} = k*n members;"
       f" full consecutive: {is_full_consecutive(full, 2)}")

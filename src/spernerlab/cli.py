@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import random
 import sys
 import time
 
@@ -25,7 +26,6 @@ from .families import (
     InvariantViolation,
     Params,
     PreconditionError,
-    binomial,
     is_t_intersecting,
     longest_chain,
     verify_katona_shadow,
@@ -42,7 +42,6 @@ from .generators import (
     random_sigma_ksti,
     random_uniform_t_intersecting,
     random_valid_family,
-    seeded,
 )
 from .search import (
     DEFAULT_NODE_BUDGET,
@@ -126,7 +125,7 @@ def cmd_cycle_audit(args) -> int:
     p = Params(n=args.n, t=args.t, k=args.k)
     if not p.even_case:
         raise PreconditionError("cycle audit requires n + t even")
-    rng = seeded(args.seed)
+    rng = random.Random(args.seed)
     mmax = min(p.k - 1, (args.n - args.t) // 2 - p.k)
     trials = []
     violations = 0
@@ -270,7 +269,7 @@ def cmd_bounds(args) -> int:
 
 def _scan_records(args):
     """The desk-scale regression matrix, one record per check instance."""
-    rng = seeded(args.seed)
+    rng = random.Random(args.seed)
     records = []
     witness_base = (args.out or "scan") + ".witness"
 
@@ -358,17 +357,18 @@ def _scan_records(args):
             chk = averaging_identity(fam)
             rec("averaging_identity", {"n": n, "trial": trial},
                 "holds" if chk.holds else "violated", margin=chk.lhs - chk.rhs)
-    # classical bound oracles: antichain, k largest layers, t-intersecting
-    # antichain, and the intersecting k-Sperner closed form
+    # classical bound oracles against the bounds table: antichain, k largest
+    # layers, t-intersecting antichain, and the intersecting k-Sperner closed
+    # form; the first two entries do not depend on t, so the t = 0 checks
+    # read them at t = 1
     for n in range(2, min(args.n_max, 5) + 1):
-        oracle_rec("classical_sperner", {"n": n},
-                   max_family_size(n, 0, 1), binomial(n, n // 2))
-        two_layers = sum(sorted((binomial(n, i) for i in range(n + 1)), reverse=True)[:2])
-        oracle_rec("classical_k_layers", {"n": n, "k": 2},
-                   max_family_size(n, 0, 2), two_layers)
+        oracle_rec("classical_sperner", {"n": n}, max_family_size(n, 0, 1),
+                   bounds_table(Params(n=n, t=1, k=1)).entries["sperner"].value)
+        oracle_rec("classical_k_layers", {"n": n, "k": 2}, max_family_size(n, 0, 2),
+                   bounds_table(Params(n=n, t=1, k=2)).entries["erdos_k_layers"].value)
         for t in range(1, n + 1):
-            oracle_rec("classical_milner", {"n": n, "t": t},
-                       max_family_size(n, t, 1), binomial(n, (n + t + 1) // 2))
+            oracle_rec("classical_milner", {"n": n, "t": t}, max_family_size(n, t, 1),
+                       bounds_table(Params(n=n, t=t, k=1)).entries["milner"].value)
     for n in (4, 5):
         expected = bounds_table(Params(n=n, t=1, k=2)).entries["frankl_intersecting"].value
         oracle_rec("classical_intersecting_k_sperner", {"n": n, "k": 2},

@@ -213,22 +213,27 @@ def prefix_bounds(gpp: CoeffVector) -> list[tuple[int, int, int, str]]:
     return out
 
 
+def _fold_step(n: int, t: int, k: int, j: int) -> tuple[int, int]:
+    """Both sides of the combined swap inequality of fold step j:
+    C(n, mid-j) + C(n, mid+k+j-1) <= C(n, mid+j-1) + C(n, mid+k-j),
+    with mid = (n+t)/2."""
+    mid = (n + t) // 2
+    return (binomial(n, mid - j) + binomial(n, mid + k + j - 1),
+            binomial(n, mid + j - 1) + binomial(n, mid + k - j))
+
+
 @functools.cache
 def minimal_chain_n(t: int, k: int, m: int, n_max: int):
     """Smallest n with n + t even such that, for every same-parity n' in
-    [n, n_max] and every fold step j = 1..m, the combined swap inequality
-    C(n', mid-j) + C(n', mid+k+j-1) <= C(n', mid+j-1) + C(n', mid+k-j)
-    holds (mid = (n'+t)/2).  None when n_max itself fails.
+    [n, n_max] and every fold step j = 1..m, the fold-step inequality holds
+    at n' (see _fold_step).  None when n_max itself fails.
 
     Harvest sizes for the rebalancing chain should not go below this.
     """
     start = n_max if (n_max + t) % 2 == 0 else n_max - 1
     best = None
     for n in range(start, max(t, 2 * m) , -2):
-        mid = (n + t) // 2
-        if all(binomial(n, mid - j) + binomial(n, mid + k + j - 1)
-               <= binomial(n, mid + j - 1) + binomial(n, mid + k - j)
-               for j in range(1, m + 1)):
+        if all(lhs <= rhs for lhs, rhs in (_fold_step(n, t, k, j) for j in range(1, m + 1))):
             best = n
         else:
             break
@@ -292,8 +297,7 @@ def verify_chain(g: CoeffVector) -> ChainReport:
     mid = (n + t) // 2
     steps = []
     for j in range(1, m + 1):
-        lhs = binomial(n, mid - j) + binomial(n, mid + k + j - 1)
-        rhs = binomial(n, mid + j - 1) + binomial(n, mid + k - j)
+        lhs, rhs = _fold_step(n, t, k, j)
         steps.append(SwapStep(j=j, lhs=lhs, rhs=rhs, active=gp.value(j) > 0))
     final = n * sum(binomial(n, mid + i) for i in range(k))
     return ChainReport(

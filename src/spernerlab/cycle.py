@@ -1,10 +1,13 @@
-"""Interval families on a cyclic order of [n].
+"""Interval families on the cycle of length n.
 
 Positions run 0..n-1 clockwise; an interval is (start, length) with
 1 <= length <= n-1 (the full set and the empty set are never intervals).
-The h-th chain consists of the n-1 nested intervals starting at h.  All
-overlap computations are exact arc arithmetic, so the machinery works for
-ground sets far beyond the bitmask enumeration limit.
+The h-th chain consists of the n-1 nested intervals starting at h.  An
+interval family is keyed by n alone: every check works on positions, and a
+cyclic order of [n] is needed only to map intervals to sets and back
+(`interval_mask`, `restrict_to_cycle`).  All overlap computations are exact
+arc arithmetic, so the machinery works for ground sets far beyond the
+bitmask enumeration limit.
 """
 
 from __future__ import annotations
@@ -39,9 +42,6 @@ class CyclicPerm:
     @property
     def n(self) -> int:
         return len(self.order)
-
-    def position_of(self) -> dict[int, int]:
-        return {e: p for p, e in enumerate(self.order)}
 
 
 def identity_perm(n: int) -> CyclicPerm:
@@ -84,43 +84,31 @@ def interval_mask(perm: CyclicPerm, iv: Interval) -> int:
     return m
 
 
+@dataclass(frozen=True, slots=True)
 class IntervalFamily:
-    """Immutable, canonically ordered family of intervals on one cyclic
-    order."""
+    """Immutable, canonically ordered family of intervals on the cycle of
+    length n."""
 
-    __slots__ = ("perm", "members")
+    n: int
+    members: tuple[Interval, ...]
 
-    def __init__(self, perm: CyclicPerm, members=()):
-        n = perm.n
-        seen = set()
+    def __post_init__(self):
+        n = self.n
+        if n < 3:
+            raise PreconditionError("interval families need n >= 3")
+        members = tuple(sorted(set(self.members)))
         for iv in members:
             if not 1 <= iv.length <= n - 1:
                 raise PreconditionError(f"interval length {iv.length} outside [1, {n - 1}]")
             if not 0 <= iv.start < n:
                 raise PreconditionError(f"interval start {iv.start} outside [0, {n})")
-            seen.add(iv)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "members", tuple(sorted(seen)))
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("IntervalFamily is immutable")
-
-    @property
-    def n(self) -> int:
-        return self.perm.n
+        object.__setattr__(self, "members", members)
 
     def __len__(self):
         return len(self.members)
 
     def __iter__(self):
         return iter(self.members)
-
-    def __eq__(self, other):
-        return (isinstance(other, IntervalFamily)
-                and self.perm == other.perm and self.members == other.members)
-
-    def __hash__(self):
-        return hash((self.perm, self.members))
 
     def __repr__(self):
         return f"IntervalFamily(n={self.n}, members={len(self.members)})"
@@ -139,32 +127,23 @@ def interval_weight(G: IntervalFamily) -> int:
     return sum(math.comb(n, iv.length) for iv in G.members)
 
 
-@dataclass(frozen=True, slots=True)
-class CycleRestriction:
-    intervals: IntervalFamily
-    skipped: tuple[int, ...]  # members of size 0 or n: never intervals
-
-
-def restrict_to_cycle(fam: Family, perm: CyclicPerm) -> CycleRestriction:
+def restrict_to_cycle(fam: Family, perm: CyclicPerm) -> IntervalFamily:
     """Members of fam whose elements are consecutive under perm, as
-    intervals.  The empty set and the full set are reported separately."""
+    intervals.  The empty set and the full set are never intervals."""
     n = perm.n
     if fam.n != n:
         raise PreconditionError("family and cyclic order disagree on n")
-    pos = perm.position_of()
+    pos = {e: p for p, e in enumerate(perm.order)}
     ivs = []
-    skipped = []
     for mask in fam.members:
         c = mask.bit_count()
         if c == 0 or c == n:
-            skipped.append(mask)
             continue
         ps = {pos[e + 1] for e in range(n) if mask >> e & 1}
         starts = [p for p in ps if (p - 1) % n not in ps]
-        if len(starts) != 1:
-            continue
-        ivs.append(Interval(length=c, start=starts[0]))
-    return CycleRestriction(intervals=IntervalFamily(perm, ivs), skipped=tuple(skipped))
+        if len(starts) == 1:
+            ivs.append(Interval(length=c, start=starts[0]))
+    return IntervalFamily(n, ivs)
 
 
 def chain_intervals(n: int, h: int) -> list[Interval]:
@@ -215,9 +194,9 @@ def make_consecutive(G: IntervalFamily, params: Params, validate: bool = True) -
     if validate and not is_sigma_ks_ti(G, params):
         raise PreconditionError("make_consecutive input is not sigma-k-Sperner t-intersecting")
     n = G.n
-    out = IntervalFamily(G.perm, [Interval(length=ell, start=h)
-                                  for h, run in sorted(G.by_chain().items())
-                                  for ell in _close_gaps(run, n)])
+    out = IntervalFamily(n, [Interval(length=ell, start=h)
+                             for h, run in sorted(G.by_chain().items())
+                             for ell in _close_gaps(run, n)])
     if len(out) != len(G):
         raise InvariantViolation("make_consecutive changed the family size")
     return out
@@ -270,7 +249,7 @@ def fill_full(G: IntervalFamily, params: Params, validate: bool = True) -> Inter
                 add = mid + m
             run = _close_gaps(run + [add], n)
         members.extend(Interval(length=ell, start=h) for ell in run)
-    cur = IntervalFamily(G.perm, members)
+    cur = IntervalFamily(n, members)
     if not is_full_consecutive(cur, k):
         raise InvariantViolation("fill_full did not reach a full consecutive family")
     if not is_sigma_ks_ti(cur, params):
@@ -299,7 +278,7 @@ class ComplementCheck:
     failures: tuple[str, ...]
 
 
-def check_complement_closure(G: IntervalFamily, params: Params, validate: bool = True) -> ComplementCheck:
+def check_complement_closure(G: IntervalFamily, params: Params) -> ComplementCheck:
     """For a full consecutive family inside the band: no proper subinterval
     of any member's bar complement is a member, and the bar complement of
     every bottom-size member is itself a member.  Failures are bug traps
@@ -318,7 +297,7 @@ def check_complement_closure(G: IntervalFamily, params: Params, validate: bool =
             "only at one end and the no-proper-subinterval claim fails")
     n, t, k = G.n, params.t, params.k
     mid = (n + t) // 2
-    if validate and not is_full_consecutive(G, k):
+    if not is_full_consecutive(G, k):
         raise PreconditionError("complement closure check needs a full consecutive family")
     lens = [iv.length for iv in G.members]
     m = mid - min(lens)
@@ -542,9 +521,7 @@ def averaging_identity(fam: Family) -> AveragingCheck:
         raise PreconditionError("averaging identity enumerates (n-1)! orders; need n <= 7")
     inner = [m for m in fam.members if 0 < m.bit_count() < n]
     inner_fam = Family(n, inner)
-    lhs = 0
-    for perm in all_cyclic_perms(n):
-        res = restrict_to_cycle(inner_fam, perm)
-        lhs += interval_weight(res.intervals)
+    lhs = sum(interval_weight(restrict_to_cycle(inner_fam, perm))
+              for perm in all_cyclic_perms(n))
     rhs = math.factorial(n) * len(inner)
     return AveragingCheck(holds=lhs == rhs, lhs=lhs, rhs=rhs)

@@ -16,7 +16,6 @@ from .cycle import (
     Interval,
     IntervalFamily,
     arc_overlap,
-    identity_perm,
     is_full_consecutive,
     is_sigma_ks_ti,
 )
@@ -116,7 +115,6 @@ def random_full_consecutive(rng: random.Random, n: int, t: int, k: int, m: int) 
     mid = (n + t) // 2
     if mid - m < 1 or mid + m + k - 1 > n - 1:
         raise PreconditionError("band does not fit inside [1, n-1]")
-    perm = identity_perm(n)
     for _ in range(200):
         pinned = rng.randrange(n)
         bottoms = [rng.randint(mid - m, mid + m) for _ in range(n)]
@@ -146,7 +144,7 @@ def random_full_consecutive(rng: random.Random, n: int, t: int, k: int, m: int) 
             continue
         members = [Interval(length=b + i, start=h)
                    for h, b in enumerate(bottoms) for i in range(k)]
-        fam = IntervalFamily(perm, members)
+        fam = IntervalFamily(n, members)
         params = Params(n=n, t=t, k=k)
         if is_full_consecutive(fam, k) and is_sigma_ks_ti(fam, params):
             return fam
@@ -162,7 +160,6 @@ def random_sigma_ksti(rng: random.Random, n: int, t: int, k: int, m: int) -> Int
     mid = (n + t) // 2
     if mid - m < 1 or mid + m + k - 1 > n - 1:
         raise PreconditionError("band does not fit inside [1, n-1]")
-    perm = identity_perm(n)
     target = rng.randint(1, k * n // 2)
     members: list[Interval] = []
     per_chain = [0] * n
@@ -178,7 +175,7 @@ def random_sigma_ksti(rng: random.Random, n: int, t: int, k: int, m: int) -> Int
         if all(arc_overlap(n, cand, iv) >= t for iv in members):
             members.append(cand)
             per_chain[h] += 1
-    return IntervalFamily(perm, members)
+    return IntervalFamily(n, members)
 
 
 def random_dominance_triple(rng: random.Random, length: int):
@@ -196,8 +193,3 @@ def random_dominance_triple(rng: random.Random, length: int):
         a[src] -= delta
         a[dst] += delta
     return a, b, d
-
-
-def seeded(seed: int) -> random.Random:
-    return random.Random(seed)
-

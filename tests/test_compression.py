@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spernerlab.compression import (
     antichain_shadow_holds,
@@ -194,3 +195,21 @@ class TestNormalize:
             p = Params(n=n, t=2, k=2)
             out, _ = normalize(fam, p, validate=False)
             assert len(out) >= len(fam)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(4, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, n - 1), st.integers(1, 3), st.integers(0, 2**32 - 1))))
+def test_normalize_keeps_members_and_properties(case):
+    # the seeded harnesses' generator, on cells and seeds that hypothesis draws
+    n, t, k, seed = case
+    fam = random_valid_family(random.Random(seed), n, t, k)
+    p = Params(n=n, t=t, k=k)
+    out, rep = normalize(fam, p)
+    assert len(out) >= len(fam)
+    assert is_t_intersecting(out, t)
+    assert is_k_sperner(out, k)
+    if len(out):
+        assert 0 <= rep.m <= k - 1
+        assert out.min_size() == p.half_up - rep.m
+        assert out.max_size() <= p.half_up + k - 1 + rep.m

@@ -3,7 +3,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spernerlab import cycle
 from spernerlab.cycle import (
     AveragingCheck,
     CyclicPerm,
@@ -17,6 +19,7 @@ from spernerlab.cycle import (
     chain_intervals,
     check_complement_closure,
     check_count_inequalities,
+    check_instance,
     check_weight_bound,
     fill_full,
     g_profile,
@@ -41,9 +44,8 @@ from spernerlab.generators import (
 def layers_interval_family(n, t, k):
     """All intervals of the k lengths starting at (n+t)/2: full consecutive."""
     mid = (n + t) // 2
-    perm = identity_perm(n)
-    return IntervalFamily(perm, [Interval(length=mid + i, start=h)
-                                 for h in range(n) for i in range(k)])
+    return IntervalFamily(n, [Interval(length=mid + i, start=h)
+                              for h in range(n) for i in range(k)])
 
 
 class TestPermsAndIntervals:
@@ -78,18 +80,16 @@ class TestPermsAndIntervals:
 class TestRestrictAndChains:
     def test_adjacent_pairs(self):
         fam = Family.from_sets(4, itertools.combinations(range(1, 5), 2))
-        res = restrict_to_cycle(fam, identity_perm(4))
-        assert len(res.intervals) == 4
+        assert len(restrict_to_cycle(fam, identity_perm(4))) == 4
 
     def test_non_consecutive_dropped(self):
         fam = Family.from_sets(4, [[1, 3]])
-        res = restrict_to_cycle(fam, identity_perm(4))
-        assert len(res.intervals) == 0
+        assert len(restrict_to_cycle(fam, identity_perm(4))) == 0
 
-    def test_full_set_reported_separately(self):
+    def test_full_set_never_an_interval(self):
         fam = Family.from_sets(4, [[1, 2, 3, 4], [1, 2]])
         res = restrict_to_cycle(fam, identity_perm(4))
-        assert len(res.intervals) == 1 and len(res.skipped) == 1
+        assert res.members == (Interval(length=2, start=0),)
 
     def test_chain_contents(self):
         ivs = chain_intervals(4, 0)
@@ -111,7 +111,7 @@ class TestRestrictAndChains:
         rng = random.Random(21)
         n = 5
         fam = random_inner_family(rng, n, 0.3)
-        total = sum(len(restrict_to_cycle(fam, perm).intervals)
+        total = sum(len(restrict_to_cycle(fam, perm))
                     for perm in all_cyclic_perms(n))
         expected = sum(math.factorial(m.bit_count()) * math.factorial(n - m.bit_count())
                        for m in fam.members)
@@ -125,13 +125,11 @@ class TestSigmaPredicate:
         assert is_sigma_ks_ti(G, Params(n=n, t=t, k=1))
 
     def test_disjoint_short_intervals(self):
-        perm = identity_perm(6)
-        G = IntervalFamily(perm, [Interval(length=2, start=0), Interval(length=2, start=3)])
+        G = IntervalFamily(6, [Interval(length=2, start=0), Interval(length=2, start=3)])
         assert not is_sigma_ks_ti(G, Params(n=6, t=1, k=2))
 
     def test_chain_budget(self):
-        perm = identity_perm(6)
-        G = IntervalFamily(perm, [Interval(length=3, start=0), Interval(length=4, start=0)])
+        G = IntervalFamily(6, [Interval(length=3, start=0), Interval(length=4, start=0)])
         assert is_sigma_ks_ti(G, Params(n=6, t=2, k=2))
         assert not is_sigma_ks_ti(G, Params(n=6, t=2, k=1))
 
@@ -143,8 +141,7 @@ class TestSigmaPredicate:
             k = rng.randint(1, 3)
             fam = random_valid_family(rng, n, t, k)
             perm = CyclicPerm(tuple(rng.sample(range(1, n + 1), n)))
-            res = restrict_to_cycle(fam, perm)
-            inner = IntervalFamily(perm, [iv for iv in res.intervals])
+            inner = restrict_to_cycle(fam, perm)
             assert is_sigma_ks_ti(inner, Params(n=n, t=t, k=k))
 
     def test_matches_pairwise_definition(self):
@@ -169,7 +166,7 @@ class TestSigmaPredicate:
                 # reuse a chain often, so chains hold several members
                 h = rng.choice(members).start if members and rng.random() < 0.4 else rng.randrange(n)
                 members.append(Interval(length=rng.randint(max(1, t - 1), n - 1), start=h))
-            G = IntervalFamily(identity_perm(n), members)
+            G = IntervalFamily(n, members)
             expected = pairwise(G, t, k)
             assert is_sigma_ks_ti(G, Params(n=n, t=t, k=k)) == expected, (n, t, k, G.members)
             seen.add(expected)
@@ -184,8 +181,7 @@ class TestMakeConsecutive:
 
     def test_single_gap_example(self):
         # one chain holding lengths 3 and 5: the gap 4 >= n/2 replaces the 5
-        perm = identity_perm(6)
-        G = IntervalFamily(perm, [Interval(length=3, start=0), Interval(length=5, start=0)])
+        G = IntervalFamily(6, [Interval(length=3, start=0), Interval(length=5, start=0)])
         p = Params(n=6, t=2, k=2)
         out = make_consecutive(G, p)
         assert sorted(iv.length for iv in out.members) == [3, 4]
@@ -237,9 +233,8 @@ class TestFillFull:
         assert fill_full(G, p) == G
 
     def test_empty_chains_filled(self):
-        perm = identity_perm(8)
         p = Params(n=8, t=2, k=2)
-        G = IntervalFamily(perm, [Interval(length=5, start=0)])
+        G = IntervalFamily(8, [Interval(length=5, start=0)])
         out = fill_full(G, p)
         assert is_full_consecutive(out, 2)
         assert len(out) == 16
@@ -330,24 +325,28 @@ class TestComplementClosure:
             G = random_full_consecutive(rng, n, t, k, m)
             assert check_complement_closure(G, Params(n=n, t=t, k=k)).holds
 
-    def test_corrupted_family_detected(self):
+    def test_corrupted_family_detected(self, monkeypatch):
+        # the broken family is no longer full consecutive: let it past the
+        # precondition to reach the bug trap
+        monkeypatch.setattr(cycle, "is_full_consecutive", lambda G, k: True)
         p = Params(n=10, t=2, k=2)
         G = layers_interval_family(10, 2, 2)
         # remove the bar complement of a bottom member
         victim = bar_complement(G.members[0], 10, 2)
         assert victim in G.members
-        broken = IntervalFamily(G.perm, [iv for iv in G.members if iv != victim])
-        chk = check_complement_closure(broken, p, validate=False)
+        broken = IntervalFamily(G.n, [iv for iv in G.members if iv != victim])
+        chk = check_complement_closure(broken, p)
         assert not chk.holds
 
-    def test_member_inside_bar_complement_detected(self):
+    def test_member_inside_bar_complement_detected(self, monkeypatch):
         # a length-3 member at start 6 sits inside the bar complements of
         # seven layer members; each failure names the shortest member inside,
         # nearest the start of the bar complement
+        monkeypatch.setattr(cycle, "is_full_consecutive", lambda G, k: True)
         p = Params(n=10, t=2, k=2)
         G = layers_interval_family(10, 2, 2)
-        G = IntervalFamily(G.perm, G.members + (Interval(length=3, start=6),))
-        chk = check_complement_closure(G, p, validate=False)
+        G = IntervalFamily(G.n, G.members + (Interval(length=3, start=6),))
+        chk = check_complement_closure(G, p)
         inside = "proper subinterval Interval(length=3, start=6) of bar complement of"
         assert chk.failures == (
             "proper subinterval Interval(length=6, start=8) of bar complement of "
@@ -375,7 +374,7 @@ class TestComplementClosure:
         for h in range(n):
             bottom = 7 if h == 0 else (9 if h == 7 else 8)
             members.extend(Interval(length=bottom + i, start=h) for i in range(k))
-        G = IntervalFamily(identity_perm(n), members)
+        G = IntervalFamily(n, members)
         assert is_full_consecutive(G, k)
         assert is_sigma_ks_ti(G, p)
         low = Interval(length=7, start=0)
@@ -450,9 +449,8 @@ class TestWeightBound:
                 continue
             k = rng.randint(1, 3)
             fam = random_valid_family(rng, n, t, k)
-            perm = identity_perm(n)
-            res = restrict_to_cycle(fam, perm)
-            chk = check_weight_bound(res.intervals, Params(n=n, t=t, k=k))
+            G = restrict_to_cycle(fam, identity_perm(n))
+            chk = check_weight_bound(G, Params(n=n, t=t, k=k))
             assert chk.holds
 
 
@@ -505,3 +503,15 @@ class TestAveraging:
     def test_rejects_large_n(self):
         with pytest.raises(PreconditionError):
             averaging_identity(Family(8))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2), st.data())
+def test_check_instance_ok_on_full_consecutive(t, m, data):
+    # any cell whose band fits inside [t + 1, n - 1]; below the chain
+    # threshold a weight-bound miss is a finding and does not clear ok
+    k = data.draw(st.integers(m + 1, 3))
+    n = t + 2 * (m + k) + 2 * data.draw(st.integers(0, 8))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    G = random_full_consecutive(random.Random(seed), n, t, k, m)
+    assert check_instance(G, Params(n=n, t=t, k=k))["ok"]

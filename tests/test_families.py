@@ -27,7 +27,6 @@ from spernerlab.generators import (
     random_inner_family,
     random_uniform_t_intersecting,
     random_valid_family,
-    seeded,
 )
 
 
@@ -194,7 +193,7 @@ class TestLongestChain:
                             [1, 2, 4, 5, 6, 7], [1, 2, 3, 6, 7, 9]],
         }
         for (s, n, t, k), sets in pinned.items():
-            assert random_valid_family(seeded(s), n, t, k).to_sets() == sets
+            assert random_valid_family(random.Random(s), n, t, k).to_sets() == sets
 
 
 def pair_loop_t_intersecting(fam, t):

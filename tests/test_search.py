@@ -211,6 +211,16 @@ class TestOracleSmall:
                 res = max_family_size(n, t, k, use_compression=compress)
                 assert (res.best_size, res.proven_optimal) == (expected, True), (n, t, k)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the chain tracker raises heights through the new member only and "
+        "misses a chosen member between it and a candidate: 15 members, "
+        "a 4-chain, proven"))
+    def test_unseeded_chain_tracker_exact(self):
+        best, witness, proven, _ = search._max_family_engine(
+            4, 0, 3, [(s, 4) for s in range(5)], Budget(), [])
+        assert (best, proven) == (14, True)
+        assert is_k_sperner(Family(4, witness), 3)
+
     def test_frozen_values(self):
         assert max_family_size(4, 2, 1, use_compression=True).best_size == 4
         assert max_family_size(6, 2, 1, use_compression=True).best_size == 15
