@@ -33,6 +33,22 @@ the remaining candidate masks with three prunes and a symmetry cut:
   objective that holds i, and the include subtree, explored first, leaves
   an incumbent at least as good.
 
+The bounds and the branch choice are read from an incrementally maintained
+pool vector: the sum over the pool of one packed vector per candidate (the
+chain counters and complement bits of the caps, then per candidate j a lane
+counting j's t-conflicts in the pool, with a top bit while j is in it).  It
+rides on the explicit stack next to the pool, and a child subtracts the
+vectors of the few candidates it removes.  The largest lane names the
+branch candidate: the most conflicted one in the pool, lowest index first.
+
+The t-conflict, superset and subset relations come from the count classes
+that orbital branching uses: the t-conflicts of m meet it in fewer than t
+elements, its supersets meet it in |m|, its subsets meet its complement in
+none.  These equal the pair-by-pair relations, where a t-conflict is never
+also counted as nested, because every candidate meets {1..s} in at least t
+elements (in g_function, all have the same size, at least t): a nested
+pair meets in at least t elements and is no t-conflict.
+
 With `use_compression` the candidate sizes are confined to the band the
 compression transforms land in; the justification is recorded in the
 result notes per parity.  The unrestricted mode stays available as ground
@@ -45,6 +61,7 @@ import functools
 import itertools
 import math
 import operator
+import struct
 import time
 from dataclasses import dataclass
 
@@ -136,6 +153,22 @@ def _count_classes(masks, n):
     return classes
 
 
+def _relations(classes, masks, n, t):
+    """Per candidate i, bitmasks over the candidate indices: tconf[i], the
+    candidates that meet masks[i] in fewer than t elements; sup[i] and
+    sub[i], the other candidates that contain it and that it contains.
+    classes is _count_classes(masks, n).  Every candidate has at least t
+    elements, so no candidate is a t-conflict of itself."""
+    full = (1 << n) - 1
+    tconf, sup, sub = [], [], []
+    for i, m in enumerate(masks):
+        meet = classes(m)
+        tconf.append(sum(meet[:t]))
+        sup.append(meet[-1] ^ 1 << i)
+        sub.append(classes(full ^ m)[0] ^ 1 << i)
+    return tconf, sup, sub
+
+
 def _orbit(classes, atoms, mask):
     """Bitmask of the candidate indices in the orbit of mask under the
     relabellings that fix every atom setwise: the candidates that meet each
@@ -145,6 +178,15 @@ def _orbit(classes, atoms, mask):
     for a in atoms:
         orbit &= classes(a)[(mask & a).bit_count()]
     return orbit
+
+
+def _drop(packed, vec, gone):
+    """packed minus vec[j] for each index j in the bitmask gone."""
+    while gone:
+        low = gone & -gone
+        packed -= vec[low.bit_length() - 1]
+        gone ^= low
+    return packed
 
 
 def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
@@ -158,7 +200,6 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
     witness = max(seeds, key=len, default=())
     best, nodes = len(witness), 0
     bit_count, and_ = int.bit_count, operator.and_
-    compress, islice = itertools.compress, itertools.islice
     for s, hi in branches:
         chosen0 = (1 << s) - 1
         masks = [m for size in range(s, hi + 1) for m in _layer_masks(n, size)
@@ -167,28 +208,13 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
         # with k = 1 no member may contain the pinned minimum member
         masks = [m for m in masks if (m & chosen0) != chosen0 or k >= 2]
         C = len(masks)
-        tconf = [0] * C
-        sup = [0] * C
-        sub = [0] * C
-        for i in range(C):
-            mi = masks[i]
-            for j in range(i + 1, C):
-                mj = masks[j]
-                inter = mi & mj
-                if t and inter.bit_count() < t:
-                    tconf[i] |= 1 << j
-                    tconf[j] |= 1 << i
-                elif inter == mi:
-                    sup[i] |= 1 << j
-                    sub[j] |= 1 << i
-                elif inter == mj:
-                    sub[i] |= 1 << j
-                    sup[j] |= 1 << i
-        # One packed integer per candidate, summed over the pool at each
-        # node: a w-bit counter per symmetric chain, then one bit at the
-        # complement's index for the lower member of each complement pair.
-        # A counter stays below n + 2 and its top bit is a guard that the
-        # tests below set without carrying into the next counter.
+        classes = _count_classes(masks, n)
+        tconf, sup, sub = _relations(classes, masks, n, t)
+        # One packed vector per candidate; packed is their sum over the
+        # pool.  First a w-bit counter per symmetric chain, then one bit at
+        # the complement's index for the lower member of each complement
+        # pair.  A counter stays below n + 2 and its top bit is a guard that
+        # the tests below set without carrying into the next counter.
         chain_of = {}
         cid = [chain_of.setdefault(scd_anchor(m, n), len(chain_of)) for m in masks]
         w = max(n + 1, k).bit_length() + 1
@@ -202,6 +228,17 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
                 j = index.get(full ^ m, -1)
                 if j > i:
                     field[i] |= 1 << off + j
+        # Above those, from bit doff, one 32-bit lane per candidate j: j's
+        # t-conflicts in the pool, plus the top bit while j is in it.
+        # Candidate i adds 1 to the lane of each of its t-conflicts (each
+        # byte of _members(tconf[i]) widened to a lane) and the top bit to
+        # its own lane.
+        doff = off + C
+        vec = [f | int.from_bytes(_members(tc).replace(b"\0", bytes(4))
+                                  .replace(b"\1", b"\1\0\0\0"), "little") << doff
+               | 1 << doff + 32 * i + 31
+               for i, (f, tc) in enumerate(zip(field, tconf))]
+        lanes_of = struct.Struct(f"<{C}I").unpack
         unit = sum(1 << w * c for c in range(len(chain_of)))
         guard = unit << w - 1
         # counter + ge[j - 1] has its guard bit set iff the counter is >= j;
@@ -222,70 +259,71 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
         if not best:
             best, witness = 1, (chosen0,)
         # the Venn atoms of the chosen sets, for orbital branching
-        classes = _count_classes(masks, n)
         atoms = _refine([(1 << n) - 1], chosen0)
 
         # Depth-first include/exclude search in preorder: a node, its include
         # child's subtree, then its exclude child.  The stack holds, per
         # include still open, what the exclude child needs; its included
-        # indices are the chosen members after the pinned one.
-        ids = range(C)
+        # indices are the chosen members after the pinned one.  A child
+        # subtracts the vectors of the candidates it removes from packed.
         stack = []
-        pool, cc = (1 << C) - 1, 1
+        pool, packed, cc = (1 << C) - 1, sum(vec), 1
         while True:
             nodes += 1
             if nodes > node_cap or not nodes % 4096 and time.monotonic() > deadline:
                 return best, witness, False, nodes
             size = pool.bit_count()
-            if cc + size > best:
-                sel = _members(pool)
-                packed = sum(compress(field, sel))
-                if (
-                        # at most `room` more members per symmetric chain
-                        cc + sum(map(bit_count, map(and_, map(packed.__add__, ge), roomy)))
-                        > best
-                        # at most one member per complement pair
-                        and cc + size - (packed >> off & pool).bit_count() > best):
-                    # branch on the most conflicted candidate, lowest index first
-                    degs = list(map(bit_count, map(pool.__and__, compress(tconf, sel))))
-                    i = next(islice(compress(ids, sel), degs.index(max(degs)), None))
-                    bit = 1 << i
-                    h = 1
-                    while h <= k and below[h - 1] & bit:
-                        h += 1
-                    new_below = (*map(sup[i].__or__, below[:h]), *below[h:])
-                    h = 1
-                    while h <= k and above[h - 1] & bit:
-                        h += 1
-                    new_above = (*map(sub[i].__or__, above[:h]), *above[h:])
-                    # drop every candidate that would close a chain of k + 1
-                    closes = new_below[k - 1] | new_above[k - 1]
-                    for x in range(k - 1):
-                        closes |= new_below[x] & new_above[k - 2 - x]
-                    c = cid[i]
-                    r = room[c]
-                    if r:  # a room of 0 adds nothing to the cap and stays 0
-                        room[c] = r - 1
-                        roomy[r - 1] ^= 1 << w * c + w - 1
-                    stack.append((pool, cc, i, below, above, r, atoms))
-                    pool &= ~(tconf[i] | bit | closes)
-                    below, above = new_below, new_above
-                    if len(atoms) < n:
-                        atoms = _refine(atoms, masks[i])
-                    cc += 1
-                    if cc > best:
-                        best = cc
-                        witness = (chosen0, *(masks[f[2]] for f in stack))
-                    continue
+            if (cc + size > best
+                    # at most `room` more members per symmetric chain
+                    and cc + sum(map(bit_count, map(and_, map(packed.__add__, ge), roomy)))
+                    > best
+                    # at most one member per complement pair
+                    and cc + size - (packed >> off & pool).bit_count() > best):
+                # branch on the most conflicted candidate, lowest index
+                # first; a lane outside the pool lacks the top bit
+                lanes = lanes_of((packed >> doff).to_bytes(4 * C, "little"))
+                i = lanes.index(max(lanes))
+                bit = 1 << i
+                h = 1
+                while h <= k and below[h - 1] & bit:
+                    h += 1
+                new_below = (*map(sup[i].__or__, below[:h]), *below[h:])
+                h = 1
+                while h <= k and above[h - 1] & bit:
+                    h += 1
+                new_above = (*map(sub[i].__or__, above[:h]), *above[h:])
+                # drop every candidate that would close a chain of k + 1
+                closes = new_below[k - 1] | new_above[k - 1]
+                for x in range(k - 1):
+                    closes |= new_below[x] & new_above[k - 2 - x]
+                c = cid[i]
+                r = room[c]
+                if r:  # a room of 0 adds nothing to the cap and stays 0
+                    room[c] = r - 1
+                    roomy[r - 1] ^= 1 << w * c + w - 1
+                stack.append((pool, packed, cc, i, below, above, r, atoms))
+                gone = pool & (tconf[i] | bit | closes)
+                pool ^= gone
+                packed = _drop(packed, vec, gone)
+                below, above = new_below, new_above
+                if len(atoms) < n:
+                    atoms = _refine(atoms, masks[i])
+                cc += 1
+                if cc > best:
+                    best = cc
+                    witness = (chosen0, *(masks[f[3]] for f in stack))
+                continue
             if not stack:
                 break
-            pool, cc, i, below, above, r, atoms = stack.pop()
+            pool, packed, cc, i, below, above, r, atoms = stack.pop()
             if r:
                 c = cid[i]
                 room[c] = r
                 roomy[r - 1] ^= 1 << w * c + w - 1
             # once every atom is a singleton the orbit is {i}
-            pool &= ~(_orbit(classes, atoms, masks[i]) if len(atoms) < n else 1 << i)
+            gone = pool & (_orbit(classes, atoms, masks[i]) if len(atoms) < n else 1 << i)
+            pool ^= gone
+            packed = _drop(packed, vec, gone)
     return best, witness, True, nodes
 
 
@@ -504,14 +542,9 @@ def g_function(params: Params, budget: Budget | None = None) -> GFunctionResult:
             for sm in _layer_masks(n, top, required=m):
                 sh |= 1 << top_index[sm]
             shades.append(sh)
-    tconf = [0] * len(layer)
-    for i in range(len(layer)):
-        for j in range(i + 1, len(layer)):
-            if (layer[i] & layer[j]).bit_count() < t:
-                tconf[i] |= 1 << j
-                tconf[j] |= 1 << i
-    ids = range(len(layer))
     classes = _count_classes(layer, n)
+    tconf = _relations(classes, layer, n, t)[0]
+    ids = range(len(layer))
     best, best_shade, witness = 0, 0, ()
     nodes, proven = 0, True
     deadline = time.monotonic() + budget.seconds

@@ -5,7 +5,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Everything is seeded; reruns are bit-identical.
 """
 
-import itertools
 import random
 
 import pytest
@@ -24,7 +23,6 @@ from spernerlab.cycle import (
     transforms_keep_weight,
 )
 from spernerlab.families import (
-    Family,
     Params,
     binomial,
     is_k_sperner,

@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import itertools
+import json
 import math
 import random
 import sys
@@ -154,6 +156,53 @@ def test_orbit_matches_brute_force(case):
     targets = {image(p, masks[i]) for p in group}
     expected = sum(1 << j for j, m in enumerate(masks) if m in targets)
     assert search._orbit(search._count_classes(masks, n), atoms, masks[i]) == expected
+
+
+def pairwise_relations(masks, t):
+    """tconf, sup and sub by the pair loop over the candidate list."""
+    C = len(masks)
+    tconf, sup, sub = [0] * C, [0] * C, [0] * C
+    for i in range(C):
+        mi = masks[i]
+        for j in range(i + 1, C):
+            mj = masks[j]
+            inter = mi & mj
+            if t and inter.bit_count() < t:
+                tconf[i] |= 1 << j
+                tconf[j] |= 1 << i
+            elif inter == mi:
+                sup[i] |= 1 << j
+                sub[j] |= 1 << i
+            elif inter == mj:
+                sub[i] |= 1 << j
+                sup[j] |= 1 << i
+    return tconf, sup, sub
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, 3), st.integers(0, n), st.integers(0, n), st.integers(1, 3),
+    st.sampled_from(["banded", "windowed", "layer"]), st.randoms(use_true_random=False))))
+def test_relations_match_pairwise(case):
+    # candidate lists as the engines build them, subsampled and shuffled:
+    # a root branch (s, hi) of the banded or windowed plan in the oracle,
+    # or one layer of size >= t in g_function
+    n, t, a, b, k, plan, rng = case
+    if plan == "layer":
+        masks = list(search._layer_masks(n, max(a, t))) if max(a, t) <= n else []
+    else:
+        if plan == "banded":
+            mid_up = (n + t + 1) // 2
+            s = min(a, mid_up)
+            hi = min(n, 2 * mid_up - s + k - 1)
+        else:
+            s, hi = min(a, b), max(a, b)
+        chosen0 = (1 << s) - 1
+        masks = [m for size in range(s, hi + 1) for m in search._layer_masks(n, size)
+                 if m != chosen0 and (m & chosen0).bit_count() >= t]
+    masks = rng.sample(masks, rng.randint(0, len(masks)))
+    got = search._relations(search._count_classes(masks, n), masks, n, t)
+    assert list(got) == list(pairwise_relations(masks, t))
 
 
 class TestSCD:
@@ -312,11 +361,22 @@ class TestEngineNodeCounts:
         ((7, 1, 3), 1_000_000, (63, True, 3111)),
         ((8, 3, 2), 5000, (49, True, 828)),
         ((9, 4, 2), 5000, (64, True, 966)),
+        ((9, 1, 3), 5000, (246, False, 5001)),
+        ((9, 2, 3), 5000, (176, False, 5001)),
     ])
     def test_search(self, cell, nodes, expected):
         res = max_family_size(*cell, use_compression=True,
                               budget=Budget(nodes=nodes, seconds=1e9))
         assert (res.best_size, res.proven_optimal, res.nodes) == expected
+        digest = hashlib.sha256(json.dumps(sorted(res.witness.members)).encode()).hexdigest()
+        assert self.WITNESS_SHA256.get((cell, nodes), digest) == digest
+
+    # sha256 of the JSON list of the sorted witness members, for the deep
+    # unproven searches, where the witness is the last incumbent found
+    WITNESS_SHA256 = {
+        ((9, 1, 3), 5000): "55a48282d56a76d046ac2a47e52222163588a88dc4dfdda4a4ee6bb40d8f480a",
+        ((9, 2, 3), 5000): "24a6adfefaaa2b5e5544e7bf2ce29efb72ef589f5d550871b86005c6ded6d844",
+    }
 
     @pytest.mark.parametrize("cell, kwargs, expected", [
         ((6, 1, 2), {}, (26, True, 5244)),
