@@ -140,6 +140,8 @@ def cmd_cycle_audit(args) -> int:
         if not record["ok"]:
             violations += 1
             record["witness"] = {"members": [[iv.start, iv.length] for iv in G.members]}
+            if not record["weight_monotone"]:
+                record["loose_witness"] = {"members": [[iv.start, iv.length] for iv in loose]}
         trials.append(record)
     doc = {"n": args.n, "t": args.t, "k": args.k, "seed": args.seed,
            "trials": trials, "violations": violations}
@@ -274,11 +276,12 @@ def _scan_records(args):
     witness_base = (args.out or "scan") + ".witness"
 
     def rec(check, params, verdict, margin=None, note="", witness=None):
+        # a Family witness is serialized only when the record is violated
         path = None
         if verdict == "violated" and witness is not None:
             path = f"{witness_base}.{len(records)}.json"
             with open(path, "w") as fh:
-                fh.write(_dump(witness))
+                fh.write(_dump(witness.to_json_dict() if isinstance(witness, Family) else witness))
         records.append({"check": check, "params": params, "verdict": verdict,
                         "margin": margin, "witness_path": path, "note": note})
 
@@ -320,11 +323,10 @@ def _scan_records(args):
             ok = (len(out) >= len(fam) and is_t_intersecting(out, t)
                   and longest_chain(out) <= k and rep.m <= k - 1)
             rec("compression_invariants", {"n": n, "t": t, "k": k, "trial": trial},
-                "holds" if ok else "violated", margin=len(out) - len(fam),
-                witness=None if ok else fam.to_json_dict())
+                "holds" if ok else "violated", margin=len(out) - len(fam), witness=fam)
         except InvariantViolation as exc:
             rec("compression_invariants", {"n": n, "t": t, "k": k, "trial": trial},
-                "violated", note=str(exc), witness=fam.to_json_dict())
+                "violated", note=str(exc), witness=fam)
     # uniform shadow ratio
     for trial in range(args.trials):
         n = rng.randint(4, 10)
@@ -334,7 +336,7 @@ def _scan_records(args):
         level = rng.randint(max(0, r - t), r)
         chk = verify_katona_shadow(fam, r, t, level)
         rec("uniform_shadow_ratio", {"n": n, "r": r, "t": t, "level": level, "trial": trial},
-            "holds" if chk.holds else "violated")
+            "holds" if chk.holds else "violated", witness=fam)
     # cycle universals + coefficient chain on a small cell grid; per-cell n
     # sits above the swap-chain threshold so the full chain is in force
     cells = [(2, 2, 1, 14), (2, 3, 1, 16), (2, 3, 2, 18), (4, 2, 1, 24), (4, 3, 2, 32)]
@@ -356,7 +358,7 @@ def _scan_records(args):
             fam = random_inner_family(rng, n, density=rng.uniform(0.1, 0.6))
             chk = averaging_identity(fam)
             rec("averaging_identity", {"n": n, "trial": trial},
-                "holds" if chk.holds else "violated", margin=chk.lhs - chk.rhs)
+                "holds" if chk.holds else "violated", margin=chk.lhs - chk.rhs, witness=fam)
     # classical bound oracles against the bounds table: antichain, k largest
     # layers, t-intersecting antichain, and the intersecting k-Sperner closed
     # form; the first two entries do not depend on t, so the t = 0 checks
@@ -379,12 +381,13 @@ def _scan_records(args):
         t = rng.randint(1, n - 2)
         fam = random_valid_family(rng, n, t, 2)
         i = min(fam.min_size() if len(fam) else 0, (n + t - 1) // 2)
+        ok = shade_expansion_holds(fam, Params(n=n, t=t, k=2), i)
         rec("shade_expansion", {"n": n, "t": t, "i": i, "trial": trial},
-            "holds" if shade_expansion_holds(fam, Params(n=n, t=t, k=2), i) else "violated")
+            "holds" if ok else "violated", witness=fam)
         anti = random_antichain_above_middle(rng, n)
         j = rng.randint(n // 2, anti.min_size())
         rec("antichain_shadow", {"n": n, "j": j, "trial": trial},
-            "holds" if antichain_shadow_holds(anti, j) else "violated")
+            "holds" if antichain_shadow_holds(anti, j) else "violated", witness=anti)
     # binomial swap sweeps (the acceptance suite pushes n_max to 10^4)
     for a in range(0, 4):
         for b in range(a + 1, 5):

@@ -1,13 +1,14 @@
 """Interval families on the cycle of length n.
 
-Positions run 0..n-1 clockwise; an interval is (start, length) with
+Positions run 0..n-1 clockwise; an interval is (length, start) with
 1 <= length <= n-1 (the full set and the empty set are never intervals).
 The h-th chain consists of the n-1 nested intervals starting at h.  An
 interval family is keyed by n alone: every check works on positions, and a
 cyclic order of [n] is needed only to map intervals to sets and back
-(`interval_mask`, `restrict_to_cycle`).  All overlap computations are exact
-arc arithmetic, so the machinery works for ground sets far beyond the
-bitmask enumeration limit.
+(`interval_mask`, `restrict_to_cycle`).  An overlap is the popcount of the
+AND of two n-bit position masks (`arc_mask`); no 2^n enumeration is
+involved, so the machinery works for ground sets far beyond the subset
+enumeration limit (the harnesses use n up to 40).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coefficients import CoeffVector, minimal_chain_n, profile_vector, verify_chain
 from .families import (
@@ -57,8 +59,7 @@ def all_cyclic_perms(n: int):
         yield CyclicPerm((1,) + rest)
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Interval:
+class Interval(NamedTuple):
     """A run of consecutive positions: starts at `start`, covers `length`
     positions clockwise.  Ordered by (length, start)."""
 
@@ -66,13 +67,15 @@ class Interval:
     start: int
 
 
+def arc_mask(n: int, length: int, start: int) -> int:
+    """Position mask of an arc: `length` ones rotated by `start` in n bits."""
+    run = (1 << length) - 1
+    return (run << start | run >> (n - start)) & ((1 << n) - 1)
+
+
 def arc_overlap(n: int, a: Interval, b: Interval) -> int:
     """Exact number of shared positions of two cyclic arcs."""
-    d = (b.start - a.start) % n
-    # b relative to a occupies [d, d+len_b); a occupies [0, len_a)
-    seg1 = max(0, min(a.length, min(d + b.length, n)) - d)
-    seg2 = max(0, min(a.length, d + b.length - n))
-    return seg1 + seg2
+    return (arc_mask(n, a.length, a.start) & arc_mask(n, b.length, b.start)).bit_count()
 
 
 def interval_mask(perm: CyclicPerm, iv: Interval) -> int:
@@ -164,8 +167,8 @@ def is_sigma_ks_ti(G: IntervalFamily, params: Params) -> bool:
     chains = G.by_chain()
     if any(len(run) > k or (len(run) > 1 and run[0] < t) for run in chains.values()):
         return False
-    lows = [Interval(length=run[0], start=h) for h, run in chains.items()]
-    return all(arc_overlap(n, a, b) >= t for a, b in itertools.combinations(lows, 2))
+    lows = [arc_mask(n, run[0], h) for h, run in chains.items()]
+    return all((a & b).bit_count() >= t for a, b in itertools.combinations(lows, 2))
 
 
 def _close_gaps(run: list[int], n: int) -> list[int]:

@@ -15,7 +15,7 @@ import random
 from .cycle import (
     Interval,
     IntervalFamily,
-    arc_overlap,
+    arc_mask,
     is_full_consecutive,
     is_sigma_ks_ti,
 )
@@ -64,14 +64,16 @@ def random_uniform_t_intersecting(rng: random.Random, n: int, r: int, t: int,
     far."""
     if not (0 < t <= r <= n):
         raise PreconditionError("need 0 < t <= r <= n")
-    core_elems = rng.sample(range(n), t)
-    rest = [i for i in range(n) if i not in core_elems]
-    first = sum(1 << e for e in core_elems) | sum(1 << e for e in rng.sample(rest, r - t))
+    # sample() draws depend only on the population's length: as from range(n)
+    bits = [1 << e for e in range(n)]
+    core = rng.sample(bits, t)
+    rest = [b for b in bits if b not in core]
+    first = sum(core) | sum(rng.sample(rest, r - t))
     members = [first]
     attempts = 30 * target
     while len(members) < target and attempts:
         attempts -= 1
-        cand = sum(1 << e for e in rng.sample(range(n), r))
+        cand = sum(rng.sample(bits, r))
         if all((cand & m).bit_count() >= t for m in members):
             if cand not in members:
                 members.append(cand)
@@ -119,14 +121,14 @@ def random_full_consecutive(rng: random.Random, n: int, t: int, k: int, m: int) 
         pinned = rng.randrange(n)
         bottoms = [rng.randint(mid - m, mid + m) for _ in range(n)]
         bottoms[pinned] = mid - m
+        arcs = [arc_mask(n, b, h) for h, b in enumerate(bottoms)]
         ok = True
         # raising a bottom only lengthens its arc, so every pair before the
         # last short pair stays good and the scan resumes there
         h1, h2 = 0, 1
         for _ in range(4 * n * n):
             while h1 < n - 1:
-                iv1 = Interval(length=bottoms[h1], start=h1)
-                while h2 < n and arc_overlap(n, iv1, Interval(length=bottoms[h2], start=h2)) >= t:
+                while h2 < n and (arcs[h1] & arcs[h2]).bit_count() >= t:
                     h2 += 1
                 if h2 < n:
                     break
@@ -137,7 +139,9 @@ def random_full_consecutive(rng: random.Random, n: int, t: int, k: int, m: int) 
             if not raisable:
                 ok = False
                 break
-            bottoms[rng.choice(raisable)] += 1
+            h = rng.choice(raisable)
+            bottoms[h] += 1
+            arcs[h] = arc_mask(n, bottoms[h], h)
         else:
             ok = False
         if not ok or min(bottoms) != mid - m:
@@ -162,6 +166,7 @@ def random_sigma_ksti(rng: random.Random, n: int, t: int, k: int, m: int) -> Int
         raise PreconditionError("band does not fit inside [1, n-1]")
     target = rng.randint(1, k * n // 2)
     members: list[Interval] = []
+    arcs: list[int] = []  # members' position masks
     per_chain = [0] * n
     attempts = 40 * target
     while len(members) < target and attempts:
@@ -172,8 +177,10 @@ def random_sigma_ksti(rng: random.Random, n: int, t: int, k: int, m: int) -> Int
         cand = Interval(length=rng.randint(mid - m, mid + k - 1 + m), start=h)
         if cand in members:
             continue
-        if all(arc_overlap(n, cand, iv) >= t for iv in members):
+        arc = arc_mask(n, cand.length, h)
+        if all((arc & other).bit_count() >= t for other in arcs):
             members.append(cand)
+            arcs.append(arc)
             per_chain[h] += 1
     return IntervalFamily(n, members)
 

@@ -496,6 +496,8 @@ def max_family_size(n: int, t: int, k: int, *, layer_window=None,
     best, witness, proven, nodes = _max_family_engine(n, t, k, branches, budget, seeds)
     if not proven:
         notes.append("budget exceeded: best found so far, optimality not proven")
+        if nodes <= budget.nodes:
+            notes.append("the time budget ran out first: the result depends on machine speed")
     fam = Family(n, witness)
     if (len(fam) != best or not is_t_intersecting(fam, t) or longest_chain(fam) > k
             or any(not lo <= m.bit_count() <= hi for m in fam)):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -8,6 +9,8 @@ import pytest
 
 import spernerlab
 from spernerlab.cli import main
+from spernerlab.families import Family, is_t_intersecting, longest_chain
+from spernerlab.generators import random_full_consecutive, random_sigma_ksti
 
 
 def write_family(path, n, sets):
@@ -204,6 +207,24 @@ class TestAudits:
         assert len(below) == 21
         assert all(tr["coefficient_chain"] is False and tr["ok"] for tr in below)
 
+    def test_cycle_audit_records_the_loose_witness(self, tmp_path, monkeypatch):
+        # a failed weight check names the loose instance it ran on, next to
+        # the trial's full consecutive family
+        monkeypatch.setattr("spernerlab.cli.transforms_keep_weight", lambda G, p: False)
+        out = tmp_path / "out.json"
+        assert main(["cycle-audit", "--n", "12", "--t", "2", "--k", "2", "--trials", "3",
+                     "--seed", "5", "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert doc["violations"] == 3
+        rng = random.Random(5)
+        for trial in doc["trials"]:
+            m = rng.randint(0, 1)
+            G = random_full_consecutive(rng, 12, 2, 2, m)
+            loose = random_sigma_ksti(rng, 12, 2, 2, m)
+            assert trial["weight_monotone"] is False and trial["m"] == m
+            assert trial["witness"]["members"] == [[iv.start, iv.length] for iv in G]
+            assert trial["loose_witness"]["members"] == [[iv.start, iv.length] for iv in loose]
+
     @pytest.mark.parametrize("trials", ["-1", "0"])
     def test_cycle_audit_bad_trials_exits_2(self, tmp_path, trials):
         out = tmp_path / "a.json"
@@ -284,6 +305,21 @@ class TestScan:
                        "--out", str(out)])
             assert rc == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_violated_shade_expansion_writes_its_family(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("spernerlab.cli.shade_expansion_holds", lambda fam, p, i: False)
+        out = tmp_path / "s.json"
+        assert main(["scan", "--seed", "7", "--n-max", "2", "--trials", "20",
+                     "--out", str(out)]) == 1
+        records = json.loads(out.read_text())["records"]
+        shade = [r for r in records if r["check"] == "shade_expansion"]
+        assert len(shade) == 2
+        for r in shade:
+            assert r["verdict"] == "violated"
+            fam = Family.from_json_dict(json.loads(open(r["witness_path"]).read()))
+            assert fam.n == r["params"]["n"] and len(fam) > 0
+            assert is_t_intersecting(fam, r["params"]["t"]) and longest_chain(fam) <= 2
+        assert all(r["witness_path"] is None for r in records if r["verdict"] == "holds")
 
     def test_scan_witness_paths_follow_out(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

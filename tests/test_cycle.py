@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -13,6 +14,7 @@ from spernerlab.cycle import (
     IntervalFamily,
     InequalityRecord,
     all_cyclic_perms,
+    arc_mask,
     arc_overlap,
     averaging_identity,
     bar_complement,
@@ -41,6 +43,16 @@ from spernerlab.generators import (
 )
 
 
+def reference_overlap(n, a, b):
+    """Shared positions of two arcs by segment arithmetic, independent of
+    the position masks: b, taken relative to a's start, covers [d, d+len_b)
+    and may wrap past n; a covers [0, len_a)."""
+    d = (b.start - a.start) % n
+    seg1 = max(0, min(a.length, min(d + b.length, n)) - d)
+    seg2 = max(0, min(a.length, d + b.length - n))
+    return seg1 + seg2
+
+
 def layers_interval_family(n, t, k):
     """All intervals of the k lengths starting at (n+t)/2: full consecutive."""
     mid = (n + t) // 2
@@ -66,6 +78,35 @@ class TestPermsAndIntervals:
         a = Interval(length=4, start=0)
         b = Interval(length=4, start=3)
         assert arc_overlap(n, a, b) == 2
+
+    def test_interval_is_ordered_by_length_then_start(self):
+        # check_complement_closure's failure messages print this repr
+        ivs = [Interval(length=3, start=5), Interval(length=2, start=7),
+               Interval(length=3, start=1)]
+        assert sorted(ivs) == [Interval(length=2, start=7), Interval(length=3, start=1),
+                               Interval(length=3, start=5)]
+        assert repr(ivs[0]) == "Interval(length=3, start=5)"
+        assert Interval(4, 0) == Interval(length=4, start=0)
+
+    def test_arc_mask_positions(self):
+        assert arc_mask(6, 3, 4) == 0b110001
+        assert arc_mask(6, 5, 0) == 0b011111
+        assert arc_mask(40, 39, 39) == (1 << 40) - 1 - (1 << 38)
+
+    def test_overlap_matches_reference_exhaustively(self):
+        for n in range(3, 11):
+            ivs = [Interval(length=ell, start=h) for ell in range(1, n) for h in range(n)]
+            for a in ivs:
+                for b in ivs:
+                    assert arc_overlap(n, a, b) == reference_overlap(n, a, b), (n, a, b)
+
+    @pytest.mark.parametrize("n", [32, 40])
+    def test_overlap_matches_reference_at_large_n(self, n):
+        rng = random.Random(n)
+        for _ in range(3000):
+            a = Interval(length=rng.randint(1, n - 1), start=rng.randrange(n))
+            b = Interval(length=rng.randint(1, n - 1), start=rng.randrange(n))
+            assert arc_overlap(n, a, b) == reference_overlap(n, a, b), (n, a, b)
 
     def test_overlap_matches_masks(self):
         rng = random.Random(20)
@@ -152,7 +193,7 @@ class TestSigmaPredicate:
                 if per_chain[iv.start] > k:
                     return False
             ms = G.members
-            return all(arc_overlap(G.n, ms[i], ms[j]) >= t
+            return all(reference_overlap(G.n, ms[i], ms[j]) >= t
                        for i in range(len(ms)) for j in range(i + 1, len(ms)))
 
         rng = random.Random(32)
@@ -276,7 +317,7 @@ class TestBarComplement:
                     for length in range(t + 1, n - t):
                         iv = Interval(length=length, start=start)
                         bc = bar_complement(iv, n, t)
-                        assert arc_overlap(n, iv, bc) == t
+                        assert arc_overlap(n, iv, bc) == reference_overlap(n, iv, bc) == t
 
     def test_too_small_rejected(self):
         with pytest.raises(PreconditionError):
@@ -308,6 +349,25 @@ class TestFullConsecutiveGenerator:
         assert sorted((iv.start, iv.length) for iv in G.members) == sorted(
             (h, b + i) for h, b in enumerate(bottoms) for i in range(k))
         assert rng.random() == draw
+
+
+class TestGeneratorDraws:
+    CELLS = ((12, 2, 1), (14, 2, 2), (16, 2, 3), (18, 2, 3), (21, 3, 3), (24, 4, 2),
+             (32, 4, 3), (15, 1, 2), (21, 1, 3))
+
+    def test_interval_generators_pinned(self):
+        # ten (random_full_consecutive, random_sigma_ksti) draws per cell,
+        # with cycle-audit's choice of m; the digest pins every rng draw
+        out = []
+        for n, t, k in self.CELLS:
+            rng = random.Random(n * 100 + t * 10 + k)
+            mmax = max(0, min(k - 1, (n - t) // 2 - k))
+            for _ in range(10):
+                m = rng.randint(0, mmax)
+                for gen in (random_full_consecutive, random_sigma_ksti):
+                    out.append([(iv.length, iv.start) for iv in gen(rng, n, t, k, m).members])
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+            "c4929837adb2fafaba8f464eb12f2b4e0b6e2dcc6be4af7455771fc844348b8f")
 
 
 class TestComplementClosure:

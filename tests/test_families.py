@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -194,6 +195,19 @@ class TestLongestChain:
         }
         for (s, n, t, k), sets in pinned.items():
             assert random_valid_family(random.Random(s), n, t, k).to_sets() == sets
+
+    def test_random_uniform_t_intersecting_pinned(self):
+        # 300 draws from scan's (n, r, t) distribution; the digest pins
+        # every rng draw and every member
+        rng = random.Random(1729)
+        out = []
+        for _ in range(300):
+            n = rng.randint(4, 10)
+            r = rng.randint(2, n - 1)
+            t = rng.randint(1, r)
+            out.append((n, r, t, random_uniform_t_intersecting(rng, n, r, t).members))
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+            "68f4277a64ba0fa2dce18d297441b231c0fbc91fc730d8ee523fd4b2521c2a59")
 
 
 def pair_loop_t_intersecting(fam, t):

@@ -299,8 +299,17 @@ class TestOracleSmall:
 
     def test_budget_exhaustion_labeled(self):
         res = max_family_size(7, 1, 3, use_compression=True, budget=Budget(nodes=50, seconds=60))
-        assert not res.proven_optimal
-        assert any("budget" in note for note in res.notes)
+        assert not res.proven_optimal and res.nodes == 51
+        assert res.notes[-1] == "budget exceeded: best found so far, optimality not proven"
+
+    def test_time_budget_labeled(self):
+        # the clock is read every 4,096 nodes, so a spent time budget stops
+        # the search at node 4,096; (8,1,2) needs far more nodes than that
+        res = max_family_size(8, 1, 2, use_compression=True, budget=Budget(seconds=1e-9))
+        assert not res.proven_optimal and res.nodes == 4096
+        assert res.notes[-2:] == (
+            "budget exceeded: best found so far, optimality not proven",
+            "the time budget ran out first: the result depends on machine speed")
 
     def test_witness_self_check(self, monkeypatch, tmp_path):
         # {1,2} and {3,4} share nothing: not 1-intersecting
