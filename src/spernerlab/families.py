@@ -50,15 +50,19 @@ def mask_from(elements, n: int) -> int:
     return m
 
 
+# _BYTE_ELEMENTS[b][v]: the 1-based elements of byte value v at byte b of a mask
+_BYTE_ELEMENTS = tuple(tuple(tuple(8 * b + e + 1 for e in range(8) if v >> e & 1)
+                             for v in range(256)) for b in range((MAX_ENUM_N + 7) // 8))
+
+
 def elements_of(mask: int) -> list[int]:
-    """1-based sorted element list of a subset mask."""
-    out = []
-    e = 1
-    while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
+    """1-based sorted element list of a subset mask over [n], n <= MAX_ENUM_N."""
+    out, rest = [], mask
+    for table in _BYTE_ELEMENTS:
+        out += table[rest & 255]
+        rest >>= 8
+    if rest:
+        raise PreconditionError(f"mask {mask} is not a subset of [{MAX_ENUM_N}]")
     return out
 
 
@@ -107,13 +111,14 @@ class Family:
         if not 1 <= n <= MAX_ENUM_N:
             raise PreconditionError(f"family ground set needs 1 <= n <= {MAX_ENUM_N}, got {n}")
         full = (1 << n) - 1
-        seen = set()
-        for m in masks:
-            if m < 0 or m & ~full:
-                raise PreconditionError(f"mask {m} has bits outside [{n}]")
-            seen.add(m)
+        masks = list(masks)  # kept in input order for the error message
+        seen = set(masks)
+        if seen and (min(seen) < 0 or max(seen) > full):
+            bad = next(m for m in masks if not 0 <= m <= full)
+            raise PreconditionError(f"mask {bad} has bits outside [{n}]")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "members", tuple(sorted(seen, key=lambda m: (m.bit_count(), m))))
+        # stable sort by cardinality over the numeric order: (cardinality, value)
+        object.__setattr__(self, "members", tuple(sorted(sorted(seen), key=int.bit_count)))
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Family is immutable")

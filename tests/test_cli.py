@@ -6,9 +6,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spernerlab
-from spernerlab.cli import main
+from spernerlab.cli import _dump, main
 from spernerlab.families import Family, is_t_intersecting, longest_chain
 from spernerlab.generators import random_full_consecutive, random_sigma_ksti
 
@@ -184,6 +185,12 @@ class TestAudits:
          "b83acdb4e64a9d614ef4a4a19b88e89cd30eda42aec603cd436b5285def49022"),
         ("scan --seed 7 --n-max 4 --trials 4",
          "3616c7907c17dde05618859b415d95b7027791de1ad8908b7d634dc027b5128a"),
+        ("construct --which layers --n 14 --t 2 --k 2",
+         "cff980d0d97d87245973c887138d2e12c7a4badb57797ca22032bcf35cc16ffc"),
+        ("construct --which B --n 13 --t 2 --k 2",
+         "233573240ddde259768a65f74aaf8b5ba63f3ec0af1862a38609f2c96cc0e29f"),
+        ("search --n 7 --t 1 --k 3 --use-compression",
+         "8e6c17236de02c01fbaffd6db068ccee3842a2520bdc94ef723b9a45981cf179"),
     ])
     def test_output_bytes_pinned(self, tmp_path, argv, digest):
         out = tmp_path / "out.json"
@@ -366,3 +373,25 @@ class TestEntryPoint:
             env={"PATH": "/usr/bin:/bin", "PYTHONPATH": import_dir})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["bounds"]["sperner"]["value"] == 6
+
+
+# JSON trees that reach every branch of the writer: strings and keys with
+# json's own punctuation, newlines and non-ASCII text, huge and negative
+# ints, bool, None, floats with nan and inf, tuples, empty containers, and
+# rows of ints with empty rows, tuple rows and True mixed in
+TEXT = st.text(st.one_of(st.sampled_from('[],:"\n\\ \u00e9\u2028\U0001f600'), st.characters()),
+               max_size=6)
+INTS = st.one_of(st.integers(), st.integers(-(2 ** 200), 2 ** 200))
+ROWS = st.lists(st.one_of(st.lists(INTS, max_size=4), st.lists(INTS, max_size=3).map(tuple),
+                          st.lists(st.one_of(INTS, st.just(True)), max_size=3)), max_size=5)
+LEAVES = st.one_of(TEXT, INTS, st.booleans(), st.none(), st.floats(), ROWS,
+                   st.lists(INTS, max_size=5))
+TREES = st.recursive(LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=3).map(tuple),
+    st.dictionaries(TEXT, kids, max_size=4)), max_leaves=24)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(TREES)
+def test_dump_is_indented_sorted_json(doc):
+    assert _dump(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -111,6 +111,39 @@ class TestFamilyCanonical:
     def test_mask_helpers(self):
         assert elements_of(mask_from([3, 1], 5)) == [1, 3]
 
+    def test_elements_of_round_trips(self):
+        for n in range(1, 11):
+            for m in range(1 << n):
+                assert mask_from(elements_of(m), n) == m
+        rng = random.Random(24)
+        for _ in range(500):
+            m = rng.getrandbits(24) | 1 << 23
+            elems = elements_of(m)
+            assert elems == sorted(elems) and elems[-1] == 24
+            assert mask_from(elems, 24) == m
+        for bad in (1 << 24, -1):
+            with pytest.raises(PreconditionError):
+                elements_of(bad)
+
+    def test_members_in_canonical_order(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 40))]
+            masks += rng.choices(masks, k=len(masks) // 2)
+            rng.shuffle(masks)
+            assert Family(n, masks).members == tuple(
+                sorted(set(masks), key=lambda m: (m.bit_count(), m)))
+
+    @pytest.mark.parametrize("masks, bad", [
+        ([1, 2, -4, 1 << 5, -1], -4),
+        ([3, 1 << 6, -2, 1 << 5], 1 << 6),
+        (iter([0, (1 << 5) - 1, 1 << 5, -1]), 1 << 5),
+    ])
+    def test_rejects_first_bad_mask(self, masks, bad):
+        with pytest.raises(PreconditionError, match=rf"^mask {bad} has bits outside \[5\]$"):
+            Family(5, masks)
+
 
 class TestParams:
     def test_parity_recomputed(self):
