@@ -50,7 +50,7 @@ for _ in range(300):
     k = rng.randint(1, 3)
     q = Params(n=n, t=t, k=k)
     f0 = random_valid_family(rng, n, t, k)
-    f1, r = normalize(f0, q, validate=False)
+    f1, r = normalize(f0, q)
     assert len(f1) >= len(f0)
     assert is_t_intersecting(f1, t) and is_k_sperner(f1, k)
     assert r.m <= k - 1

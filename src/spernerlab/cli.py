@@ -361,7 +361,7 @@ def _scan_records(args):
         fam = random_valid_family(rng, n, t, k)
         p = Params(n=n, t=t, k=k)
         try:
-            out, rep = normalize(fam, p, validate=False)
+            out, rep = normalize(fam, p)
             ok = (len(out) >= len(fam) and is_t_intersecting(out, t)
                   and longest_chain(out) <= k and rep.m <= k - 1)
             rec("compression_invariants", {"n": n, "t": t, "k": k, "trial": trial},

@@ -72,7 +72,7 @@ def shade_expansion_holds(fam: Family, params: Params, i: int) -> bool:
     return len(shade(layer, i + 1)) >= len(layer)
 
 
-def up_compress(fam: Family, params: Params, validate: bool = True) -> tuple[Family, NormalizationReport]:
+def up_compress(fam: Family, params: Params) -> tuple[Family, NormalizationReport]:
     """Lift all members to size >= ceil((n+t)/2) - (k-1) without losing
     cardinality or either defining property.
 
@@ -81,8 +81,7 @@ def up_compress(fam: Family, params: Params, validate: bool = True) -> tuple[Fam
     and so on) until the overlap dies out, which happens within k levels.
     Rounds repeat until the floor is reached.
     """
-    if validate:
-        _validate(fam, params, "up_compress")
+    _validate(fam, params, "up_compress")
     n, k = params.n, params.k
     target = params.half_up - (k - 1)
     steps: list[tuple[str, int, int]] = []
@@ -151,7 +150,7 @@ def _peel_antichains(fam: Family, k: int) -> list[list[int]]:
     return layers
 
 
-def down_shift(fam: Family, params: Params, validate: bool = True) -> tuple[Family, NormalizationReport]:
+def down_shift(fam: Family, params: Params) -> tuple[Family, NormalizationReport]:
     """Pull oversized members down so the maximum size lands below
     ceil((n+t)/2) + c + k - 1, where c is the deficiency of the minimum
     size below ceil((n+t)/2) (clamped at 0 when the family already sits
@@ -162,8 +161,12 @@ def down_shift(fam: Family, params: Params, validate: bool = True) -> tuple[Fami
     at exactly that threshold.  Cardinality never drops and no set is
     created twice; either failure is a bug trap.
     """
-    if validate:
-        _validate(fam, params, "down_shift")
+    _validate(fam, params, "down_shift")
+    return _down_shift(fam, params)
+
+
+def _down_shift(fam: Family, params: Params) -> tuple[Family, NormalizationReport]:
+    """down_shift on a family already known to be valid."""
     if len(fam) == 0:
         return fam, NormalizationReport(m=0, c=0, steps=(), band=None)
     mid = params.half_up
@@ -201,12 +204,13 @@ def down_shift(fam: Family, params: Params, validate: bool = True) -> tuple[Fami
     return out, NormalizationReport(m=max(0, mid - band[0]), c=c, steps=tuple(steps), band=band)
 
 
-def normalize(fam: Family, params: Params, validate: bool = True) -> tuple[Family, NormalizationReport]:
+def normalize(fam: Family, params: Params) -> tuple[Family, NormalizationReport]:
     """up_compress then down_shift: land every member size in
     [ceil((n+t)/2) - m, ceil((n+t)/2) + k - 1 + m] with 0 <= m <= k-1,
-    never losing cardinality."""
-    lifted, up_rep = up_compress(fam, params, validate=validate)
-    shifted, down_rep = down_shift(lifted, params, validate=False)
+    never losing cardinality.  The input is checked once, by up_compress,
+    which keeps both properties."""
+    lifted, up_rep = up_compress(fam, params)
+    shifted, down_rep = _down_shift(lifted, params)
     steps = up_rep.steps + down_rep.steps
     if len(shifted) == 0:
         return shifted, NormalizationReport(m=0, c=down_rep.c, steps=steps, band=None)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .coefficients import CoeffVector, minimal_chain_n, profile_vector, verify_chain
@@ -90,10 +90,12 @@ def interval_mask(perm: CyclicPerm, iv: Interval) -> int:
 @dataclass(frozen=True, slots=True)
 class IntervalFamily:
     """Immutable, canonically ordered family of intervals on the cycle of
-    length n."""
+    length n.  chains maps each chain (= start position) that holds a member
+    to its member lengths, ascending; it is built once, from the members."""
 
     n: int
     members: tuple[Interval, ...]
+    chains: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n
@@ -106,6 +108,10 @@ class IntervalFamily:
             if not 0 <= iv.start < n:
                 raise PreconditionError(f"interval start {iv.start} outside [0, {n})")
         object.__setattr__(self, "members", members)
+        chains: dict[int, list[int]] = {}
+        for iv in members:  # ordered by length first
+            chains.setdefault(iv.start, []).append(iv.length)
+        object.__setattr__(self, "chains", {h: tuple(run) for h, run in chains.items()})
 
     def __len__(self):
         return len(self.members)
@@ -115,13 +121,6 @@ class IntervalFamily:
 
     def __repr__(self):
         return f"IntervalFamily(n={self.n}, members={len(self.members)})"
-
-    def by_chain(self) -> dict[int, list[int]]:
-        """Member lengths per chain (= start position), ascending."""
-        chains: dict[int, list[int]] = {}
-        for iv in self.members:  # members are ordered by length first
-            chains.setdefault(iv.start, []).append(iv.length)
-        return chains
 
 
 def interval_weight(G: IntervalFamily) -> int:
@@ -164,14 +163,14 @@ def is_sigma_ks_ti(G: IntervalFamily, params: Params) -> bool:
     share least in their shortest members.
     """
     n, t, k = G.n, params.t, params.k
-    chains = G.by_chain()
+    chains = G.chains
     if any(len(run) > k or (len(run) > 1 and run[0] < t) for run in chains.values()):
         return False
     lows = [arc_mask(n, run[0], h) for h, run in chains.items()]
     return all((a & b).bit_count() >= t for a, b in itertools.combinations(lows, 2))
 
 
-def _close_gaps(run: list[int], n: int) -> list[int]:
+def _close_gaps(run, n: int) -> list[int]:
     """One chain's lengths, sorted, with their gaps closed.
 
     While a length is missing strictly between the minimum and the maximum,
@@ -191,14 +190,14 @@ def _close_gaps(run: list[int], n: int) -> list[int]:
     raise InvariantViolation("gap closing failed to terminate")
 
 
-def make_consecutive(G: IntervalFamily, params: Params, validate: bool = True) -> IntervalFamily:
+def make_consecutive(G: IntervalFamily, params: Params) -> IntervalFamily:
     """Close the length gaps inside every chain (see _close_gaps).  Per-chain
     counts and both defining properties are untouched."""
-    if validate and not is_sigma_ks_ti(G, params):
+    if not is_sigma_ks_ti(G, params):
         raise PreconditionError("make_consecutive input is not sigma-k-Sperner t-intersecting")
     n = G.n
     out = IntervalFamily(n, [Interval(length=ell, start=h)
-                             for h, run in sorted(G.by_chain().items())
+                             for h, run in sorted(G.chains.items())
                              for ell in _close_gaps(run, n)])
     if len(out) != len(G):
         raise InvariantViolation("make_consecutive changed the family size")
@@ -206,16 +205,16 @@ def make_consecutive(G: IntervalFamily, params: Params, validate: bool = True) -
 
 
 def is_consecutive(G: IntervalFamily) -> bool:
-    return all(run[-1] - run[0] == len(run) - 1 for run in G.by_chain().values())
+    return all(run[-1] - run[0] == len(run) - 1 for run in G.chains.values())
 
 
 def is_full_consecutive(G: IntervalFamily, k: int) -> bool:
-    chains = G.by_chain()
+    chains = G.chains
     return len(chains) == G.n and all(
         len(run) == k and run[-1] - run[0] == k - 1 for run in chains.values())
 
 
-def fill_full(G: IntervalFamily, params: Params, validate: bool = True) -> IntervalFamily:
+def fill_full(G: IntervalFamily, params: Params) -> IntervalFamily:
     """Extend to a full consecutive family (exactly k intervals per chain)
     without decreasing weight.
 
@@ -228,7 +227,7 @@ def fill_full(G: IntervalFamily, params: Params, validate: bool = True) -> Inter
         raise PreconditionError("fill_full band arithmetic requires n + t even")
     n, t, k = G.n, params.t, params.k
     mid = (n + t) // 2
-    if validate and not is_sigma_ks_ti(G, params):
+    if not is_sigma_ks_ti(G, params):
         raise PreconditionError("fill_full input is not sigma-k-Sperner t-intersecting")
     lens = [iv.length for iv in G.members]
     m = 0
@@ -239,10 +238,10 @@ def fill_full(G: IntervalFamily, params: Params, validate: bool = True) -> Inter
     top = mid + k - 1 + m
     if not 1 <= mid - m <= top <= n - 1:
         raise PreconditionError("band does not fit inside [1, n-1]")
-    chains = G.by_chain()
+    chains = G.chains
     members = []
     for h in range(n):
-        run = _close_gaps(chains.get(h, []), n)
+        run = _close_gaps(chains.get(h, ()), n)
         while len(run) < k:
             if run and run[-1] + 1 <= top:
                 add = run[-1] + 1
@@ -308,7 +307,7 @@ def check_complement_closure(G: IntervalFamily, params: Params) -> ComplementChe
         raise PreconditionError("member sizes do not fit the band")
     if mid - m < t + 1:
         raise PreconditionError("band bottom too small for bar complements")
-    chains = G.by_chain()
+    chains = G.chains
     failures = []
     for iv in G.members:
         bc = bar_complement(iv, n, t)
@@ -375,7 +374,7 @@ def _missing_side_families(G: IntervalFamily, mid: int, j: int):
     no member (can only sit below members) and those inside no member (can
     only sit above).  Containment is arc containment across all chains."""
     n = G.n
-    chains = G.by_chain()
+    chains = G.chains
     spans = {h: (run[0], run[-1]) for h, run in chains.items()}
     h1 = set()
     h2 = set()
@@ -499,9 +498,10 @@ def check_instance(G: IntervalFamily, params: Params) -> dict:
 
 def transforms_keep_weight(G: IntervalFamily, params: Params) -> bool:
     """True iff make_consecutive and then fill_full never lower the weight
-    of the sigma-k-Sperner t-intersecting family G."""
-    cons = make_consecutive(G, params, validate=False)
-    filled = fill_full(cons, params, validate=False)
+    of the sigma-k-Sperner t-intersecting family G.  Each transform checks
+    its input and raises PreconditionError on an invalid one."""
+    cons = make_consecutive(G, params)
+    filled = fill_full(cons, params)
     return interval_weight(G) <= interval_weight(cons) <= interval_weight(filled)
 
 

@@ -98,30 +98,30 @@ class Params:
         return (self.n + self.t + 1) // 2
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Family:
     """Immutable family of subsets of [n] in canonical order.
 
     Canonical order is (cardinality, numeric value); members are
     deduplicated.  Layer extraction is therefore a contiguous slice.
+    Built from any iterable of masks.
     """
 
-    __slots__ = ("n", "members")
+    n: int
+    members: tuple[int, ...] = ()
 
-    def __init__(self, n: int, masks=()):
+    def __post_init__(self):
+        n = self.n
         if not 1 <= n <= MAX_ENUM_N:
             raise PreconditionError(f"family ground set needs 1 <= n <= {MAX_ENUM_N}, got {n}")
         full = (1 << n) - 1
-        masks = list(masks)  # kept in input order for the error message
+        masks = list(self.members)  # kept in input order for the error message
         seen = set(masks)
         if seen and (min(seen) < 0 or max(seen) > full):
             bad = next(m for m in masks if not 0 <= m <= full)
             raise PreconditionError(f"mask {bad} has bits outside [{n}]")
-        object.__setattr__(self, "n", n)
         # stable sort by cardinality over the numeric order: (cardinality, value)
         object.__setattr__(self, "members", tuple(sorted(sorted(seen), key=int.bit_count)))
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Family is immutable")
 
     @classmethod
     def from_sets(cls, n: int, sets) -> "Family":
@@ -146,12 +146,6 @@ class Family:
 
     def __iter__(self):
         return iter(self.members)
-
-    def __eq__(self, other):
-        return isinstance(other, Family) and self.n == other.n and self.members == other.members
-
-    def __hash__(self):
-        return hash((self.n, self.members))
 
     def __repr__(self):
         return f"Family(n={self.n}, members={len(self.members)})"

@@ -242,14 +242,12 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
         unit = sum(1 << w * c for c in range(len(chain_of)))
         guard = unit << w - 1
         # counter + ge[j - 1] has its guard bit set iff the counter is >= j;
-        # roomy[j - 1] holds the guard bits of the chains with room >= j
+        # roomy[j - 1] holds the guard bits of the chains with room >= j, so
+        # a chain's room is the number of levels that hold its guard bit.
+        # The pinned member takes one unit of its chain's room.
         ge = [unit * ((1 << w - 1) - j) for j in range(1, k + 1)]
-        room = [k] * len(chain_of)
-        roomy = [guard] * k
         c0 = chain_of.get(scd_anchor(chosen0, n))
-        if c0 is not None:
-            room[c0] = k - 1
-            roomy[k - 1] ^= 1 << w * c0 + w - 1
+        roomy = (guard,) * (k - 1) + (guard if c0 is None else guard ^ 1 << w * c0 + w - 1,)
         # below[h - 1]: candidates with a tracked chain of h chosen members
         # strictly below them; above[h - 1] likewise strictly above.  An
         # include raises heights through the new member only.
@@ -274,7 +272,7 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
                 return best, witness, False, nodes
             size = pool.bit_count()
             if (cc + size > best
-                    # at most `room` more members per symmetric chain
+                    # at most its room more members per symmetric chain
                     and cc + sum(map(bit_count, map(and_, map(packed.__add__, ge), roomy)))
                     > best
                     # at most one member per complement pair
@@ -296,12 +294,13 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
                 closes = new_below[k - 1] | new_above[k - 1]
                 for x in range(k - 1):
                     closes |= new_below[x] & new_above[k - 2 - x]
-                c = cid[i]
-                r = room[c]
+                g = 1 << w * cid[i] + w - 1
+                r = 0
+                while r < k and roomy[r] & g:
+                    r += 1
+                stack.append((pool, packed, cc, i, below, above, roomy, atoms))
                 if r:  # a room of 0 adds nothing to the cap and stays 0
-                    room[c] = r - 1
-                    roomy[r - 1] ^= 1 << w * c + w - 1
-                stack.append((pool, packed, cc, i, below, above, r, atoms))
+                    roomy = (*roomy[:r - 1], roomy[r - 1] ^ g, *roomy[r:])
                 gone = pool & (tconf[i] | bit | closes)
                 pool ^= gone
                 packed = _drop(packed, vec, gone)
@@ -315,11 +314,7 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
                 continue
             if not stack:
                 break
-            pool, packed, cc, i, below, above, r, atoms = stack.pop()
-            if r:
-                c = cid[i]
-                room[c] = r
-                roomy[r - 1] ^= 1 << w * c + w - 1
+            pool, packed, cc, i, below, above, roomy, atoms = stack.pop()
             # once every atom is a singleton the orbit is {i}
             gone = pool & (_orbit(classes, atoms, masks[i]) if len(atoms) < n else 1 << i)
             pool ^= gone
@@ -476,6 +471,9 @@ def max_family_size(n: int, t: int, k: int, *, layer_window=None,
         notes.append(f"window restricted to sizes [{lo}, {hi}]: optimum relative to the window")
     else:
         lo, hi = (0 if t == 0 else 1), n
+    # no member is larger than [n]: the plan's sizes stop at n, while the
+    # notes and the witness check keep the caller's window
+    top = min(hi, n)
     if use_compression:
         if (n + t) % 2 == 0:
             notes.append(
@@ -486,10 +484,10 @@ def max_family_size(n: int, t: int, k: int, *, layer_window=None,
                 "ceil-variant down-shift (documented extension)")
         # s <= mid_up keeps every band top at or above s: no branch is empty
         mid_up = (n + t + 1) // 2
-        branches = [(s, min(hi, 2 * mid_up - s + k - 1))
-                    for s in range(max(lo, mid_up - (k - 1)), min(hi, mid_up) + 1)]
+        branches = [(s, min(top, 2 * mid_up - s + k - 1))
+                    for s in range(max(lo, mid_up - (k - 1)), min(top, mid_up) + 1)]
     else:
-        branches = [(s, hi) for s in range(lo, hi + 1)]
+        branches = [(s, top) for s in range(lo, top + 1)]
     # a subfamily of a t-intersecting k-Sperner family is one too
     seeds = [tuple(m for m in seed if lo <= m.bit_count() <= hi)
              for seed in _construction_seeds(n, t, k)]

@@ -204,7 +204,7 @@ def test_criterion_6_compression_invariants():
             k = rng.randint(1, 3)
             p = Params(n=n, t=t, k=k)
             fam = random_valid_family(rng, n, t, k)
-            out, rep = normalize(fam, p, validate=False)
+            out, rep = normalize(fam, p)
             ok = (len(out) >= len(fam)
                   and is_t_intersecting(out, t)
                   and is_k_sperner(out, k)

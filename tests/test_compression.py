@@ -84,7 +84,7 @@ class TestUpCompress:
             k = rng.randint(1, 3)
             p = Params(n=n, t=t, k=k)
             fam = random_valid_family(rng, n, t, k)
-            out, rep = up_compress(fam, p, validate=False)
+            out, rep = up_compress(fam, p)
             assert len(out) >= len(fam)
             assert is_t_intersecting(out, t)
             assert is_k_sperner(out, k)
@@ -151,7 +151,7 @@ class TestDownShift:
             k = rng.randint(1, 3)
             p = Params(n=n, t=t, k=k)
             fam = random_valid_family(rng, n, t, k)
-            out, rep = down_shift(fam, p, validate=False)
+            out, rep = down_shift(fam, p)
             assert len(out) >= len(fam)
             assert is_t_intersecting(out, t)
             assert is_k_sperner(out, k)
@@ -178,7 +178,7 @@ class TestNormalize:
             k = rng.randint(1, 3)
             p = Params(n=n, t=t, k=k)
             fam = random_valid_family(rng, n, t, k)
-            out, rep = normalize(fam, p, validate=False)
+            out, rep = normalize(fam, p)
             assert len(out) >= len(fam)
             assert is_t_intersecting(out, t)
             assert is_k_sperner(out, k)
@@ -193,7 +193,7 @@ class TestNormalize:
             n = rng.randint(4, 9)
             fam = random_valid_family(rng, n, 2 if n > 2 else 1, 2)
             p = Params(n=n, t=2, k=2)
-            out, _ = normalize(fam, p, validate=False)
+            out, _ = normalize(fam, p)
             assert len(out) >= len(fam)
 
 

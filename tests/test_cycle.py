@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spernerlab import cycle
+from spernerlab.compression import down_shift, normalize, up_compress
 from spernerlab.cycle import (
     AveragingCheck,
     CyclicPerm,
@@ -33,6 +34,7 @@ from spernerlab.cycle import (
     is_sigma_ks_ti,
     make_consecutive,
     restrict_to_cycle,
+    transforms_keep_weight,
 )
 from spernerlab.families import Family, Params, PreconditionError
 from spernerlab.generators import (
@@ -58,6 +60,42 @@ def layers_interval_family(n, t, k):
     mid = (n + t) // 2
     return IntervalFamily(n, [Interval(length=mid + i, start=h)
                               for h in range(n) for i in range(k)])
+
+
+def reference_chains(G):
+    """Member lengths per chain, as the removed IntervalFamily.by_chain
+    rebuilt them on every call."""
+    chains = {}
+    for iv in G.members:
+        chains.setdefault(iv.start, []).append(iv.length)
+    return chains
+
+
+# (transform, invalid input, params, message): two families that are not
+# t-intersecting or not k-Sperner, two interval families with k + 1 members
+# on one chain or two chain minima sharing fewer than t positions
+NOT_T_INTERSECTING = (Family.from_sets(4, [[1, 2], [3, 4]]), Params(n=4, t=2, k=1),
+                      "not 2-intersecting")
+CHAIN_TOO_LONG = (Family.from_sets(4, [[1, 2], [1, 2, 3]]), Params(n=4, t=1, k=1),
+                  "chain longer than k=1")
+CHAIN_OVER_K = (IntervalFamily(6, [Interval(length=3, start=0), Interval(length=4, start=0)]),
+                Params(n=6, t=2, k=1), "not sigma-k-Sperner t-intersecting")
+MINIMA_APART = (IntervalFamily(6, [Interval(length=3, start=0), Interval(length=3, start=3)]),
+                Params(n=6, t=2, k=2), "not sigma-k-Sperner t-intersecting")
+INVALID_INPUTS = [pytest.param(fn, *case, id=f"{fn.__name__}-{name}")
+                  for fns, cases in (((up_compress, down_shift, normalize),
+                                      (("not_t_intersecting", NOT_T_INTERSECTING),
+                                       ("chain_too_long", CHAIN_TOO_LONG))),
+                                     ((make_consecutive, fill_full, transforms_keep_weight),
+                                      (("chain_over_k", CHAIN_OVER_K),
+                                       ("minima_apart", MINIMA_APART))))
+                  for fn in fns for name, case in cases]
+
+
+@pytest.mark.parametrize("transform,bad,params,message", INVALID_INPUTS)
+def test_transforms_reject_invalid_input(transform, bad, params, message):
+    with pytest.raises(PreconditionError, match=message):
+        transform(bad, params)
 
 
 class TestPermsAndIntervals:
@@ -157,6 +195,24 @@ class TestRestrictAndChains:
         expected = sum(math.factorial(m.bit_count()) * math.factorial(n - m.bit_count())
                        for m in fam.members)
         assert total == expected
+
+
+class TestChainsField:
+    def test_matches_reference_in_any_member_order(self):
+        rng = random.Random(42)
+        for _ in range(200):
+            n = rng.choice([10, 12, 14])
+            t = rng.choice([2, 4])
+            k = rng.randint(1, 3)
+            m = rng.randint(0, min(k - 1, (n - t) // 2 - k))
+            G = rng.choice([random_sigma_ksti, random_full_consecutive])(rng, n, t, k, m)
+            expected = {h: tuple(run) for h, run in reference_chains(G).items()}
+            assert G.chains == expected and list(G.chains) == list(expected)
+            shuffled = list(G.members)
+            rng.shuffle(shuffled)
+            H = IntervalFamily(n, shuffled)
+            assert H == G and hash(H) == hash(G)
+            assert H.chains == expected and list(H.chains) == list(expected)
 
 
 class TestSigmaPredicate:

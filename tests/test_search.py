@@ -225,14 +225,23 @@ class TestSCD:
 
 class TestOracleSmall:
     def test_n4_against_exhaustive(self):
-        windows = [None] + [(lo, hi) for lo in range(5) for hi in range(lo, 5)]
-        for t in range(4):
+        # windows may reach above n; one that lies above n holds no set
+        windows = [None] + [(lo, hi) for lo in range(10) for hi in range(lo, 10)]
+        for t in range(5):
             for k in (1, 2, 3):
                 for window in windows:
                     expected = exhaustive_max(4, t, k, window)
                     res = max_family_size(4, t, k, layer_window=window)
                     assert res.proven_optimal
                     assert res.best_size == expected, (t, k, window, res.best_size, expected)
+                    if window and window[0] > 4:
+                        assert res.nodes == 0
+
+    def test_window_above_n_keeps_the_callers_window(self):
+        res = max_family_size(4, 0, 2, layer_window=(5, 5))
+        assert (res.best_size, res.proven_optimal, res.nodes) == (0, True, 0)
+        assert len(res.witness) == 0
+        assert res.notes == ("window restricted to sizes [5, 5]: optimum relative to the window",)
 
     def test_banded_matches_unrestricted(self):
         """The admissibility gate for the band and every prune.  OPTIMA_N7
