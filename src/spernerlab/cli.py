@@ -5,7 +5,8 @@ bounds, scan.  Exit codes: 0 all facts hold; 1 a checked fact was
 violated or a bug trap (InvariantViolation) fired; 2 a usage error or
 malformed input; any other exception propagates with its traceback.  All
 file I/O uses the canonical family JSON format {"n": N, "sets": [[...], ...]}
-with 1-based sorted elements.
+with 1-based sorted elements; `check` and `compress` also read it under the
+"family" key of what `construct` and `compress` write.
 
 Output bytes are a pure function of (command, arguments, seed): no
 timestamps or timings go into files (wall-clock summaries go to stderr).
@@ -114,8 +115,18 @@ def _emit(text: str, out_path):
 
 
 def _load_family(path) -> Family:
+    """A bare family document, or one holding it under "family" as the
+    construct and compress outputs do."""
     with open(path) as fh:
-        return Family.from_json_dict(json.load(fh))
+        doc = json.load(fh)
+    if isinstance(doc, dict) and "sets" not in doc:
+        doc = doc.get("family", doc)
+    return Family.from_json_dict(doc)
+
+
+def _arcs(G) -> list[list[int]]:
+    """An interval family as its [start, length] pairs: the witness format."""
+    return [[iv.start, iv.length] for iv in G]
 
 
 # ---------------------------------------------------------------- check
@@ -124,14 +135,8 @@ def cmd_check(args) -> int:
     fam = _load_family(args.family)
     p = Params(n=fam.n, t=args.t, k=args.k)
     chain = longest_chain(fam)
-    mid = p.half_up
-    if len(fam):
-        m_attained = max(0, mid - fam.min_size())
-        band = {"m": m_attained, "lo": mid - m_attained,
-                "hi": mid + p.k - 1 + m_attained,
-                "within": fam.max_size() <= mid + p.k - 1 + m_attained}
-    else:
-        band = {"m": 0, "lo": mid, "hi": mid + p.k - 1, "within": True}
+    m = max(0, p.half_up - fam.min_size()) if len(fam) else 0
+    lo, hi = p.band(m)
     report = {
         "n": fam.n, "t": p.t, "k": p.k, "size": len(fam),
         "t_intersecting": is_t_intersecting(fam, p.t),
@@ -139,7 +144,8 @@ def cmd_check(args) -> int:
         "k_sperner": chain <= p.k,
         "layer_profile": {str(s): c for s, c in sorted(fam.profile().items())},
         "weight": weight(fam),
-        "band": band,
+        "band": {"m": m, "lo": lo, "hi": hi,
+                 "within": not len(fam) or fam.max_size() <= hi},
     }
     _emit(_dump(report), args.out)
     return 0
@@ -168,7 +174,8 @@ def cmd_cycle_audit(args) -> int:
     if not p.even_case:
         raise PreconditionError("cycle audit requires n + t even")
     rng = random.Random(args.seed)
-    mmax = min(p.k - 1, (args.n - args.t) // 2 - p.k)
+    # the largest half-width whose band top stays below n
+    mmax = min(p.k - 1, args.n - 1 - p.band(0)[1])
     trials = []
     violations = 0
     for trial in range(args.trials):
@@ -181,9 +188,9 @@ def cmd_cycle_audit(args) -> int:
         record["ok"] = record["ok"] and record["weight_monotone"]
         if not record["ok"]:
             violations += 1
-            record["witness"] = {"members": [[iv.start, iv.length] for iv in G.members]}
+            record["witness"] = {"members": _arcs(G)}
             if not record["weight_monotone"]:
-                record["loose_witness"] = {"members": [[iv.start, iv.length] for iv in loose]}
+                record["loose_witness"] = {"members": _arcs(loose)}
         trials.append(record)
     doc = {"n": args.n, "t": args.t, "k": args.k, "seed": args.seed,
            "trials": trials, "violations": violations}
@@ -392,8 +399,7 @@ def _scan_records(args):
             rec("cycle_universals", {"n": n, "t": t, "k": k, "m": m, "trial": trial},
                 "holds" if ok else "violated",
                 margin=chk["weight_bound"]["margin"],
-                witness=None if ok else {
-                    "intervals": [[iv.start, iv.length] for iv in G.members]})
+                witness=None if ok else {"intervals": _arcs(G)})
     # averaging identity
     for n in (4, 5):
         for trial in range(max(1, args.trials // 6)):
@@ -485,69 +491,57 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact checks and searches for t-intersecting k-Sperner families")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("check", help="predicate report for a family JSON file")
+    def shared(*flags):
+        """The required integer flags, then --out, for parents=."""
+        parent = argparse.ArgumentParser(add_help=False)
+        for flag in flags:
+            parent.add_argument(flag, type=int, required=True)
+        parent.add_argument("--out")
+        return parent
+
+    out, tk, ntk = shared(), shared("--t", "--k"), shared("--n", "--t", "--k")
+
+    c = sub.add_parser("check", parents=[tk], help="predicate report for a family JSON file")
     c.add_argument("family")
-    c.add_argument("--t", type=int, required=True)
-    c.add_argument("--k", type=int, required=True)
-    c.add_argument("--out")
     c.set_defaults(fn=cmd_check)
 
-    c = sub.add_parser("compress", help="normalize a family into the size band")
+    c = sub.add_parser("compress", parents=[tk], help="normalize a family into the size band")
     c.add_argument("family")
-    c.add_argument("--t", type=int, required=True)
-    c.add_argument("--k", type=int, required=True)
-    c.add_argument("--out")
     c.set_defaults(fn=cmd_compress)
 
-    c = sub.add_parser("cycle-audit", help="randomized audit of the interval-family checks")
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--t", type=int, required=True)
-    c.add_argument("--k", type=int, required=True)
+    c = sub.add_parser("cycle-audit", parents=[ntk],
+                       help="randomized audit of the interval-family checks")
     c.add_argument("--trials", type=_positive_int, default=100)
     c.add_argument("--seed", type=int, default=1729)
-    c.add_argument("--out")
     c.set_defaults(fn=cmd_cycle_audit)
 
-    c = sub.add_parser("coeff-audit", help="verdicts for a JSON array of profiles")
+    c = sub.add_parser("coeff-audit", parents=[out], help="verdicts for a JSON array of profiles")
     c.add_argument("profiles")
-    c.add_argument("--out")
     c.set_defaults(fn=cmd_coeff_audit)
 
-    c = sub.add_parser("search", help="exact maximum family search")
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--t", type=int, required=True)
-    c.add_argument("--k", type=int, required=True)
+    c = sub.add_parser("search", parents=[ntk], help="exact maximum family search")
     c.add_argument("--layers", type=_layer_window, help="lo:hi member-size window")
     c.add_argument("--use-compression", action="store_true")
     c.add_argument("--budget-nodes", type=_positive_int, default=DEFAULT_NODE_BUDGET)
     c.add_argument("--budget-secs", type=float, default=DEFAULT_TIME_BUDGET)
     c.add_argument("--no-cache", action="store_true", help=NO_CACHE_HELP)
-    c.add_argument("--out")
     c.set_defaults(fn=cmd_search)
 
-    c = sub.add_parser("construct", help="emit a named construction")
+    c = sub.add_parser("construct", parents=[ntk], help="emit a named construction")
     c.add_argument("--which", choices=["layers", "A", "B"], required=True)
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--t", type=int, required=True)
-    c.add_argument("--k", type=int, required=True)
-    c.add_argument("--out")
     c.set_defaults(fn=cmd_construct)
 
-    c = sub.add_parser("bounds", help="closed-form bound table for (n, t, k)")
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--t", type=int, required=True)
-    c.add_argument("--k", type=int, required=True)
-    c.add_argument("--out")
+    c = sub.add_parser("bounds", parents=[ntk], help="closed-form bound table for (n, t, k)")
     c.set_defaults(fn=cmd_bounds)
 
-    c = sub.add_parser("scan", help="full regression matrix; exit 1 on any violation")
+    c = sub.add_parser("scan", parents=[out],
+                       help="full regression matrix; exit 1 on any violation")
     c.add_argument("--seed", type=int, default=1729)
     c.add_argument("--n-max", type=int, default=6)
     c.add_argument("--trials", type=_positive_int, default=60)
     c.add_argument("--format", choices=["json", "csv"], default="json")
     c.add_argument("--no-cache", action="store_true", help=NO_CACHE_HELP)
     c.add_argument("--inject-violation", action="store_true", help=argparse.SUPPRESS)
-    c.add_argument("--out")
     c.set_defaults(fn=cmd_scan)
 
     return ap

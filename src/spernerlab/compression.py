@@ -83,7 +83,7 @@ def up_compress(fam: Family, params: Params) -> tuple[Family, NormalizationRepor
     """
     _validate(fam, params, "up_compress")
     n, k = params.n, params.k
-    target = params.half_up - (k - 1)
+    target = params.band(k - 1)[0]
     steps: list[tuple[str, int, int]] = []
     cur = fam
     rounds = 0
@@ -214,14 +214,13 @@ def normalize(fam: Family, params: Params) -> tuple[Family, NormalizationReport]
     steps = up_rep.steps + down_rep.steps
     if len(shifted) == 0:
         return shifted, NormalizationReport(m=0, c=down_rep.c, steps=steps, band=None)
-    mid = params.half_up
-    m = mid - shifted.min_size()
+    m = params.half_up - shifted.min_size()
     band = (shifted.min_size(), shifted.max_size())
     if not 0 <= m <= params.k - 1:
         raise InvariantViolation(f"normalize landed outside the band: m={m}, k={params.k}")
-    if band[1] > mid + params.k - 1 + m:
-        raise InvariantViolation(
-            f"normalize max size {band[1]} exceeds band top {mid + params.k - 1 + m}")
+    top = params.band(m)[1]
+    if band[1] > top:
+        raise InvariantViolation(f"normalize max size {band[1]} exceeds band top {top}")
     if len(shifted) < len(fam):
         raise InvariantViolation("normalize shrank the family")
     return shifted, NormalizationReport(m=m, c=down_rep.c, steps=steps, band=band)

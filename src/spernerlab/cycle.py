@@ -9,6 +9,10 @@ cyclic order of [n] is needed only to map intervals to sets and back
 AND of two n-bit position masks (`arc_mask`); no 2^n enumeration is
 involved, so the machinery works for ground sets far beyond the subset
 enumeration limit (the harnesses use n up to 40).
+
+The checks that take an interval family and a Params refuse a Params on
+another n, and any n + t odd: the band they weigh the family in is
+`Params.band`, centred at (n+t)/2.
 """
 
 from __future__ import annotations
@@ -214,6 +218,19 @@ def is_full_consecutive(G: IntervalFamily, k: int) -> bool:
         len(run) == k and run[-1] - run[0] == k - 1 for run in chains.values())
 
 
+def _band(G: IntervalFamily, params: Params) -> tuple[int, int, int]:
+    """(m, lo, hi): the half-width m by which G's shortest member reaches
+    below (n+t)/2 (0 if none does) and its band (lo, hi) = params.band(m).
+    Refuses a params on another n and n + t odd."""
+    if G.n != params.n:
+        raise PreconditionError(
+            f"interval family on a cycle of length {G.n} but params.n={params.n}")
+    if (params.n + params.t) % 2:
+        raise PreconditionError("the cycle checks need n + t even")
+    m = max(0, params.half_up - G.members[0].length) if G.members else 0
+    return (m, *params.band(m))
+
+
 def fill_full(G: IntervalFamily, params: Params) -> IntervalFamily:
     """Extend to a full consecutive family (exactly k intervals per chain)
     without decreasing weight.
@@ -221,23 +238,21 @@ def fill_full(G: IntervalFamily, params: Params) -> IntervalFamily:
     Chains grow one step above their current maximum; a chain whose run is
     pinned against the band top (or is empty) instead receives the interval
     of size mid+m, which meets every band member in at least t elements.
-    Chains never interact, so each one is filled on its own.
+    The band is two-sided here: m also grows until it holds the longest
+    member.  Chains never interact, so each one is filled on its own.
     """
-    if (params.n + params.t) % 2:
-        raise PreconditionError("fill_full band arithmetic requires n + t even")
-    n, t, k = G.n, params.t, params.k
-    mid = (n + t) // 2
+    m, lo, top = _band(G, params)
+    n, k = G.n, params.k
     if not is_sigma_ks_ti(G, params):
         raise PreconditionError("fill_full input is not sigma-k-Sperner t-intersecting")
-    lens = [iv.length for iv in G.members]
-    m = 0
-    if lens:
-        m = max(0, mid - min(lens), max(lens) - (mid + k - 1))
+    if G.members and G.members[-1].length > top:
+        m += G.members[-1].length - top
+        lo, top = params.band(m)
     if m > k - 1:
         raise PreconditionError(f"band half-width {m} exceeds k-1={k - 1}")
-    top = mid + k - 1 + m
-    if not 1 <= mid - m <= top <= n - 1:
+    if not 1 <= lo <= top <= n - 1:
         raise PreconditionError("band does not fit inside [1, n-1]")
+    patch = params.half_up + m
     chains = G.chains
     members = []
     for h in range(n):
@@ -245,10 +260,10 @@ def fill_full(G: IntervalFamily, params: Params) -> IntervalFamily:
         while len(run) < k:
             if run and run[-1] + 1 <= top:
                 add = run[-1] + 1
-            elif mid + m in run:
+            elif patch in run:
                 raise InvariantViolation("fill_full patch interval already present")
             else:
-                add = mid + m
+                add = patch
             run = _close_gaps(run + [add], n)
         members.extend(Interval(length=ell, start=h) for ell in run)
     cur = IntervalFamily(n, members)
@@ -291,39 +306,34 @@ def check_complement_closure(G: IntervalFamily, params: Params) -> ComplementChe
     interval in t elements, so the closure claim genuinely fails (see the
     frozen counterexample in the test suite).
     """
-    if (params.n + params.t) % 2:
-        raise PreconditionError("complement closure check requires n + t even")
+    m, lo, hi = _band(G, params)
     if params.t < 2:
         raise PreconditionError(
             "complement closure needs t >= 2: the t = 1 bar complement overlaps "
             "only at one end and the no-proper-subinterval claim fails")
     n, t, k = G.n, params.t, params.k
-    mid = (n + t) // 2
     if not is_full_consecutive(G, k):
         raise PreconditionError("complement closure check needs a full consecutive family")
-    lens = [iv.length for iv in G.members]
-    m = mid - min(lens)
-    if m < 0 or max(lens) > mid + k - 1 + m:
+    if G.members[0].length != lo or G.members[-1].length > hi:
         raise PreconditionError("member sizes do not fit the band")
-    if mid - m < t + 1:
+    if lo < t + 1:
         raise PreconditionError("band bottom too small for bar complements")
     chains = G.chains
+    # a chain holds a proper subinterval of an arc iff its shortest member
+    # lies inside the arc and is not the arc itself
+    lows = [(run[0], h, arc_mask(n, run[0], h)) for h, run in chains.items()]
     failures = []
     for iv in G.members:
         bc = bar_complement(iv, n, t)
-        # the proper subintervals at offset off have lengths 1..L-off (L-1 at
-        # off = 0); one of them is a member iff that chain's shortest one fits
-        hits = []
-        for off in range(bc.length):
-            run = chains.get((bc.start + off) % n)
-            if run and run[0] <= bc.length - max(off, 1):
-                hits.append((run[0], off))
+        bar = arc_mask(n, bc.length, bc.start)
+        hits = [(ell, (h - bc.start) % n) for ell, h, low in lows
+                if low & ~bar == 0 and low != bar]
         if hits:
             ell, off = min(hits)
             sub = Interval(length=ell, start=(bc.start + off) % n)
             failures.append(
                 f"proper subinterval {sub} of bar complement of {iv} is a member")
-        if iv.length == mid - m and bc.length not in chains.get(bc.start, ()):
+        if iv.length == lo and bc.length not in chains.get(bc.start, ()):
             failures.append(f"bar complement {bc} of bottom member {iv} is missing")
     return ComplementCheck(holds=not failures, failures=tuple(failures))
 
@@ -331,20 +341,13 @@ def check_complement_closure(G: IntervalFamily, params: Params) -> ComplementChe
 def g_profile(G: IntervalFamily, params: Params) -> CoeffVector:
     """Count members per size class centered at (n+t)/2, as the stage-g
     vector: value(i) intervals of size mid + i, for i = -m .. k+m-1."""
-    if (params.n + params.t) % 2:
-        raise PreconditionError("g-profile requires n + t even")
-    n, t, k = G.n, params.t, params.k
-    mid = (n + t) // 2
-    lens = [iv.length for iv in G.members]
-    if not lens:
-        return profile_vector(n, t, k, 0, (0,) * k)
-    m = max(0, mid - min(lens))
-    if min(lens) < mid - m or max(lens) > mid + k - 1 + m:
+    m, lo, hi = _band(G, params)
+    if G.members and G.members[-1].length > hi:
         raise PreconditionError("member sizes do not fit the band")
-    counts = [0] * (k + 2 * m)
-    for ell in lens:
-        counts[ell - mid + m] += 1
-    return profile_vector(n, t, k, m, counts)
+    counts = [0] * (hi - lo + 1)
+    for iv in G.members:
+        counts[iv.length - lo] += 1
+    return profile_vector(G.n, params.t, params.k, m, counts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -369,49 +372,36 @@ class InequalitiesCheck:
         return self.disjoint and all(r.holds for r in self.records)
 
 
-def _missing_side_families(G: IntervalFamily, mid: int, j: int):
-    """Missing intervals of sizes mid..mid+j, split into those containing
-    no member (can only sit below members) and those inside no member (can
-    only sit above).  Containment is arc containment across all chains."""
+def _side_families_meet(G: IntervalFamily, mid: int, j: int) -> bool:
+    """True iff the two side families of the missing intervals of sizes
+    mid..mid+j meet: those containing no member (they can only sit below
+    members) and those inside no member (they can only sit above).  Arc a
+    lies inside arc b iff a & ~b == 0; a member lies inside an arc iff its
+    chain's shortest one does, and an arc inside a member iff inside its
+    chain's longest one."""
     n = G.n
     chains = G.chains
-    spans = {h: (run[0], run[-1]) for h, run in chains.items()}
-    h1 = set()
-    h2 = set()
+    lows = [arc_mask(n, run[0], h) for h, run in chains.items()]
+    highs = [arc_mask(n, run[-1], h) for h, run in chains.items()]
     for h in range(n):
         for ell in range(mid, mid + j + 1):
             if ell in chains.get(h, ()):
                 continue
-            iv = Interval(length=ell, start=h)
-            contains = False
-            inside = False
-            for h2start, (lo, hi) in spans.items():
-                d = (h2start - h) % n
-                if d + lo <= ell:
-                    contains = True
-                d_back = (h - h2start) % n
-                if d_back + ell <= hi:
-                    inside = True
-                if contains and inside:
-                    break
-            if not contains:
-                h1.add(iv)
-            if not inside:
-                h2.add(iv)
-    return h1, h2
+            arc = arc_mask(n, ell, h)
+            if (not any(low & ~arc == 0 for low in lows)
+                    and not any(arc & ~high == 0 for high in highs)):
+                return True
+    return False
 
 
 def check_count_inequalities(G: IntervalFamily, params: Params) -> InequalitiesCheck:
     """Evaluate the four counting inequalities a full consecutive family
     inside the band must satisfy, and verify the two missing-interval side
     families are disjoint.  Any failure is a bug trap."""
-    n, t, k = G.n, params.t, params.k
-    if (n + t) % 2:
-        raise PreconditionError("count inequalities require n + t even")
-    mid = (n + t) // 2
+    n, k = G.n, params.k
     if not is_full_consecutive(G, k):
         raise PreconditionError("count inequalities need a full consecutive family")
-    prof = g_profile(G, params)
+    prof = g_profile(G, params)  # refuses another n and n + t odd
     m = prof.m
     if m >= k:
         raise PreconditionError(f"count inequalities need m < k, got m={m}")
@@ -433,15 +423,11 @@ def check_count_inequalities(G: IntervalFamily, params: Params) -> InequalitiesC
         lhs = sum(g(i) for i in range(-m, k - 1 + j))
         rhs = k * n - sum(g(i) for i in range(-m, -j + 1))
         records.append(InequalityRecord("four", j, lhs, rhs))
-    # materialize the missing-interval side families at every level the
-    # counting inequalities draw on, and confirm they never overlap
+    # the missing-interval side families never meet at any level the
+    # counting inequalities draw on; the sizes of a level hold every lower one
     levels = {j for j in range(0, m) if j >= k - m}
     levels.update(k - j for j in range(1, m + 1) if j < k - m)
-    disjoint = True
-    for level in sorted(levels):
-        h1, h2 = _missing_side_families(G, mid, level)
-        if h1 & h2:
-            disjoint = False
+    disjoint = not levels or not _side_families_meet(G, params.half_up, max(levels))
     return InequalitiesCheck(records=tuple(records), disjoint=disjoint)
 
 
@@ -456,11 +442,10 @@ def check_weight_bound(G: IntervalFamily, params: Params) -> WeightBoundCheck:
     """Compare the family weight against n * sum of the k middle-layer
     binomials.  A violation is reported, not raised: below the (unknown)
     size threshold it is a legitimate finding."""
-    n, t, k = G.n, params.t, params.k
-    if (n + t) % 2:
-        raise PreconditionError("weight bound requires n + t even")
-    mid = (n + t) // 2
-    bound = n * sum(math.comb(n, mid + i) for i in range(k))
+    _band(G, params)  # refuses another n and n + t odd
+    n = G.n
+    lo, hi = params.band(0)
+    bound = n * sum(math.comb(n, size) for size in range(lo, hi + 1))
     w = interval_weight(G)
     return WeightBoundCheck(holds=w <= bound, total_weight=w, bound=bound)
 

@@ -97,6 +97,12 @@ class Params:
         is even."""
         return (self.n + self.t + 1) // 2
 
+    def band(self, m: int) -> tuple[int, int]:
+        """The size band of half-width m, [ceil((n+t)/2) - m,
+        ceil((n+t)/2) + k - 1 + m]: the k middle sizes widened by m on each
+        side.  Compression lands a family in it for some 0 <= m <= k-1."""
+        return self.half_up - m, self.half_up + self.k - 1 + m
+
 
 @dataclass(frozen=True, slots=True, repr=False)
 class Family:

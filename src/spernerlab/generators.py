@@ -105,22 +105,24 @@ def random_full_consecutive(rng: random.Random, n: int, t: int, k: int, m: int) 
     """A full consecutive sigma-k-Sperner t-intersecting interval family
     with minimum size exactly (n+t)/2 - m and maximum within the band.
 
-    Per-chain bottom lengths are sampled from [mid-m, mid+m] with one chain
-    pinned at mid-m; bottoms are raised until all chain minima pairwise
-    share at least t positions.  The runs [bottom, bottom+k-1] then form
-    the family.
+    Per-chain bottom lengths are sampled from [lo, hi-k+1] for the band
+    (lo, hi) of half-width m, with one chain pinned at lo; bottoms are
+    raised until all chain minima pairwise share at least t positions.  The
+    runs [bottom, bottom+k-1] then form the family.
     """
     if (n + t) % 2:
         raise PreconditionError("full consecutive generator needs n + t even")
     if not 0 <= m <= k - 1:
         raise PreconditionError("need 0 <= m <= k-1")
-    mid = (n + t) // 2
-    if mid - m < 1 or mid + m + k - 1 > n - 1:
+    params = Params(n=n, t=t, k=k)
+    lo, hi = params.band(m)
+    if lo < 1 or hi > n - 1:
         raise PreconditionError("band does not fit inside [1, n-1]")
+    high = hi - (k - 1)  # the highest bottom whose run stays in the band
     for _ in range(200):
         pinned = rng.randrange(n)
-        bottoms = [rng.randint(mid - m, mid + m) for _ in range(n)]
-        bottoms[pinned] = mid - m
+        bottoms = [rng.randint(lo, high) for _ in range(n)]
+        bottoms[pinned] = lo
         arcs = [arc_mask(n, b, h) for h, b in enumerate(bottoms)]
         ok = True
         # raising a bottom only lengthens its arc, so every pair before the
@@ -135,7 +137,7 @@ def random_full_consecutive(rng: random.Random, n: int, t: int, k: int, m: int) 
                 h1, h2 = h1 + 1, h1 + 2
             else:
                 break
-            raisable = [h for h in (h1, h2) if h != pinned and bottoms[h] < mid + m]
+            raisable = [h for h in (h1, h2) if h != pinned and bottoms[h] < high]
             if not raisable:
                 ok = False
                 break
@@ -144,12 +146,11 @@ def random_full_consecutive(rng: random.Random, n: int, t: int, k: int, m: int) 
             arcs[h] = arc_mask(n, bottoms[h], h)
         else:
             ok = False
-        if not ok or min(bottoms) != mid - m:
+        if not ok or min(bottoms) != lo:
             continue
         members = [Interval(length=b + i, start=h)
                    for h, b in enumerate(bottoms) for i in range(k)]
         fam = IntervalFamily(n, members)
-        params = Params(n=n, t=t, k=k)
         if is_full_consecutive(fam, k) and is_sigma_ks_ti(fam, params):
             return fam
     raise PreconditionError(
@@ -161,8 +162,8 @@ def random_sigma_ksti(rng: random.Random, n: int, t: int, k: int, m: int) -> Int
     t-intersecting family with member sizes inside the band."""
     if (n + t) % 2:
         raise PreconditionError("band sampling needs n + t even")
-    mid = (n + t) // 2
-    if mid - m < 1 or mid + m + k - 1 > n - 1:
+    lo, hi = Params(n=n, t=t, k=k).band(m)
+    if lo < 1 or hi > n - 1:
         raise PreconditionError("band does not fit inside [1, n-1]")
     target = rng.randint(1, k * n // 2)
     members: list[Interval] = []
@@ -174,7 +175,7 @@ def random_sigma_ksti(rng: random.Random, n: int, t: int, k: int, m: int) -> Int
         h = rng.randrange(n)
         if per_chain[h] >= k:
             continue
-        cand = Interval(length=rng.randint(mid - m, mid + k - 1 + m), start=h)
+        cand = Interval(length=rng.randint(lo, hi), start=h)
         if cand in members:
             continue
         arc = arc_mask(n, cand.length, h)

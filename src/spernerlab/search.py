@@ -327,17 +327,17 @@ def construct_layers(params: Params) -> Family:
     holder."""
     if not params.even_case:
         raise PreconditionError("layer construction needs n + t even")
-    n, k = params.n, params.k
-    mid = (n + params.t) // 2
-    return Family(n, (m for size in range(mid, min(mid + k, n + 1))
+    n = params.n
+    lo, hi = params.band(0)
+    return Family(n, (m for size in range(lo, min(hi, n) + 1)
                       for m in _layer_masks(n, size)))
 
 
 def size_layers(params: Params) -> int:
     if not params.even_case:
         raise PreconditionError("layer construction needs n + t even")
-    mid = (params.n + params.t) // 2
-    return sum(binomial(params.n, mid + i) for i in range(params.k))
+    lo, hi = params.band(0)
+    return sum(binomial(params.n, size) for size in range(lo, hi + 1))
 
 
 def _layer_masks(n, size, required=0, forbidden=0):
@@ -461,8 +461,6 @@ def max_family_size(n: int, t: int, k: int, *, layer_window=None,
         budget = Budget()
     if n > MAX_ENUM_N:
         raise PreconditionError(f"exhaustive search enumerates subsets: needs n <= {MAX_ENUM_N}")
-    if use_compression and t == 0:
-        raise PreconditionError("compression banding applies to t >= 1 only")
     if n < 1 or t < 0 or k < 1:
         raise PreconditionError("engine needs n >= 1, t >= 0, k >= 1")
     notes = []
@@ -482,10 +480,10 @@ def max_family_size(n: int, t: int, k: int, *, layer_window=None,
             notes.append(
                 "minimum-size floor licensed by the shade lift; odd-parity ceiling uses the "
                 "ceil-variant down-shift (documented extension)")
-        # s <= mid_up keeps every band top at or above s: no branch is empty
-        mid_up = (n + t + 1) // 2
-        branches = [(s, min(top, 2 * mid_up - s + k - 1))
-                    for s in range(max(lo, mid_up - (k - 1)), min(top, mid_up) + 1)]
+        band = Params(n, t, k).band  # needs 1 <= t <= n: refuses t = 0 and t > n
+        # one branch (s, band top) per band(m), m = k-1 .. 0; s <= its top
+        branches = [(s, min(top, up)) for s, up in map(band, range(k - 1, -1, -1))
+                    if lo <= s <= top]
     else:
         branches = [(s, top) for s in range(lo, top + 1)]
     # a subfamily of a t-intersecting k-Sperner family is one too

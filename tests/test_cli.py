@@ -160,6 +160,38 @@ class TestConstructAndBounds:
         assert doc["bounds"]["frankl_intersecting"]["value"] == 26
 
 
+class TestFamilyDocuments:
+    def test_construct_and_compress_output_read_like_the_bare_family(self, tmp_path):
+        # check and compress read the family under "family" in what
+        # construct and compress write, with the same report as the bare file
+        built, bare = tmp_path / "built.json", tmp_path / "bare.json"
+        assert main(["construct", "--which", "A", "--n", "13", "--t", "2", "--k", "2",
+                     "--out", str(built)]) == 0
+        bare.write_text(json.dumps(json.loads(built.read_text())["family"]))
+        for cmd in ("check", "compress"):
+            reports = []
+            for src in (built, bare):
+                out = tmp_path / f"{cmd}-{src.stem}.json"
+                assert main([cmd, str(src), "--t", "2", "--k", "2", "--out", str(out)]) == 0
+                reports.append(out.read_bytes())
+            assert reports[0] == reports[1]
+        compressed = tmp_path / "compress-built.json"
+        again = tmp_path / "again.json"
+        assert main(["compress", str(compressed), "--t", "2", "--k", "2",
+                     "--out", str(again)]) == 0
+        doc, before = json.loads(again.read_text()), json.loads(compressed.read_text())
+        assert doc["family"] == before["family"]
+
+    @pytest.mark.parametrize("text", ['{"family": 5}', '{"family": {"nope": 1}}',
+                                      '{"which": "A"}', '[]'])
+    def test_malformed_wrapped_family_exits_2(self, tmp_path, text, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["check", str(bad), "--t", "1", "--k", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: family JSON needs an integer 'n' and a list of lists 'sets'\n")
+
+
 class TestAudits:
     def test_cycle_audit_clean(self, tmp_path):
         out = tmp_path / "cyc.json"

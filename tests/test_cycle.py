@@ -71,6 +71,57 @@ def reference_chains(G):
     return chains
 
 
+def reference_closure_failures(G, params):
+    """check_complement_closure's failures as the removed offset walk along
+    each bar complement found them, without the full-consecutive
+    precondition; PreconditionError where the sizes do not fit the band."""
+    n, t, k = G.n, params.t, params.k
+    mid = (n + t) // 2
+    lens = [iv.length for iv in G.members]
+    m = mid - min(lens)
+    if m < 0 or max(lens) > mid + k - 1 + m or mid - m < t + 1:
+        raise PreconditionError("member sizes do not fit the band")
+    chains = G.chains
+    failures = []
+    for iv in G.members:
+        bc = bar_complement(iv, n, t)
+        hits = []
+        for off in range(bc.length):
+            run = chains.get((bc.start + off) % n)
+            if run and run[0] <= bc.length - max(off, 1):
+                hits.append((run[0], off))
+        if hits:
+            ell, off = min(hits)
+            sub = Interval(length=ell, start=(bc.start + off) % n)
+            failures.append(
+                f"proper subinterval {sub} of bar complement of {iv} is a member")
+        if iv.length == mid - m and bc.length not in chains.get(bc.start, ()):
+            failures.append(f"bar complement {bc} of bottom member {iv} is missing")
+    return tuple(failures)
+
+
+def reference_side_families(G, mid, j):
+    """The removed _missing_side_families: the missing intervals of sizes
+    mid..mid+j that contain no member, and those inside no member, by
+    offset arithmetic against every chain's span."""
+    n = G.n
+    chains = G.chains
+    spans = {h: (run[0], run[-1]) for h, run in chains.items()}
+    h1, h2 = set(), set()
+    for h in range(n):
+        for ell in range(mid, mid + j + 1):
+            if ell in chains.get(h, ()):
+                continue
+            iv = Interval(length=ell, start=h)
+            contains = any((h2start - h) % n + lo <= ell for h2start, (lo, _) in spans.items())
+            inside = any((h - h2start) % n + ell <= hi for h2start, (_, hi) in spans.items())
+            if not contains:
+                h1.add(iv)
+            if not inside:
+                h2.add(iv)
+    return h1, h2
+
+
 # (transform, invalid input, params, message): two families that are not
 # t-intersecting or not k-Sperner, two interval families with k + 1 members
 # on one chain or two chain minima sharing fewer than t positions
@@ -213,6 +264,79 @@ class TestChainsField:
             H = IntervalFamily(n, shuffled)
             assert H == G and hash(H) == hash(G)
             assert H.chains == expected and list(H.chains) == list(expected)
+
+
+class TestMaskGeometry:
+    """The closure and side-family checks decide arc nesting on position
+    masks; the offset walks they replaced are the reference."""
+
+    def test_matches_offset_loops(self, monkeypatch):
+        # the loose families are not full consecutive: let them past that
+        # precondition so that closure failures of both kinds occur
+        monkeypatch.setattr(cycle, "is_full_consecutive", lambda G, k: True)
+        rng = random.Random(34)
+        closures, meets = set(), set()
+        for _ in range(200):
+            n = rng.choice([10, 12, 14])
+            t = rng.choice([2, 4])
+            k = rng.randint(1, 3)
+            m = rng.randint(0, min(k - 1, (n - t) // 2 - k))
+            G = rng.choice([random_sigma_ksti, random_full_consecutive])(rng, n, t, k, m)
+            p = Params(n=n, t=t, k=k)
+            try:
+                expected = reference_closure_failures(G, p)
+            except PreconditionError:
+                expected = None
+            try:
+                got = check_complement_closure(G, p).failures
+            except PreconditionError:
+                got = None
+            assert got == expected, (n, t, k, G.members)
+            closures.add("refused" if got is None else bool(got))
+            for j in range(k):
+                h1, h2 = reference_side_families(G, (n + t) // 2, j)
+                meet = cycle._side_families_meet(G, (n + t) // 2, j)
+                assert meet == bool(h1 & h2), (n, t, k, j, G.members)
+                meets.add(meet)
+        assert closures == {"refused", True, False} and meets == {True, False}
+
+    def test_closure_failures_of_a_lowered_chain(self, monkeypatch):
+        # chain 3 of the layers family lowered to lengths 5, 6: the new
+        # bottom's bar complement (7 positions from 7) holds the member
+        # (6, 7), and the bar complements of (6, 7) and (6, 8) hold the new
+        # bottom; the bottoms are now the length-5 members alone
+        monkeypatch.setattr(cycle, "is_full_consecutive", lambda G, k: True)
+        p = Params(n=10, t=2, k=2)
+        G = IntervalFamily(10, [iv for iv in layers_interval_family(10, 2, 2).members
+                                if iv.start != 3]
+                           + [Interval(length=5, start=3), Interval(length=6, start=3)])
+        expected = (
+            "proper subinterval Interval(length=6, start=7) of bar complement of "
+            "Interval(length=5, start=3) is a member",
+            "proper subinterval Interval(length=5, start=3) of bar complement of "
+            "Interval(length=6, start=7) is a member",
+            "proper subinterval Interval(length=5, start=3) of bar complement of "
+            "Interval(length=6, start=8) is a member",
+        )
+        assert reference_closure_failures(G, p) == expected
+        assert check_complement_closure(G, p).failures == expected
+
+    def test_side_families_meet_at_an_empty_chain(self):
+        # a full consecutive family keeps every missing interval of a chain
+        # inside its own top member or around its own bottom one; only an
+        # empty chain can hold an interval in both side families
+        G = IntervalFamily(10, [Interval(length=6 + i, start=h)
+                                for h in range(2, 8) for i in range(2)])
+        h1, h2 = reference_side_families(G, 6, 1)
+        # chains 2..7 hold lengths 6 and 7; (6, 8) lies inside (7, 7)
+        assert h1 & h2 == {Interval(length=6, start=0), Interval(length=7, start=0),
+                           Interval(length=6, start=1), Interval(length=6, start=9),
+                           Interval(length=7, start=8), Interval(length=7, start=9)}
+        assert cycle._side_families_meet(G, 6, 1)
+        full = layers_interval_family(10, 2, 2)
+        assert not any(reference_side_families(full, 6, j)[0] & reference_side_families(
+            full, 6, j)[1] for j in range(3))
+        assert not any(cycle._side_families_meet(full, 6, j) for j in range(3))
 
 
 class TestSigmaPredicate:
@@ -619,6 +743,25 @@ class TestAveraging:
     def test_rejects_large_n(self):
         with pytest.raises(PreconditionError):
             averaging_identity(Family(8))
+
+
+CHECKS_WITH_PARAMS = [fill_full, g_profile, check_count_inequalities, check_complement_closure,
+                      check_weight_bound, check_instance]
+
+
+@pytest.mark.parametrize("check", CHECKS_WITH_PARAMS, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("params,message", [
+    (Params(n=14, t=2, k=2), "cycle of length 12 but params.n=14"),
+    (Params(n=12, t=3, k=2), "need n \\+ t even"),
+], ids=["another_n", "odd_parity"])
+def test_checks_refuse_params_on_another_n_or_odd_parity(check, params, message):
+    # a valid family for Params(12, 2, 2); weighed at n = 14 it used to pass
+    # check_instance with the weight bound at n = 12 and the chain
+    # threshold at n = 14
+    G = random_full_consecutive(random.Random(35), 12, 2, 2, 1)
+    assert check_instance(G, Params(n=12, t=2, k=2))["ok"]
+    with pytest.raises(PreconditionError, match=message):
+        check(G, params)
 
 
 @settings(derandomize=True, deadline=None)

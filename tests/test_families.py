@@ -158,6 +158,17 @@ class TestParams:
         with pytest.raises(PreconditionError):
             Params(n=5, t=1, k=0)
 
+    def test_band(self):
+        # [ceil((n+t)/2) - m, ceil((n+t)/2) + k - 1 + m]: k + 2m sizes
+        for n in range(1, 12):
+            for t in range(1, n + 1):
+                for k in range(1, 5):
+                    for m in range(k):
+                        lo, hi = Params(n=n, t=t, k=k).band(m)
+                        assert 2 * (lo + m) in (n + t, n + t + 1)
+                        assert hi - lo + 1 == k + 2 * m
+        assert Params(n=7, t=2, k=3).band(1) == (4, 8)
+
 
 class TestIntersecting:
     def test_share_one(self):

@@ -284,6 +284,18 @@ class TestOracleSmall:
         assert max_family_size(6, 2, 1, use_compression=True).best_size == 15
         assert max_family_size(5, 2, 2, use_compression=True).best_size == 9
 
+    @pytest.mark.parametrize("t", [0, 5])
+    def test_compression_refuses_t_outside_1_to_n(self, tmp_path, t):
+        # the band needs 1 <= t <= n: at t = 5 > n = 3 the banded plan was
+        # empty and reported 0 as proven, while one set is a valid family
+        assert max_family_size(3, 5, 1).best_size == 1
+        with pytest.raises(PreconditionError, match="need 1 <= t <= n"):
+            max_family_size(3, t, 1, use_compression=True)
+        out = tmp_path / "r.json"
+        assert main(["search", "--n", "3", "--t", str(t), "--k", "1", "--use-compression",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_witness_is_valid_and_sized(self):
         for (n, t, k) in [(5, 1, 2), (6, 2, 2), (5, 3, 1)]:
             res = max_family_size(n, t, k, use_compression=True)
