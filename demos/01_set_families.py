@@ -4,7 +4,7 @@ shadows and shades, weights, and the uniform shadow ratio check."""
 
 import itertools
 
-from spernerlab import (
+from spernerlab.families import (
     Family,
     binomial,
     complement_family,

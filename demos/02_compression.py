@@ -5,8 +5,8 @@ members or either defining property."""
 
 import random
 
-from spernerlab import Family, Params, down_shift, normalize, up_compress
-from spernerlab import is_k_sperner, is_t_intersecting
+from spernerlab.compression import down_shift, normalize, up_compress
+from spernerlab.families import Family, Params, is_k_sperner, is_t_intersecting
 from spernerlab.generators import random_valid_family
 
 p = Params(n=6, t=2, k=1)

@@ -6,9 +6,9 @@ inequalities behind the weight bound."""
 import itertools
 import random
 
-from spernerlab import (
-    Family,
-    Params,
+from spernerlab.cycle import (
+    Interval,
+    IntervalFamily,
     averaging_identity,
     bar_complement,
     check_complement_closure,
@@ -17,12 +17,13 @@ from spernerlab import (
     fill_full,
     g_profile,
     identity_perm,
+    interval_mask,
     interval_weight,
     is_full_consecutive,
     make_consecutive,
     restrict_to_cycle,
 )
-from spernerlab.cycle import Interval, IntervalFamily, interval_mask
+from spernerlab.families import Family, Params
 from spernerlab.generators import random_full_consecutive
 
 print("=== restriction to the cycle ===")

@@ -5,10 +5,8 @@ binomial-weighted sum, ending in prefix-bounded coefficients."""
 
 import random
 
-from spernerlab import (
-    Params,
+from spernerlab.coefficients import (
     binom_swap,
-    g_profile,
     minimal_n0,
     rearrangement_dominance,
     to_gdoubleprime,
@@ -16,7 +14,9 @@ from spernerlab import (
     verify_chain,
     weighted_sum,
 )
-from spernerlab.generators import random_full_consecutive
+from spernerlab.cycle import g_profile
+from spernerlab.families import Params
+from spernerlab.generators import random_dominance_triple, random_full_consecutive
 
 print("=== the binomial swap inequality ===")
 print("n=6, (a,b)=(0,2): C(6,3)+C(6,5) <= C(6,4)+C(6,4)?", binom_swap(6, 0, 2))
@@ -53,7 +53,6 @@ chk = rearrangement_dominance([3, 1], [2, 2], [5, 1])
 print("a=(3,1), b=(2,2), d=(5,1): sum(a*d) - sum(b*d) =", chk.difference,
       ">= 0:", chk.holds)
 rng = random.Random(0)
-from spernerlab.generators import random_dominance_triple
 ok = all(rearrangement_dominance(*random_dominance_triple(rng, 6)).holds
          for _ in range(2000))
 print("2000 random valid triples all dominate:", ok)

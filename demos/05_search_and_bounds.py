@@ -2,8 +2,9 @@
 """The ground-truth oracle: exact maximum family sizes at desk scale, the
 two odd-parity candidate constructions, and the closed-form bound table."""
 
-from spernerlab import (
-    Params,
+from spernerlab.families import Params
+from spernerlab.search import (
+    Budget,
     bounds_table,
     construct_A,
     construct_B,
@@ -62,7 +63,6 @@ for name, e in sorted(rep.entries.items()):
 
 print()
 print("=== a budgeted run stays honest ===")
-from spernerlab import Budget
 res = max_family_size(7, 1, 3, use_compression=True, budget=Budget(nodes=200, seconds=5))
 print(f"tiny budget: best found {res.best_size}, proven: {res.proven_optimal}")
 print("notes:", *res.notes, sep="\n  ")

@@ -375,18 +375,20 @@ class InequalitiesCheck:
 def _side_families_meet(G: IntervalFamily, mid: int, j: int) -> bool:
     """True iff the two side families of the missing intervals of sizes
     mid..mid+j meet: those containing no member (they can only sit below
-    members) and those inside no member (they can only sit above).  Arc a
-    lies inside arc b iff a & ~b == 0; a member lies inside an arc iff its
+    members) and those inside no member (they can only sit above).  Only
+    an empty chain can hold a meet: a missing arc of a non-empty chain
+    contains that chain's shortest member or lies inside it.  Arc a lies
+    inside arc b iff a & ~b == 0; a member lies inside an arc iff its
     chain's shortest one does, and an arc inside a member iff inside its
     chain's longest one."""
-    n = G.n
-    chains = G.chains
+    n, chains = G.n, G.chains
+    empty = [h for h in range(n) if h not in chains]
+    if not empty:
+        return False
     lows = [arc_mask(n, run[0], h) for h, run in chains.items()]
     highs = [arc_mask(n, run[-1], h) for h, run in chains.items()]
-    for h in range(n):
+    for h in empty:
         for ell in range(mid, mid + j + 1):
-            if ell in chains.get(h, ()):
-                continue
             arc = arc_mask(n, ell, h)
             if (not any(low & ~arc == 0 for low in lows)
                     and not any(arc & ~high == 0 for high in highs)):

@@ -5,7 +5,7 @@ whole harness.  The distributions aim at nontrivial cases, not uniformity:
 valid set families grow around a random t-element core and are thinned
 back to k-Sperner; full consecutive interval families pick per-chain
 bottoms inside the band and repair pairwise intersections by raising
-bottoms.
+bottoms, in one pass that always succeeds.
 """
 
 from __future__ import annotations
@@ -19,7 +19,13 @@ from .cycle import (
     is_full_consecutive,
     is_sigma_ks_ti,
 )
-from .families import Family, Params, PreconditionError, longest_chain_members
+from .families import (
+    Family,
+    InvariantViolation,
+    Params,
+    PreconditionError,
+    longest_chain_members,
+)
 
 
 def random_valid_family(rng: random.Random, n: int, t: int, k: int) -> Family:
@@ -82,17 +88,14 @@ def random_uniform_t_intersecting(rng: random.Random, n: int, r: int, t: int,
 
 def random_antichain_above_middle(rng: random.Random, n: int) -> Family:
     """A nonempty antichain whose minimum member size exceeds n/2."""
-    floor_size = n // 2 + 1
-    while True:
-        lo = rng.randint(floor_size, n)
-        members: list[int] = []
-        for _ in range(rng.randint(1, 3 * n)):
-            size = rng.randint(lo, n)
-            cand = sum(1 << e for e in rng.sample(range(n), size))
-            if all(not ((cand & m) == m or (cand & m) == cand) for m in members):
-                members.append(cand)
-        if members:
-            return Family(n, members)
+    lo = rng.randint(n // 2 + 1, n)
+    members: list[int] = []  # the first candidate always joins
+    for _ in range(rng.randint(1, 3 * n)):
+        size = rng.randint(lo, n)
+        cand = sum(1 << e for e in rng.sample(range(n), size))
+        if all(not ((cand & m) == m or (cand & m) == cand) for m in members):
+            members.append(cand)
+    return Family(n, members)
 
 
 def random_inner_family(rng: random.Random, n: int, density: float = 0.35) -> Family:
@@ -119,42 +122,39 @@ def random_full_consecutive(rng: random.Random, n: int, t: int, k: int, m: int) 
     if lo < 1 or hi > n - 1:
         raise PreconditionError("band does not fit inside [1, n-1]")
     high = hi - (k - 1)  # the highest bottom whose run stays in the band
-    for _ in range(200):
-        pinned = rng.randrange(n)
-        bottoms = [rng.randint(lo, high) for _ in range(n)]
-        bottoms[pinned] = lo
-        arcs = [arc_mask(n, b, h) for h, b in enumerate(bottoms)]
-        ok = True
-        # raising a bottom only lengthens its arc, so every pair before the
-        # last short pair stays good and the scan resumes there
-        h1, h2 = 0, 1
-        for _ in range(4 * n * n):
-            while h1 < n - 1:
-                while h2 < n and (arcs[h1] & arcs[h2]).bit_count() >= t:
-                    h2 += 1
-                if h2 < n:
-                    break
-                h1, h2 = h1 + 1, h1 + 2
-            else:
+    pinned = rng.randrange(n)
+    bottoms = [rng.randint(lo, high) for _ in range(n)]
+    bottoms[pinned] = lo
+    arcs = [arc_mask(n, b, h) for h, b in enumerate(bottoms)]
+    # One pass always repairs: arcs of lengths a and b share at least
+    # a + b - n positions, t + 2m for two bottoms at high and t for the
+    # pinned lo against high, so every short pair has a raisable bottom;
+    # each of the n - 1 unpinned bottoms rises at most 2m times, far below
+    # 4 n^2.  A raise only lengthens an arc, so every pair before the last
+    # short pair stays good and the scan resumes there.
+    h1, h2 = 0, 1
+    for _ in range(4 * n * n):
+        while h1 < n - 1:
+            while h2 < n and (arcs[h1] & arcs[h2]).bit_count() >= t:
+                h2 += 1
+            if h2 < n:
                 break
-            raisable = [h for h in (h1, h2) if h != pinned and bottoms[h] < high]
-            if not raisable:
-                ok = False
-                break
-            h = rng.choice(raisable)
-            bottoms[h] += 1
-            arcs[h] = arc_mask(n, bottoms[h], h)
+            h1, h2 = h1 + 1, h1 + 2
         else:
-            ok = False
-        if not ok or min(bottoms) != lo:
-            continue
-        members = [Interval(length=b + i, start=h)
-                   for h, b in enumerate(bottoms) for i in range(k)]
-        fam = IntervalFamily(n, members)
-        if is_full_consecutive(fam, k) and is_sigma_ks_ti(fam, params):
-            return fam
-    raise PreconditionError(
-        f"could not generate a full consecutive instance for n={n}, t={t}, k={k}, m={m}")
+            break
+        raisable = [h for h in (h1, h2) if h != pinned and bottoms[h] < high]
+        if not raisable:
+            raise InvariantViolation(f"chains {h1} and {h2} have no raisable bottom")
+        h = rng.choice(raisable)
+        bottoms[h] += 1
+        arcs[h] = arc_mask(n, bottoms[h], h)
+    else:
+        raise InvariantViolation(f"the repair took {4 * n * n} raises")
+    fam = IntervalFamily(n, [Interval(length=b + i, start=h)
+                             for h, b in enumerate(bottoms) for i in range(k)])
+    if not (is_full_consecutive(fam, k) and is_sigma_ks_ti(fam, params)):
+        raise InvariantViolation(f"repair left an invalid family for n={n}, t={t}, k={k}")
+    return fam
 
 
 def random_sigma_ksti(rng: random.Random, n: int, t: int, k: int, m: int) -> IntervalFamily:

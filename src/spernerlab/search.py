@@ -329,8 +329,7 @@ def construct_layers(params: Params) -> Family:
         raise PreconditionError("layer construction needs n + t even")
     n = params.n
     lo, hi = params.band(0)
-    return Family(n, (m for size in range(lo, min(hi, n) + 1)
-                      for m in _layer_masks(n, size)))
+    return Family(n, (m for size in range(lo, hi + 1) for m in _layer_masks(n, size)))
 
 
 def size_layers(params: Params) -> int:
@@ -342,20 +341,13 @@ def size_layers(params: Params) -> int:
 
 def _layer_masks(n, size, required=0, forbidden=0):
     """The size-subsets of [n] that contain `required` and avoid
-    `forbidden`, as masks in combination order."""
-    req_bits = [i for i in range(n) if required >> i & 1]
-    free = [i for i in range(n) if not (required >> i & 1) and not (forbidden >> i & 1)]
-    base = 0
-    for b in req_bits:
-        base |= 1 << b
-    want = size - len(req_bits)
-    if want < 0 or want > len(free):
-        return
-    for comb in itertools.combinations(free, want):
-        m = base
-        for b in comb:
-            m |= 1 << b
-        yield m
+    `forbidden`, as masks in combination order; none when size is below
+    |required| or above n."""
+    free = [1 << i for i in range(n) if not (required | forbidden) >> i & 1]
+    want = size - required.bit_count()
+    if want >= 0:  # combinations() refuses a negative length
+        for comb in itertools.combinations(free, want):
+            yield required + sum(comb)
 
 
 def construct_A(params: Params) -> Family:
@@ -367,8 +359,7 @@ def construct_A(params: Params) -> Family:
     s = (n + t - 1) // 2
     masks = list(_layer_masks(n, s, forbidden=1 << (n - 1)))
     for i in range(1, k):
-        if s + i <= n:
-            masks.extend(_layer_masks(n, s + i))
+        masks.extend(_layer_masks(n, s + i))
     return Family(n, masks)
 
 
@@ -391,13 +382,8 @@ def construct_B(params: Params) -> Family:
     prefix = (1 << t) - 1
     masks = list(_layer_masks(n, s, required=prefix))
     for i in range(1, k):
-        if s + i <= n:
-            masks.extend(_layer_masks(n, s + i))
-    if s + k <= n:
-        with_prefix = set(_layer_masks(n, s + k, required=prefix))
-        for m in _layer_masks(n, s + k):
-            if m not in with_prefix:
-                masks.append(m)
+        masks.extend(_layer_masks(n, s + i))
+    masks.extend(m for m in _layer_masks(n, s + k) if m & prefix != prefix)
     return Family(n, masks)
 
 
@@ -529,17 +515,13 @@ def g_function(params: Params, budget: Budget | None = None) -> GFunctionResult:
     top = base + k
     layer = list(_layer_masks(n, base))
     layer.sort()
-    if top > n:
-        shades = [0] * len(layer)
-        top_index = {}
-    else:
-        top_index = {m: i for i, m in enumerate(_layer_masks(n, top))}
-        shades = []
-        for m in layer:
-            sh = 0
-            for sm in _layer_masks(n, top, required=m):
-                sh |= 1 << top_index[sm]
-            shades.append(sh)
+    top_index = {m: i for i, m in enumerate(_layer_masks(n, top))}
+    shades = []
+    for m in layer:
+        sh = 0
+        for sm in _layer_masks(n, top, required=m):
+            sh |= 1 << top_index[sm]
+        shades.append(sh)
     classes = _count_classes(layer, n)
     tconf = _relations(classes, layer, n, t)[0]
     ids = range(len(layer))

@@ -12,6 +12,7 @@ import spernerlab
 from spernerlab.cli import _dump, main
 from spernerlab.families import Family, is_t_intersecting, longest_chain
 from spernerlab.generators import random_full_consecutive, random_sigma_ksti
+from spernerlab.search import Budget, max_family_size
 
 
 def write_family(path, n, sets):
@@ -78,6 +79,15 @@ class TestCompress:
         assert doc["family"]["sets"] == [[1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 3, 6]]
         assert doc["report"]["size_after"] >= doc["report"]["size_before"]
         assert doc["report"]["band"] == [4, 4]
+
+    def test_empty_family(self, tmp_path, capsys):
+        fam = tmp_path / "fam.json"
+        write_family(fam, 6, [])
+        assert main(["compress", str(fam), "--t", "2", "--k", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["family"]["sets"] == []
+        assert (doc["report"]["band"], doc["report"]["m"], doc["report"]["steps"]) == (
+            None, 0, [])
 
 
 class TestSearchCommand:
@@ -301,6 +311,16 @@ class TestAudits:
         assert doc["profiles"][2]["verdict"] == "skipped-precondition"
         assert doc["profiles"][3]["verdict"] == "holds"
 
+    def test_coeff_audit_prefix_violation(self, tmp_path, capsys):
+        # 13 intervals of size (n+t)/2 on a cycle of 12 pass the cap 12
+        profs = tmp_path / "p.json"
+        profs.write_text('[{"n": 12, "t": 2, "k": 2, "m": 0, "counts": [13, 0]}]')
+        assert main(["coeff-audit", str(profs)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["violations"] == 1
+        assert doc["profiles"][0]["verdict"] == "violated"
+        assert doc["profiles"][0]["prefix_ok"] is False
+
 
 class TestScan:
     def test_clean_scan_and_determinism(self, tmp_path):
@@ -344,6 +364,17 @@ class TestScan:
                        "--out", str(out)])
             assert rc == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unproven_oracle_is_budget_exceeded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("spernerlab.cli.max_family_size", lambda *args, **kwargs:
+                            max_family_size(*args, **kwargs, budget=Budget(nodes=1)))
+        out = tmp_path / "s.json"
+        assert main(["scan", "--seed", "7", "--n-max", "4", "--trials", "2",
+                     "--out", str(out)]) == 0
+        records = json.loads(out.read_text())["records"]
+        unproven = [r for r in records if r["verdict"] == "budget-exceeded"]
+        assert unproven
+        assert all(r["margin"] is None and r["witness_path"] is None for r in unproven)
 
     def test_violated_shade_expansion_writes_its_family(self, tmp_path, monkeypatch):
         monkeypatch.setattr("spernerlab.cli.shade_expansion_holds", lambda fam, p, i: False)

@@ -8,6 +8,7 @@ from spernerlab.coefficients import (
     binom_swap,
     minimal_chain_n,
     minimal_n0,
+    prefix_bounds,
     profile_vector,
     rearrangement_dominance,
     star_inequality_check,
@@ -105,6 +106,12 @@ class TestGPrime:
         assert not star_inequality_check(vec)
         with pytest.raises(PreconditionError):
             to_gprime(vec)
+
+    def test_prefix_bound_tags(self):
+        # with k = 4, m = 2, prefix 2 is neither below m nor below k - m
+        gpp = to_gdoubleprime(to_gprime(profile_vector(20, 2, 4, 2, (0,) * 8)))
+        assert [tag for _, _, _, tag in prefix_bounds(gpp)] == [
+            "pairwise_cap", "pairwise_cap", "upper_window_count", "total_mass"]
 
     def test_harvested_postconditions(self):
         rng = random.Random(40)

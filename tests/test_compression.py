@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -114,6 +115,19 @@ class TestAntichainShadow:
             for j in range(n // 2, fam.min_size() + 1):
                 assert antichain_shadow_holds(fam, j)
 
+    def test_empty_family(self):
+        assert antichain_shadow_holds(Family(6), 3)
+
+    def test_draws_pinned(self):
+        # 30 seeds per n; the digest pins each antichain and the next draw
+        out = []
+        for n in range(3, 13):
+            for seed in range(30):
+                rng = random.Random(seed)
+                out.append((n, random_antichain_above_middle(rng, n).members, rng.random()))
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+            "eca85f4771291bdd3f882fa4a18a6555d4dd70a1607a2309c64ba320f0585942")
+
     def test_rejects_low_antichain(self):
         fam = Family.from_sets(6, [[1, 2]])
         with pytest.raises(PreconditionError):
@@ -195,6 +209,11 @@ class TestNormalize:
             p = Params(n=n, t=2, k=2)
             out, _ = normalize(fam, p)
             assert len(out) >= len(fam)
+
+    def test_empty_family(self):
+        out, rep = normalize(Family(6), Params(n=6, t=2, k=2))
+        assert len(out) == 0
+        assert (rep.band, rep.m, rep.steps) == (None, 0, ())
 
 
 @settings(derandomize=True, deadline=None)

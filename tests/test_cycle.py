@@ -530,6 +530,23 @@ class TestFullConsecutiveGenerator:
             (h, b + i) for h, b in enumerate(bottoms) for i in range(k))
         assert rng.random() == draw
 
+    def test_every_small_cell(self):
+        # every cell with n <= 24, k <= 5 and a band inside [1, n - 1]: the
+        # repair pass ends full consecutive with the pinned chain at the
+        # band bottom
+        for n in range(3, 25):
+            for t in range(2 - n % 2, n + 1, 2):
+                for k in range(1, 6):
+                    p = Params(n=n, t=t, k=k)
+                    for m in range(k):
+                        lo, hi = p.band(m)
+                        if lo < 1 or hi > n - 1:
+                            continue
+                        for seed in (0, 1):
+                            G = random_full_consecutive(random.Random(seed), n, t, k, m)
+                            assert is_full_consecutive(G, k) and is_sigma_ks_ti(G, p)
+                            assert G.members[0].length == lo, (n, t, k, m, seed)
+
 
 class TestGeneratorDraws:
     CELLS = ((12, 2, 1), (14, 2, 2), (16, 2, 3), (18, 2, 3), (21, 3, 3), (24, 4, 2),

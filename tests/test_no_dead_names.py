@@ -2,9 +2,8 @@
 every parameter default is overridden somewhere.
 
 A name defined in src/spernerlab/*.py must occur as a whole word at least
-once outside its own definition, in src/, tests/ or demos/.  The import
-lists of __init__.py are re-exports, not uses, and this file does not
-count either, so dead API cannot hide behind either of them.
+once outside its own definition, in src/, tests/ or demos/.  This file
+does not count, so dead API cannot hide behind it.
 
 A parameter with a default, in any function or method of the package,
 must be passed in at least one call in the same files.  Calls
@@ -16,6 +15,9 @@ import ast
 import collections
 import pathlib
 import re
+import types
+
+import spernerlab
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "spernerlab"
@@ -41,17 +43,8 @@ def _files():
 
 
 def _corpus():
-    """Source lines to search, per file, with the re-export lists blanked."""
-    out = {}
-    for path in _files():
-        lines = path.read_text().splitlines()
-        if path == PACKAGE / "__init__.py":
-            for node in ast.parse("\n".join(lines)).body:
-                if isinstance(node, ast.ImportFrom):
-                    for i in range(node.lineno - 1, node.end_lineno):
-                        lines[i] = ""
-        out[path] = lines
-    return out
+    """Source lines to search, per file."""
+    return {path: path.read_text().splitlines() for path in _files()}
 
 
 def test_every_module_level_name_is_used():
@@ -67,6 +60,14 @@ def test_every_module_level_name_is_used():
             if not used:
                 unused.append(f"{path.name}:{first} {name}")
     assert not unused, "defined but never used: " + ", ".join(unused)
+
+
+def test_one_import_path_per_name():
+    # each name is imported from the module that defines it
+    bound = [name for name, value in vars(spernerlab).items()
+             if not name.startswith("_") and not (
+                 isinstance(value, types.ModuleType) and value.__name__ == f"spernerlab.{name}")]
+    assert not bound, "the package binds: " + ", ".join(bound)
 
 
 def _calls():

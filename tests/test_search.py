@@ -442,6 +442,22 @@ class TestEngineNodeCounts:
             sys.setrecursionlimit(before)
 
 
+class TestLayerMasks:
+    def test_matches_a_filter_over_all_masks(self):
+        # a filter over every mask, sorted into itertools.combinations'
+        # order: by the ascending tuple of the set's elements
+        for n in range(7):
+            order = sorted(range(1 << n), key=lambda m: [i for i in range(n) if m >> i & 1])
+            for required, forbidden in itertools.product(range(1 << n), repeat=2):
+                if required & forbidden:
+                    continue
+                fits = [m for m in order
+                        if m & required == required and not m & forbidden]
+                for size in range(n + 3):
+                    assert list(search._layer_masks(n, size, required, forbidden)) == [
+                        m for m in fits if m.bit_count() == size], (n, size, required, forbidden)
+
+
 class TestConstructions:
     def test_layers_frozen(self):
         assert len(construct_layers(Params(n=6, t=2, k=1))) == 15
@@ -486,6 +502,17 @@ class TestConstructions:
         with pytest.raises(PreconditionError):
             construct_A(Params(n=6, t=2, k=1))
 
+    def test_bands_past_n(self):
+        # the top layers of these bands lie above n and hold no set
+        p = Params(n=8, t=2, k=5)
+        fam = construct_layers(p)
+        assert len(fam) == size_layers(p) == 93
+        assert is_t_intersecting(fam, 2) and is_k_sperner(fam, 5)
+        p = Params(n=7, t=2, k=5)
+        for fam, size in ((construct_A(p), size_A(p)), (construct_B(p), size_B(p))):
+            assert len(fam) == size
+            assert is_t_intersecting(fam, 2) and is_k_sperner(fam, 5)
+
     def test_closed_form_matches_piecewise(self):
         for n in range(3, 101):
             for t in range(1, min(n, 8)):
@@ -529,6 +556,12 @@ class TestGFunction:
     def test_parity_enforced(self):
         with pytest.raises(PreconditionError):
             g_function(Params(n=6, t=2, k=1))
+
+    def test_top_layer_above_n(self):
+        # base layer 4, top layer 7 > n: no member has a shade
+        res = g_function(Params(n=5, t=4, k=3))
+        assert res.proven_optimal and res.shade_size == 0
+        assert res.value == g_brute_force(5, 4, 3) == 1
 
     def test_small_layers_against_brute_force(self):
         # every odd cell with k <= 3 whose layer has at most 15 members
