@@ -6,14 +6,11 @@ from spernerlab.families import Params
 from spernerlab.search import (
     Budget,
     bounds_table,
-    construct_A,
-    construct_B,
+    construct,
+    construction_size,
     g_function,
     max_family_size,
-    size_A,
-    size_B,
     size_B_closed_form,
-    size_layers,
 )
 
 print("=== even parity: search meets the k-layer formula exactly ===")
@@ -21,18 +18,18 @@ for (n, t, k) in [(4, 2, 1), (6, 2, 1), (6, 2, 2), (7, 1, 2), (7, 1, 3)]:
     p = Params(n=n, t=t, k=k)
     res = max_family_size(n, t, k, use_compression=True)
     print(f"  (n,t,k)=({n},{t},{k}): search {res.best_size}"
-          f" == formula {size_layers(p)}  [{res.nodes} nodes,"
+          f" == formula {construction_size(p, 'layers')}  [{res.nodes} nodes,"
           f" proven={res.proven_optimal}]")
 
 print()
 print("=== odd parity: two candidate extremal families ===")
 p = Params(n=5, t=2, k=2)
-print("A(2,2) on [5]:", construct_A(p).to_sets())
-print("B(2,2) on [5] has", len(construct_B(p)), "sets; closed form gives",
+print("A(2,2) on [5]:", construct(p, "A").to_sets())
+print("B(2,2) on [5] has", len(construct(p, "B")), "sets; closed form gives",
       size_B_closed_form(p))
 res = max_family_size(5, 2, 2, use_compression=True)
 print(f"exact search: {res.best_size} -> candidate A wins at this size"
-      f" ({size_A(p)} vs {size_B(p)})")
+      f" ({construction_size(p, 'A')} vs {construction_size(p, 'B')})")
 
 print()
 print("=== but B overtakes A once n grows ===")
@@ -42,7 +39,7 @@ for (t, k) in [(2, 2), (1, 2), (3, 3)]:
     while n <= 1001:
         if (n + t) % 2 == 1:
             q = Params(n=n, t=t, k=k)
-            if size_B(q) > size_A(q):
+            if construction_size(q, "B") > construction_size(q, "A"):
                 flip = n
                 break
         n += 1

@@ -54,15 +54,12 @@ from .search import (
     DEFAULT_NODE_BUDGET,
     DEFAULT_TIME_BUDGET,
     Budget,
+    CONSTRUCTIONS,
     bounds_table,
-    construct_A,
-    construct_B,
-    construct_layers,
+    construct,
+    construction_size,
     max_family_size,
-    size_A,
-    size_B,
     size_B_closed_form,
-    size_layers,
 )
 
 
@@ -114,11 +111,19 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
+def _read_json(path):
+    """The JSON document in the file at path; too deep a nesting is malformed."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise PreconditionError(f"{path}: JSON nested too deeply to read") from None
+
+
 def _load_family(path) -> Family:
     """A bare family document, or one holding it under "family" as the
     construct and compress outputs do."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if isinstance(doc, dict) and "sets" not in doc:
         doc = doc.get("family", doc)
     return Family.from_json_dict(doc)
@@ -201,8 +206,7 @@ def cmd_cycle_audit(args) -> int:
 # ----------------------------------------------------------- coeff-audit
 
 def cmd_coeff_audit(args) -> int:
-    with open(args.profiles) as fh:
-        profiles = json.load(fh)
+    profiles = _read_json(args.profiles)
     if not isinstance(profiles, list):
         raise PreconditionError("profiles JSON must be a list")
     verdicts = []
@@ -289,12 +293,7 @@ def cmd_search(args) -> int:
 
 def cmd_construct(args) -> int:
     p = Params(n=args.n, t=args.t, k=args.k)
-    if args.which == "layers":
-        fam, expected = construct_layers(p), size_layers(p)
-    elif args.which == "A":
-        fam, expected = construct_A(p), size_A(p)
-    else:
-        fam, expected = construct_B(p), size_B(p)
+    fam, expected = construct(p, args.which), construction_size(p, args.which)
     doc = {"which": args.which, "n": p.n, "t": p.t, "k": p.k,
            "size": len(fam), "size_formula": expected,
            "family": fam.to_json_dict()}
@@ -349,14 +348,14 @@ def _scan_records(args):
             for k in range(1, 4):
                 oracle_rec("even_case_oracle", {"n": n, "t": t, "k": k},
                            max_family_size(n, t, k, use_compression=True),
-                           size_layers(Params(n=n, t=t, k=k)))
+                           construction_size(Params(n=n, t=t, k=k), "layers"))
     # odd small case
     res = max_family_size(5, 2, 2, use_compression=True)
     rec("odd_small_case", {"n": 5, "t": 2, "k": 2},
-        "holds" if res.best_size == 9 == size_A(Params(5, 2, 2)) else "violated",
+        "holds" if res.best_size == 9 == construction_size(Params(5, 2, 2), "A") else "violated",
         margin=res.best_size - 9)
     # B closed form
-    ok = all(size_B(Params(n, t, k)) == size_B_closed_form(Params(n, t, k))
+    ok = all(construction_size(Params(n, t, k), "B") == size_B_closed_form(Params(n, t, k))
              for n in range(4, 40) for t in (1, 2, 3) if (n + t) % 2 and t < n
              for k in range(1, 5))
     rec("b_closed_form", {"n_max": 39, "k_max": 4}, "holds" if ok else "violated")
@@ -528,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=cmd_search)
 
     c = sub.add_parser("construct", parents=[ntk], help="emit a named construction")
-    c.add_argument("--which", choices=["layers", "A", "B"], required=True)
+    c.add_argument("--which", choices=CONSTRUCTIONS, required=True)
     c.set_defaults(fn=cmd_construct)
 
     c = sub.add_parser("bounds", parents=[ntk], help="closed-form bound table for (n, t, k)")

@@ -339,22 +339,12 @@ def shadow(fam: Family, level: int) -> Family:
 
 
 def shade(fam: Family, level: int) -> Family:
-    """All level-supersets (within [n]) of members of size <= level."""
+    """All level-supersets (within [n]) of members of size <= level: the
+    complements of the (n - level)-shadow of the complements."""
     n = fam.n
     if not 0 <= level <= n:
         raise PreconditionError(f"shade level must lie in [0, {n}]")
-    out = set()
-    for m in fam.members:
-        c = m.bit_count()
-        if c > level:
-            continue
-        free = [1 << i for i in range(n) if not m >> i & 1]
-        for add in itertools.combinations(free, level - c):
-            x = m
-            for b in add:
-                x |= b
-            out.add(x)
-    return Family(n, out)
+    return complement_family(shadow(complement_family(fam), n - level))
 
 
 def complement_family(fam: Family) -> Family:

@@ -322,23 +322,6 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
     return best, witness, True, nodes
 
 
-def construct_layers(params: Params) -> Family:
-    """Union of the k layers starting at (n+t)/2: the even-parity record
-    holder."""
-    if not params.even_case:
-        raise PreconditionError("layer construction needs n + t even")
-    n = params.n
-    lo, hi = params.band(0)
-    return Family(n, (m for size in range(lo, hi + 1) for m in _layer_masks(n, size)))
-
-
-def size_layers(params: Params) -> int:
-    if not params.even_case:
-        raise PreconditionError("layer construction needs n + t even")
-    lo, hi = params.band(0)
-    return sum(binomial(params.n, size) for size in range(lo, hi + 1))
-
-
 def _layer_masks(n, size, required=0, forbidden=0):
     """The size-subsets of [n] that contain `required` and avoid
     `forbidden`, as masks in combination order; none when size is below
@@ -350,54 +333,51 @@ def _layer_masks(n, size, required=0, forbidden=0):
             yield required + sum(comb)
 
 
-def construct_A(params: Params) -> Family:
-    """Odd-parity candidate A: the (n+t-1)/2 layer restricted to sets
-    avoiding n, topped by the next k-1 full layers."""
-    if params.even_case:
-        raise PreconditionError("construction A needs n + t odd")
-    n, t, k = params.n, params.t, params.k
-    s = (n + t - 1) // 2
-    masks = list(_layer_masks(n, s, forbidden=1 << (n - 1)))
-    for i in range(1, k):
-        masks.extend(_layer_masks(n, s + i))
-    return Family(n, masks)
+CONSTRUCTIONS = ("layers", "A", "B")
 
 
-def size_A(params: Params) -> int:
-    if params.even_case:
-        raise PreconditionError("construction A needs n + t odd")
-    n, t, k = params.n, params.t, params.k
-    s = (n + t - 1) // 2
-    return binomial(n - 1, s) + sum(binomial(n, s + i) for i in range(1, k))
+def _pieces(params: Params, which: str):
+    """Construction `which` as layer pieces (size, required, forbidden, sign):
+    the size-subsets of [n] that contain `required` and avoid `forbidden`,
+    added (sign 1) or cut out of an earlier piece (sign -1)."""
+    if which not in CONSTRUCTIONS:
+        raise PreconditionError(f"unknown construction {which!r}: choose from {CONSTRUCTIONS}")
+    if params.even_case != (which == "layers"):
+        raise PreconditionError(
+            f"construction {which} needs n + t {'even' if which == 'layers' else 'odd'}")
+    lo, hi = params.band(0)
+    if which == "layers":
+        return [(size, 0, 0, 1) for size in range(lo, hi + 1)]
+    middle = [(size, 0, 0, 1) for size in range(lo, hi)]
+    prefix = (1 << params.t) - 1
+    if which == "A":
+        return [(lo - 1, 0, 1 << params.n - 1, 1), *middle]
+    return [(lo - 1, prefix, 0, 1), *middle, (hi, 0, 0, 1), (hi, prefix, 0, -1)]
 
 
-def construct_B(params: Params) -> Family:
-    """Odd-parity candidate B: bottom-layer sets containing {1..t}, k-1
-    full middle layers, and the (s+k)-layer minus the sets containing
-    {1..t}."""
-    if params.even_case:
-        raise PreconditionError("construction B needs n + t odd")
-    n, t, k = params.n, params.t, params.k
-    s = (n + t - 1) // 2
-    prefix = (1 << t) - 1
-    masks = list(_layer_masks(n, s, required=prefix))
-    for i in range(1, k):
-        masks.extend(_layer_masks(n, s + i))
-    masks.extend(m for m in _layer_masks(n, s + k) if m & prefix != prefix)
-    return Family(n, masks)
+def construct(params: Params, which: str) -> Family:
+    """The members of construction `which`: "layers", the k layers from
+    (n+t)/2 for n + t even, or an odd-parity candidate "A" or "B"."""
+    pieces = _pieces(params, which)
+    n = params.n
+    if n > MAX_ENUM_N:
+        raise PreconditionError(f"a construction enumerates subsets: needs n <= {MAX_ENUM_N}")
+    members = set()
+    for size, required, forbidden, sign in pieces:
+        masks = _layer_masks(n, size, required, forbidden)
+        if sign > 0:
+            members.update(masks)
+        else:
+            members.difference_update(masks)
+    return Family(n, members)
 
 
-def size_B(params: Params) -> int:
-    """Piecewise count of construction B (independent of the closed form):
-    core + middle layers + top layer minus its prefix-containing part."""
-    if params.even_case:
-        raise PreconditionError("construction B needs n + t odd")
-    n, t, k = params.n, params.t, params.k
-    s = (n + t - 1) // 2
-    core = binomial(n - t, s - t)
-    middle = sum(binomial(n, s + i) for i in range(1, k))
-    top = binomial(n, s + k) - binomial(n - t, s + k - t)
-    return core + middle + top
+def construction_size(params: Params, which: str) -> int:
+    """|construct(params, which)| by binomial counts alone, for any n the
+    Params accept."""
+    return sum(sign * binomial(params.n - (required | forbidden).bit_count(),
+                               size - required.bit_count())
+               for size, required, forbidden, sign in _pieces(params, which))
 
 
 def size_B_closed_form(params: Params) -> int:
@@ -413,24 +393,16 @@ def size_B_closed_form(params: Params) -> int:
 
 def _construction_seeds(n, t, k):
     """Masks of every applicable construction, as incumbent seeds."""
-    seeds = []
-    if t >= 1:
-        try:
-            p = Params(n=n, t=t, k=k)
-        except PreconditionError:
-            return seeds
-        if p.even_case:
-            seeds.append(tuple(construct_layers(p).members))
-        else:
-            seeds.append(tuple(construct_A(p).members))
-            seeds.append(tuple(construct_B(p).members))
-    else:
+    if not t:
         # no intersection constraint: the k largest layers
         sizes = sorted(range(n + 1), key=lambda i: (-math.comb(n, i), i))[:k]
-        masks = []
-        for size in sizes:
-            masks.extend(_layer_masks(n, size))
-        seeds.append(tuple(masks))
+        return [tuple(m for size in sizes for m in _layer_masks(n, size))]
+    seeds = []
+    for which in CONSTRUCTIONS:
+        try:
+            seeds.append(tuple(construct(Params(n=n, t=t, k=k), which).members))
+        except PreconditionError:  # t > n, or the other parity
+            pass
     return seeds
 
 
@@ -511,7 +483,7 @@ def g_function(params: Params, budget: Budget | None = None) -> GFunctionResult:
     if n > MAX_ENUM_N:
         raise PreconditionError(
             f"the g-function search enumerates a layer: needs n <= {MAX_ENUM_N}")
-    base = (n + t - 1) // 2
+    base = params.band(0)[0] - 1
     top = base + k
     layer = list(_layer_masks(n, base))
     layer.sort()
@@ -617,15 +589,16 @@ def bounds_table(params: Params) -> BoundReport:
     else:
         e["frankl_intersecting"] = BoundEntry(None, False, "requires t = 1")
     if params.even_case:
-        e["even_case_k_layers"] = BoundEntry(size_layers(params), True,
+        e["even_case_k_layers"] = BoundEntry(construction_size(params, "layers"), True,
                                              "k middle layers from (n+t)/2")
         e["odd_A_size"] = BoundEntry(None, False, "requires n + t odd")
         e["odd_B_size"] = BoundEntry(None, False, "requires n + t odd")
         e["odd_B_closed_form"] = BoundEntry(None, False, "requires n + t odd")
     else:
         e["even_case_k_layers"] = BoundEntry(None, False, "requires n + t even")
-        e["odd_A_size"] = BoundEntry(size_A(params), True, "construction A")
-        e["odd_B_size"] = BoundEntry(size_B(params), True, "construction B, piecewise")
+        e["odd_A_size"] = BoundEntry(construction_size(params, "A"), True, "construction A")
+        e["odd_B_size"] = BoundEntry(construction_size(params, "B"), True,
+                                     "construction B, piecewise")
         e["odd_B_closed_form"] = BoundEntry(size_B_closed_form(params), True,
                                             "construction B, closed form")
     return BoundReport(n=n, t=t, k=k, entries=e)

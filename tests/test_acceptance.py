@@ -37,13 +37,10 @@ from spernerlab.generators import (
 )
 from spernerlab.search import (
     Budget,
-    construct_A,
-    construct_B,
+    construct,
+    construction_size,
     max_family_size,
-    size_A,
-    size_B,
     size_B_closed_form,
-    size_layers,
 )
 
 
@@ -80,7 +77,7 @@ def test_criterion_1_even_case_oracle():
                 continue
             for k in range(1, 4):
                 p = Params(n=n, t=t, k=k)
-                expected = size_layers(p)
+                expected = construction_size(p, "layers")
                 res = max_family_size(n, t, k, use_compression=True)
                 assert res.proven_optimal, (n, t, k)
                 assert res.best_size == expected, (n, t, k, res.best_size, expected)
@@ -98,8 +95,8 @@ def test_criterion_2_odd_small_case():
     """(5,2,2) evaluates to 9 = |A(2,2)| > |B(2,2)| = 8, and the stretch
     instance (7,2,2) is either solved or labeled budget-exceeded."""
     res = max_family_size(5, 2, 2, use_compression=True)
-    pA, a_size = Params(n=5, t=2, k=2), size_A(Params(n=5, t=2, k=2))
-    b_size = size_B(pA)
+    pA, a_size = Params(n=5, t=2, k=2), construction_size(Params(n=5, t=2, k=2), "A")
+    b_size = construction_size(pA, "B")
     ok = (res.proven_optimal and res.best_size == 9 == a_size and b_size == 8)
     # cross-check against the fully unrestricted oracle
     unres = max_family_size(5, 2, 2)
@@ -108,7 +105,7 @@ def test_criterion_2_odd_small_case():
     # scale; a budget-exceeded outcome must be labeled as such
     stretch = max_family_size(7, 2, 2, use_compression=True,
                               budget=Budget(nodes=2_000_000, seconds=300))
-    a7 = size_A(Params(n=7, t=2, k=2))
+    a7 = construction_size(Params(n=7, t=2, k=2), "A")
     if stretch.proven_optimal:
         stretch_ok = stretch.best_size >= a7
         stretch_note = f"stretch (7,2,2) solved: {stretch.best_size}"
@@ -130,18 +127,19 @@ def test_criterion_3_b_closed_form_and_crossover():
                 continue
             for k in range(1, 6):
                 p = Params(n=n, t=t, k=k)
-                assert size_B(p) == size_B_closed_form(p), (n, t, k)
+                assert construction_size(p, "B") == size_B_closed_form(p), (n, t, k)
                 checked += 1
     # explicit families agree with the counts at enumeration scale
     for (n, t, k) in [(5, 2, 2), (7, 2, 2), (9, 2, 3), (8, 1, 2), (10, 3, 4)]:
         p = Params(n=n, t=t, k=k)
-        assert len(construct_B(p)) == size_B(p)
-        assert len(construct_A(p)) == size_A(p)
+        assert len(construct(p, "B")) == construction_size(p, "B")
+        assert len(construct(p, "A")) == construction_size(p, "A")
     crossovers = {}
     for (t, k) in [(2, 2), (1, 2), (3, 3)]:
         start = t + 1 + ((t + 1) + t) % 2  # smallest n > t with n+t odd
         ns = [n for n in range(start, 1001) if (n + t) % 2 == 1]
-        wins = [size_B(Params(n=n, t=t, k=k)) > size_A(Params(n=n, t=t, k=k)) for n in ns]
+        wins = [construction_size(Params(n=n, t=t, k=k), "B")
+                > construction_size(Params(n=n, t=t, k=k), "A") for n in ns]
         assert wins[-1], f"B never overtakes A for (t,k)=({t},{k})"
         last_loss = max((i for i, w in enumerate(wins) if not w), default=-1)
         threshold = ns[last_loss + 1]

@@ -201,6 +201,17 @@ class TestFamilyDocuments:
         assert capsys.readouterr().err == (
             "error: family JSON needs an integer 'n' and a list of lists 'sets'\n")
 
+    @pytest.mark.parametrize("argv", [["check", "--t", "1", "--k", "1"],
+                                      ["compress", "--t", "1", "--k", "1"],
+                                      ["coeff-audit"]])
+    def test_deeply_nested_json_exits_2(self, tmp_path, argv, capsys):
+        # json.load raises RecursionError on it: malformed input all the same
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        assert main([*argv, str(deep)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestAudits:
     def test_cycle_audit_clean(self, tmp_path):

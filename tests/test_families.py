@@ -376,6 +376,19 @@ class TestShadowShade:
         assert shadow(fam, 3) == fam
         assert shade(fam, 5).to_sets() == [[1, 2, 3, 4, 5]]
 
+    def test_match_a_filter_over_all_masks(self):
+        # the level-sets below (shadow) or above (shade) some member
+        rng = random.Random(6)
+        for n in range(1, 7):
+            for _ in range(20):
+                fam = Family(n, rng.sample(range(1 << n), rng.randint(0, min(12, 1 << n))))
+                for lvl in range(n + 1):
+                    layer = [x for x in range(1 << n) if x.bit_count() == lvl]
+                    assert shadow(fam, lvl) == Family(
+                        n, [x for x in layer if any(x & m == x for m in fam)])
+                    assert shade(fam, lvl) == Family(
+                        n, [x for x in layer if any(x & m == m for m in fam)])
+
 
 class TestComplement:
     def test_example(self):

@@ -24,16 +24,12 @@ from spernerlab.families import (
 from spernerlab.search import (
     Budget,
     bounds_table,
-    construct_A,
-    construct_B,
-    construct_layers,
+    construct,
+    construction_size,
     g_function,
     max_family_size,
     scd_anchor,
-    size_A,
-    size_B,
     size_B_closed_form,
-    size_layers,
 )
 
 
@@ -308,10 +304,10 @@ class TestOracleSmall:
             p = Params(n=n, t=t, k=k)
             res = max_family_size(n, t, k, use_compression=True)
             if p.even_case:
-                assert res.best_size >= len(construct_layers(p))
+                assert res.best_size >= len(construct(p, "layers"))
             else:
-                assert res.best_size >= len(construct_A(p))
-                assert res.best_size >= len(construct_B(p))
+                assert res.best_size >= len(construct(p, "A"))
+                assert res.best_size >= len(construct(p, "B"))
 
     def test_determinism(self):
         a = max_family_size(6, 2, 2, use_compression=True)
@@ -460,25 +456,25 @@ class TestLayerMasks:
 
 class TestConstructions:
     def test_layers_frozen(self):
-        assert len(construct_layers(Params(n=6, t=2, k=1))) == 15
-        assert len(construct_layers(Params(n=6, t=2, k=2))) == 21
+        assert len(construct(Params(n=6, t=2, k=1), "layers")) == 15
+        assert len(construct(Params(n=6, t=2, k=2), "layers")) == 21
 
     def test_layers_predicates(self):
         for (n, t, k) in [(6, 2, 2), (8, 2, 3), (7, 1, 2), (9, 3, 3)]:
             p = Params(n=n, t=t, k=k)
-            fam = construct_layers(p)
-            assert len(fam) == size_layers(p)
+            fam = construct(p, "layers")
+            assert len(fam) == construction_size(p, "layers")
             assert is_t_intersecting(fam, t)
             assert is_k_sperner(fam, k)
 
     def test_A_frozen(self):
-        fam = construct_A(Params(n=5, t=2, k=2))
-        assert len(fam) == 9 == size_A(Params(n=5, t=2, k=2))
+        fam = construct(Params(n=5, t=2, k=2), "A")
+        assert len(fam) == 9 == construction_size(Params(n=5, t=2, k=2), "A")
 
     def test_B_frozen(self):
         p = Params(n=5, t=2, k=2)
-        fam = construct_B(p)
-        assert len(fam) == 8 == size_B(p)
+        fam = construct(p, "B")
+        assert len(fam) == 8 == construction_size(p, "B")
         assert size_B_closed_form(p) == 3 + 5 + 1 - 1
 
     def test_A_B_predicates(self):
@@ -490,26 +486,27 @@ class TestConstructions:
                 continue
             k = rng.randint(1, 4)
             p = Params(n=n, t=t, k=k)
-            for fam in (construct_A(p), construct_B(p)):
+            for fam in (construct(p, "A"), construct(p, "B")):
                 assert is_t_intersecting(fam, t)
                 assert is_k_sperner(fam, k)
-            assert len(construct_A(p)) == size_A(p)
-            assert len(construct_B(p)) == size_B(p)
+            assert len(construct(p, "A")) == construction_size(p, "A")
+            assert len(construct(p, "B")) == construction_size(p, "B")
 
     def test_parity_enforced(self):
         with pytest.raises(PreconditionError):
-            construct_layers(Params(n=5, t=2, k=1))
+            construct(Params(n=5, t=2, k=1), "layers")
         with pytest.raises(PreconditionError):
-            construct_A(Params(n=6, t=2, k=1))
+            construct(Params(n=6, t=2, k=1), "A")
 
     def test_bands_past_n(self):
         # the top layers of these bands lie above n and hold no set
         p = Params(n=8, t=2, k=5)
-        fam = construct_layers(p)
-        assert len(fam) == size_layers(p) == 93
+        fam = construct(p, "layers")
+        assert len(fam) == construction_size(p, "layers") == 93
         assert is_t_intersecting(fam, 2) and is_k_sperner(fam, 5)
         p = Params(n=7, t=2, k=5)
-        for fam, size in ((construct_A(p), size_A(p)), (construct_B(p), size_B(p))):
+        for fam, size in ((construct(p, "A"), construction_size(p, "A")),
+                          (construct(p, "B"), construction_size(p, "B"))):
             assert len(fam) == size
             assert is_t_intersecting(fam, 2) and is_k_sperner(fam, 5)
 
@@ -520,7 +517,77 @@ class TestConstructions:
                     continue
                 for k in range(1, 6):
                     p = Params(n=n, t=t, k=k)
-                    assert size_B(p) == size_B_closed_form(p)
+                    assert construction_size(p, "B") == size_B_closed_form(p)
+
+    def test_match_the_definitions(self):
+        # the paper's families as filters over every subset F of [n], with
+        # h = (n+t)/2 for n + t even and s = (n+t-1)/2 for n + t odd:
+        #   layers: h <= |F| <= h + k - 1;
+        #   A: |F| = s and n not in F, or s < |F| < s + k;
+        #   B: |F| = s and {1..t} in F, or s < |F| < s + k,
+        #      or |F| = s + k and {1..t} not in F
+        for n in range(1, 9):
+            for t in range(1, n + 1):
+                h, s = (n + t) // 2, (n + t - 1) // 2
+                core = set(range(1, t + 1))
+                for k in range(1, 5):
+                    p = Params(n=n, t=t, k=k)
+                    defs = {
+                        "layers": lambda F: h <= len(F) <= h + k - 1,
+                        "A": lambda F: len(F) == s and n not in F or s < len(F) < s + k,
+                        "B": lambda F: (len(F) == s and core <= F or s < len(F) < s + k
+                                        or len(F) == s + k and not core <= F),
+                    }
+                    for which, member in defs.items():
+                        if ((n + t) % 2 == 0) != (which == "layers"):
+                            with pytest.raises(PreconditionError):
+                                construct(p, which)
+                            with pytest.raises(PreconditionError):
+                                construction_size(p, which)
+                            continue
+                        want = [x for x in range(1 << n)
+                                if member({i + 1 for i in range(n) if x >> i & 1})]
+                        assert construct(p, which) == Family(n, want), (n, t, k, which)
+                        assert construction_size(p, which) == len(want), (n, t, k, which)
+
+    def test_sizes_pinned(self):
+        # measured with size_layers, size_A and size_B, the per-construction
+        # counters that construction_size replaced; a refusal is "refused"
+        cells = [(n, t, k) for n in range(1, 401) for t in sorted({1, 2, 3, 7, n}) if t <= n
+                 for k in (1, 2, 3, 5)]
+        cells += [(10_000, 1, 1), (10_000, 3, 4), (9_999, 2, 3), (10_000, 10_000, 2),
+                  (9_999, 9_998, 5)]
+        lines = []
+        for n, t, k in cells:
+            for which in ("layers", "A", "B"):
+                try:
+                    value = construction_size(Params(n, t, k), which)
+                except PreconditionError:
+                    value = "refused"
+                lines.append(f"{n} {t} {k} {which} {value}")
+        assert len(lines) == 23859
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "c7adead33877d29121985fb7c0d063a6c4a2637f6a274c4b59fa4a71baf98525")
+
+    def test_refusals(self):
+        for which in ("C", "a", ""):
+            with pytest.raises(PreconditionError, match="unknown construction"):
+                construct(Params(5, 1, 2), which)
+            with pytest.raises(PreconditionError, match="unknown construction"):
+                construction_size(Params(5, 1, 2), which)
+        for which in ("A", "B"):
+            with pytest.raises(PreconditionError) as exc:
+                construct(Params(6, 2, 1), which)
+            assert str(exc.value) == f"construction {which} needs n + t odd"
+
+    def test_refuses_n_above_enumeration_before_drawing_a_mask(self, monkeypatch):
+        def no_masks(*args, **kwargs):
+            raise AssertionError("a mask was drawn")
+            yield
+        monkeypatch.setattr(search, "_layer_masks", no_masks)
+        with pytest.raises(PreconditionError, match="needs n <= 24"):
+            construct(Params(25, 2, 2), "A")
+        assert main(["construct", "--which", "B", "--n", "26", "--t", "1", "--k", "2"]) == 2
 
 
 class TestGFunction:
