@@ -53,9 +53,8 @@ print(f"g(5,2,2) = {res.value} attained by {res.witness.to_sets()}"
 
 print()
 print("=== the closed-form bound table ===")
-rep = bounds_table(Params(n=7, t=2, k=2))
-for name, e in sorted(rep.entries.items()):
-    mark = f"{e.value}" if e.applicable else f"n/a ({e.note})"
+for name, e in sorted(bounds_table(Params(n=7, t=2, k=2)).items()):
+    mark = f"n/a ({e.note})" if e.value is None else f"{e.value}"
     print(f"  {name:24s} {mark}")
 
 print()

@@ -29,6 +29,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from .families import (
+    MAX_ENUM_N,
     Family,
     InvariantViolation,
     Params,
@@ -176,8 +177,6 @@ def cmd_compress(args) -> int:
 
 def cmd_cycle_audit(args) -> int:
     p = Params(n=args.n, t=args.t, k=args.k)
-    if not p.even_case:
-        raise PreconditionError("cycle audit requires n + t even")
     rng = random.Random(args.seed)
     # the largest half-width whose band top stays below n
     mmax = min(p.k - 1, args.n - 1 - p.band(0)[1])
@@ -307,10 +306,9 @@ def cmd_construct(args) -> int:
 
 def cmd_bounds(args) -> int:
     p = Params(n=args.n, t=args.t, k=args.k)
-    rep = bounds_table(p)
-    doc = {"n": p.n, "t": p.t, "k": p.k,
-           "bounds": {name: {"value": e.value, "applicable": e.applicable, "note": e.note}
-                      for name, e in sorted(rep.entries.items())}}
+    doc = {"n": p.n, "t": p.t, "k": p.k, "bounds": {
+        name: {"value": e.value, "applicable": e.value is not None, "note": e.note}
+        for name, e in sorted(bounds_table(p).items())}}
     _emit(_dump(doc), args.out)
     return 0
 
@@ -319,6 +317,8 @@ def cmd_bounds(args) -> int:
 
 def _scan_records(args):
     """The desk-scale regression matrix, one record per check instance."""
+    if args.n_max > MAX_ENUM_N:
+        raise PreconditionError(f"scan searches each n <= --n-max: needs --n-max <= {MAX_ENUM_N}")
     rng = random.Random(args.seed)
     records = []
     witness_base = (args.out or "scan") + ".witness"
@@ -412,14 +412,14 @@ def _scan_records(args):
     # read them at t = 1
     for n in range(2, min(args.n_max, 5) + 1):
         oracle_rec("classical_sperner", {"n": n}, max_family_size(n, 0, 1),
-                   bounds_table(Params(n=n, t=1, k=1)).entries["sperner"].value)
+                   bounds_table(Params(n=n, t=1, k=1))["sperner"].value)
         oracle_rec("classical_k_layers", {"n": n, "k": 2}, max_family_size(n, 0, 2),
-                   bounds_table(Params(n=n, t=1, k=2)).entries["erdos_k_layers"].value)
+                   bounds_table(Params(n=n, t=1, k=2))["erdos_k_layers"].value)
         for t in range(1, n + 1):
             oracle_rec("classical_milner", {"n": n, "t": t}, max_family_size(n, t, 1),
-                       bounds_table(Params(n=n, t=t, k=1)).entries["milner"].value)
+                       bounds_table(Params(n=n, t=t, k=1))["milner"].value)
     for n in (4, 5):
-        expected = bounds_table(Params(n=n, t=1, k=2)).entries["frankl_intersecting"].value
+        expected = bounds_table(Params(n=n, t=1, k=2))["frankl_intersecting"].value
         oracle_rec("classical_intersecting_k_sperner", {"n": n, "k": 2},
                    max_family_size(n, 1, 2, use_compression=True), expected)
     # the two shadow/shade expansion facts the compression passes lean on

@@ -17,7 +17,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 
-from .families import InvariantViolation, PreconditionError, binomial
+from .families import InvariantViolation, Params, PreconditionError, binomial
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,6 +37,9 @@ class CoeffVector:
     def __post_init__(self):
         if (self.n + self.t) % 2:
             raise PreconditionError("coefficient vectors require n + t even")
+        Params(self.n, self.t, self.k)  # refuses n, t or k out of range
+        if self.m < 0:
+            raise PreconditionError(f"need m >= 0, got m={self.m}")
         if self.stage not in ("g", "gprime", "gdoubleprime"):
             raise PreconditionError(f"unknown stage {self.stage!r}")
         if any(v < 0 for v in self.values):

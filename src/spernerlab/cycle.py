@@ -231,6 +231,20 @@ def _band(G: IntervalFamily, params: Params) -> tuple[int, int, int]:
     return (m, *params.band(m))
 
 
+def interval_band(params: Params, m: int) -> tuple[int, int]:
+    """params.band(m), the band an interval family of half-width m is built
+    in.  Refuses n + t odd, m outside [0, k-1] and a band that does not fit
+    inside [1, n-1], the lengths an interval can have."""
+    if not params.even_case:
+        raise PreconditionError("the cycle checks need n + t even")
+    if not 0 <= m <= params.k - 1:
+        raise PreconditionError(f"band half-width {m} outside [0, k-1={params.k - 1}]")
+    lo, hi = params.band(m)
+    if not 1 <= lo <= hi <= params.n - 1:
+        raise PreconditionError(f"band [{lo}, {hi}] does not fit inside [1, {params.n - 1}]")
+    return lo, hi
+
+
 def fill_full(G: IntervalFamily, params: Params) -> IntervalFamily:
     """Extend to a full consecutive family (exactly k intervals per chain)
     without decreasing weight.
@@ -241,17 +255,13 @@ def fill_full(G: IntervalFamily, params: Params) -> IntervalFamily:
     The band is two-sided here: m also grows until it holds the longest
     member.  Chains never interact, so each one is filled on its own.
     """
-    m, lo, top = _band(G, params)
+    m, _, top = _band(G, params)
     n, k = G.n, params.k
     if not is_sigma_ks_ti(G, params):
         raise PreconditionError("fill_full input is not sigma-k-Sperner t-intersecting")
     if G.members and G.members[-1].length > top:
         m += G.members[-1].length - top
-        lo, top = params.band(m)
-    if m > k - 1:
-        raise PreconditionError(f"band half-width {m} exceeds k-1={k - 1}")
-    if not 1 <= lo <= top <= n - 1:
-        raise PreconditionError("band does not fit inside [1, n-1]")
+    top = interval_band(params, m)[1]
     patch = params.half_up + m
     chains = G.chains
     members = []

@@ -84,8 +84,8 @@ class Params:
             raise PreconditionError(f"need 1 <= n <= {MAX_FORMULA_N}, got {self.n}")
         if not 1 <= self.t <= self.n:
             raise PreconditionError(f"need 1 <= t <= n, got t={self.t}, n={self.n}")
-        if self.k < 1:
-            raise PreconditionError(f"need k >= 1, got k={self.k}")
+        if not 1 <= self.k <= MAX_FORMULA_N + 1:  # no chain over [n] has more than n + 1 sets
+            raise PreconditionError(f"need 1 <= k <= {MAX_FORMULA_N + 1}, got k={self.k}")
 
     @property
     def even_case(self) -> bool:
@@ -315,6 +315,17 @@ def is_k_sperner(fam: Family, k: int) -> bool:
     return longest_chain(fam) <= k
 
 
+def layer_masks(n: int, size: int, required: int = 0, forbidden: int = 0):
+    """The size-subsets of [n] that contain `required` and avoid
+    `forbidden`, as masks in combination order; none when size is below
+    |required| or above n."""
+    free = [1 << i for i in range(n) if not (required | forbidden) >> i & 1]
+    want = size - required.bit_count()
+    if want >= 0:  # combinations() refuses a negative length
+        for comb in itertools.combinations(free, want):
+            yield required + sum(comb)
+
+
 def shadow(fam: Family, level: int) -> Family:
     """All level-subsets of members of size >= level.
 
@@ -339,12 +350,11 @@ def shadow(fam: Family, level: int) -> Family:
 
 
 def shade(fam: Family, level: int) -> Family:
-    """All level-supersets (within [n]) of members of size <= level: the
-    complements of the (n - level)-shadow of the complements."""
+    """All level-supersets (within [n]) of members of size <= level."""
     n = fam.n
     if not 0 <= level <= n:
         raise PreconditionError(f"shade level must lie in [0, {n}]")
-    return complement_family(shadow(complement_family(fam), n - level))
+    return Family(n, {x for m in fam.members for x in layer_masks(n, level, required=m)})
 
 
 def complement_family(fam: Family) -> Family:

@@ -16,6 +16,7 @@ from .cycle import (
     Interval,
     IntervalFamily,
     arc_mask,
+    interval_band,
     is_full_consecutive,
     is_sigma_ks_ti,
 )
@@ -113,14 +114,8 @@ def random_full_consecutive(rng: random.Random, n: int, t: int, k: int, m: int) 
     raised until all chain minima pairwise share at least t positions.  The
     runs [bottom, bottom+k-1] then form the family.
     """
-    if (n + t) % 2:
-        raise PreconditionError("full consecutive generator needs n + t even")
-    if not 0 <= m <= k - 1:
-        raise PreconditionError("need 0 <= m <= k-1")
     params = Params(n=n, t=t, k=k)
-    lo, hi = params.band(m)
-    if lo < 1 or hi > n - 1:
-        raise PreconditionError("band does not fit inside [1, n-1]")
+    lo, hi = interval_band(params, m)
     high = hi - (k - 1)  # the highest bottom whose run stays in the band
     pinned = rng.randrange(n)
     bottoms = [rng.randint(lo, high) for _ in range(n)]
@@ -160,11 +155,7 @@ def random_full_consecutive(rng: random.Random, n: int, t: int, k: int, m: int) 
 def random_sigma_ksti(rng: random.Random, n: int, t: int, k: int, m: int) -> IntervalFamily:
     """A (generally non-consecutive, non-full) sigma-k-Sperner
     t-intersecting family with member sizes inside the band."""
-    if (n + t) % 2:
-        raise PreconditionError("band sampling needs n + t even")
-    lo, hi = Params(n=n, t=t, k=k).band(m)
-    if lo < 1 or hi > n - 1:
-        raise PreconditionError("band does not fit inside [1, n-1]")
+    lo, hi = interval_band(Params(n=n, t=t, k=k), m)
     target = rng.randint(1, k * n // 2)
     members: list[Interval] = []
     arcs: list[int] = []  # members' position masks

@@ -67,12 +67,14 @@ from dataclasses import dataclass
 
 from .families import (
     MAX_ENUM_N,
+    MAX_FORMULA_N,
     Family,
     InvariantViolation,
     Params,
     PreconditionError,
     binomial,
     is_t_intersecting,
+    layer_masks,
     longest_chain,
     shade,
 )
@@ -202,7 +204,7 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
     bit_count, and_ = int.bit_count, operator.and_
     for s, hi in branches:
         chosen0 = (1 << s) - 1
-        masks = [m for size in range(s, hi + 1) for m in _layer_masks(n, size)
+        masks = [m for size in range(s, hi + 1) for m in layer_masks(n, size)
                  if m != chosen0 and (not t or (m & chosen0).bit_count() >= t)]
         masks.sort(key=lambda m: (-math.comb(n, m.bit_count()), m.bit_count(), m))
         # with k = 1 no member may contain the pinned minimum member
@@ -322,17 +324,6 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
     return best, witness, True, nodes
 
 
-def _layer_masks(n, size, required=0, forbidden=0):
-    """The size-subsets of [n] that contain `required` and avoid
-    `forbidden`, as masks in combination order; none when size is below
-    |required| or above n."""
-    free = [1 << i for i in range(n) if not (required | forbidden) >> i & 1]
-    want = size - required.bit_count()
-    if want >= 0:  # combinations() refuses a negative length
-        for comb in itertools.combinations(free, want):
-            yield required + sum(comb)
-
-
 CONSTRUCTIONS = ("layers", "A", "B")
 
 
@@ -364,7 +355,7 @@ def construct(params: Params, which: str) -> Family:
         raise PreconditionError(f"a construction enumerates subsets: needs n <= {MAX_ENUM_N}")
     members = set()
     for size, required, forbidden, sign in pieces:
-        masks = _layer_masks(n, size, required, forbidden)
+        masks = layer_masks(n, size, required, forbidden)
         if sign > 0:
             members.update(masks)
         else:
@@ -396,7 +387,7 @@ def _construction_seeds(n, t, k):
     if not t:
         # no intersection constraint: the k largest layers
         sizes = sorted(range(n + 1), key=lambda i: (-math.comb(n, i), i))[:k]
-        return [tuple(m for size in sizes for m in _layer_masks(n, size))]
+        return [tuple(m for size in sizes for m in layer_masks(n, size))]
     seeds = []
     for which in CONSTRUCTIONS:
         try:
@@ -419,8 +410,8 @@ def max_family_size(n: int, t: int, k: int, *, layer_window=None,
         budget = Budget()
     if n > MAX_ENUM_N:
         raise PreconditionError(f"exhaustive search enumerates subsets: needs n <= {MAX_ENUM_N}")
-    if n < 1 or t < 0 or k < 1:
-        raise PreconditionError("engine needs n >= 1, t >= 0, k >= 1")
+    if n < 1 or t < 0 or not 1 <= k <= MAX_FORMULA_N + 1:
+        raise PreconditionError(f"engine needs n >= 1, t >= 0, 1 <= k <= {MAX_FORMULA_N + 1}")
     notes = []
     if layer_window is not None:
         lo, hi = layer_window
@@ -485,15 +476,10 @@ def g_function(params: Params, budget: Budget | None = None) -> GFunctionResult:
             f"the g-function search enumerates a layer: needs n <= {MAX_ENUM_N}")
     base = params.band(0)[0] - 1
     top = base + k
-    layer = list(_layer_masks(n, base))
+    layer = list(layer_masks(n, base))
     layer.sort()
-    top_index = {m: i for i, m in enumerate(_layer_masks(n, top))}
-    shades = []
-    for m in layer:
-        sh = 0
-        for sm in _layer_masks(n, top, required=m):
-            sh |= 1 << top_index[sm]
-        shades.append(sh)
+    top_index = {m: i for i, m in enumerate(layer_masks(n, top))}
+    shades = [sum(1 << top_index[sm] for sm in layer_masks(n, top, required=m)) for m in layer]
     classes = _count_classes(layer, n)
     tconf = _relations(classes, layer, n, t)[0]
     ids = range(len(layer))
@@ -553,29 +539,21 @@ def g_function(params: Params, budget: Budget | None = None) -> GFunctionResult:
 
 @dataclass(frozen=True, slots=True)
 class BoundEntry:
+    """A bound's value, None where it does not apply to (n, t, k)."""
+
     value: int | None
-    applicable: bool
     note: str
 
 
-@dataclass(frozen=True, slots=True)
-class BoundReport:
-    n: int
-    t: int
-    k: int
-    entries: dict[str, BoundEntry]
-
-
-def bounds_table(params: Params) -> BoundReport:
+def bounds_table(params: Params) -> dict[str, BoundEntry]:
     """Exact values of every named classical bound and construction size
-    for (n, t, k), with parity applicability flags."""
+    for (n, t, k), by name."""
     n, t, k = params.n, params.t, params.k
     e = {}
-    e["sperner"] = BoundEntry(binomial(n, n // 2), True, "maximum antichain")
+    e["sperner"] = BoundEntry(binomial(n, n // 2), "maximum antichain")
     largest = sorted((binomial(n, i) for i in range(n + 1)), reverse=True)[:k]
-    e["erdos_k_layers"] = BoundEntry(sum(largest), True, "maximum k-Sperner family")
-    e["milner"] = BoundEntry(binomial(n, (n + t + 1) // 2), True,
-                             "maximum t-intersecting antichain")
+    e["erdos_k_layers"] = BoundEntry(sum(largest), "maximum k-Sperner family")
+    e["milner"] = BoundEntry(binomial(n, (n + t + 1) // 2), "maximum t-intersecting antichain")
     if t == 1:
         if n % 2:
             v = sum(binomial(n, i) for i in range((n + 1) // 2, (n + 1) // 2 + k))
@@ -585,20 +563,19 @@ def bounds_table(params: Params) -> BoundReport:
                  + sum(binomial(n, i) for i in range(n // 2 + 1, n // 2 + k))
                  + binomial(n - 1, n // 2 + k))
             note = "intersecting k-Sperner, even n"
-        e["frankl_intersecting"] = BoundEntry(v, True, note)
+        e["frankl_intersecting"] = BoundEntry(v, note)
     else:
-        e["frankl_intersecting"] = BoundEntry(None, False, "requires t = 1")
+        e["frankl_intersecting"] = BoundEntry(None, "requires t = 1")
     if params.even_case:
-        e["even_case_k_layers"] = BoundEntry(construction_size(params, "layers"), True,
+        e["even_case_k_layers"] = BoundEntry(construction_size(params, "layers"),
                                              "k middle layers from (n+t)/2")
-        e["odd_A_size"] = BoundEntry(None, False, "requires n + t odd")
-        e["odd_B_size"] = BoundEntry(None, False, "requires n + t odd")
-        e["odd_B_closed_form"] = BoundEntry(None, False, "requires n + t odd")
+        e["odd_A_size"] = BoundEntry(None, "requires n + t odd")
+        e["odd_B_size"] = BoundEntry(None, "requires n + t odd")
+        e["odd_B_closed_form"] = BoundEntry(None, "requires n + t odd")
     else:
-        e["even_case_k_layers"] = BoundEntry(None, False, "requires n + t even")
-        e["odd_A_size"] = BoundEntry(construction_size(params, "A"), True, "construction A")
-        e["odd_B_size"] = BoundEntry(construction_size(params, "B"), True,
-                                     "construction B, piecewise")
-        e["odd_B_closed_form"] = BoundEntry(size_B_closed_form(params), True,
+        e["even_case_k_layers"] = BoundEntry(None, "requires n + t even")
+        e["odd_A_size"] = BoundEntry(construction_size(params, "A"), "construction A")
+        e["odd_B_size"] = BoundEntry(construction_size(params, "B"), "construction B, piecewise")
+        e["odd_B_closed_form"] = BoundEntry(size_B_closed_form(params),
                                             "construction B, closed form")
-    return BoundReport(n=n, t=t, k=k, entries=e)
+    return e

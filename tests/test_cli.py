@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spernerlab
+from spernerlab import cli, search
 from spernerlab.cli import _dump, main
 from spernerlab.families import Family, is_t_intersecting, longest_chain
 from spernerlab.generators import random_full_consecutive, random_sigma_ksti
@@ -169,6 +170,42 @@ class TestConstructAndBounds:
         assert doc["bounds"]["sperner"]["value"] == 20
         assert doc["bounds"]["frankl_intersecting"]["value"] == 26
 
+    def test_bounds_bytes_pinned(self, capsys):
+        # every cell with n <= 12 and k <= 3; an entry applies exactly when
+        # it has a value
+        digest = hashlib.sha256()
+        for n in range(1, 13):
+            for t in range(1, n + 1):
+                for k in range(1, 4):
+                    assert main(["bounds", "--n", str(n), "--t", str(t), "--k", str(k)]) == 0
+                    out = capsys.readouterr().out
+                    digest.update(out.encode())
+                    for entry in json.loads(out)["bounds"].values():
+                        assert entry["applicable"] == (entry["value"] is not None)
+        assert digest.hexdigest() == (
+            "8802b9ac23d1d9d04556cc5439c4d4fd95a604a5f1889db491f172640442e152")
+
+    @pytest.mark.parametrize("argv", [
+        "bounds --n 10 --t 2 --k 100000000",
+        "construct --which layers --n 10 --t 2 --k 100000000",
+        "search --n 5 --t 1 --k 100000000",
+        "scan --n-max 25 --trials 1",
+    ])
+    def test_sizes_no_run_can_finish_are_refused_first(self, argv, monkeypatch, capsys):
+        # no chain is longer than MAX_FORMULA_N + 1 sets, and scan searches
+        # every n up to --n-max; the search command's own refusal sits at
+        # the top of max_family_size, ahead of its seeds and its engine
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the refusal")
+        targets = [(cli, "bounds_table"), (cli, "construct"),
+                   (search, "_construction_seeds"), (search, "_max_family_engine")]
+        if not argv.startswith("search"):
+            targets.append((cli, "max_family_size"))
+        for module, name in targets:
+            monkeypatch.setattr(module, name, no_work)
+        assert main(argv.split()) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestFamilyDocuments:
     def test_construct_and_compress_output_read_like_the_bare_family(self, tmp_path):
@@ -321,6 +358,21 @@ class TestAudits:
         assert doc["profiles"][1]["verdict"] == "skipped-precondition"
         assert doc["profiles"][2]["verdict"] == "skipped-precondition"
         assert doc["profiles"][3]["verdict"] == "holds"
+
+    def test_coeff_audit_skips_profiles_params_refuse(self, tmp_path, capsys):
+        # m < 0, and (n, t, k) outside what Params accepts: each used to
+        # crash, get "holds" on nothing, or run for minutes
+        profiles = [{"n": 12, "t": 2, "k": 2, "m": -1, "counts": []},
+                    {"n": 12, "t": 2, "k": 0, "m": 1, "counts": [1, 1]},
+                    {"n": 12, "t": 0, "k": 2, "m": 0, "counts": [1, 1]},
+                    {"n": 12, "t": -4, "k": 2, "m": 0, "counts": [1, 1]},
+                    {"n": 4, "t": 6, "k": 2, "m": 0, "counts": [1, 1]},
+                    {"n": 2_000_000, "t": 2, "k": 2, "m": 0, "counts": [1, 1]}]
+        profs = tmp_path / "p.json"
+        profs.write_text(json.dumps(profiles))
+        assert main(["coeff-audit", str(profs)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [p["verdict"] for p in doc["profiles"]] == ["skipped-precondition"] * 6
 
     def test_coeff_audit_prefix_violation(self, tmp_path, capsys):
         # 13 intervals of size (n+t)/2 on a cycle of 12 pass the cap 12

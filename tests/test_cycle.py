@@ -27,6 +27,7 @@ from spernerlab.cycle import (
     fill_full,
     g_profile,
     identity_perm,
+    interval_band,
     interval_mask,
     interval_weight,
     is_consecutive,
@@ -779,6 +780,41 @@ def test_checks_refuse_params_on_another_n_or_odd_parity(check, params, message)
     assert check_instance(G, Params(n=12, t=2, k=2))["ok"]
     with pytest.raises(PreconditionError, match=message):
         check(G, params)
+
+
+# (params, m, a family that fill_full widens to half-width m or None,
+# message).  fill_full reads m off the family's shortest and longest
+# members, so it never asks for m = -1 nor, within m <= k - 1, for a band
+# bottom below 1.
+BAND_REFUSALS = [
+    pytest.param(Params(13, 2, 2), 0, IntervalFamily(13, [Interval(7, 0)]),
+                 "the cycle checks need n \\+ t even", id="odd_parity"),
+    pytest.param(Params(12, 2, 2), -1, None, "half-width -1 outside \\[0, k-1=1\\]",
+                 id="m_below_0"),
+    pytest.param(Params(12, 2, 2), 2, IntervalFamily(12, [Interval(5, 0)]),
+                 "half-width 2 outside \\[0, k-1=1\\]", id="m_equals_k"),
+    pytest.param(Params(12, 2, 5), 1, IntervalFamily(12, [Interval(6, 0)]),
+                 "band \\[6, 12\\] does not fit inside \\[1, 11\\]", id="top_above_n_minus_1"),
+    pytest.param(Params(4, 2, 5), 3, None, "band \\[0, 10\\] does not fit inside \\[1, 3\\]",
+                 id="bottom_below_1"),
+]
+
+
+@pytest.mark.parametrize("params,m,family,message", BAND_REFUSALS)
+def test_interval_band_refusals(params, m, family, message):
+    # one gate, one message, for both generators and fill_full; the
+    # generators refuse before their first draw
+    with pytest.raises(PreconditionError, match=message):
+        interval_band(params, m)
+    for gen in (random_full_consecutive, random_sigma_ksti):
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(PreconditionError, match=message):
+            gen(rng, params.n, params.t, params.k, m)
+        assert rng.getstate() == state
+    if family is not None:
+        with pytest.raises(PreconditionError, match=message):
+            fill_full(family, params)
 
 
 @settings(derandomize=True, deadline=None)

@@ -19,6 +19,7 @@ from spernerlab.families import (
     binomial,
     is_k_sperner,
     is_t_intersecting,
+    layer_masks,
     shade,
 )
 from spernerlab.search import (
@@ -185,7 +186,7 @@ def test_relations_match_pairwise(case):
     # or one layer of size >= t in g_function
     n, t, a, b, k, plan, rng = case
     if plan == "layer":
-        masks = list(search._layer_masks(n, max(a, t))) if max(a, t) <= n else []
+        masks = list(layer_masks(n, max(a, t))) if max(a, t) <= n else []
     else:
         if plan == "banded":
             mid_up = (n + t + 1) // 2
@@ -194,7 +195,7 @@ def test_relations_match_pairwise(case):
         else:
             s, hi = min(a, b), max(a, b)
         chosen0 = (1 << s) - 1
-        masks = [m for size in range(s, hi + 1) for m in search._layer_masks(n, size)
+        masks = [m for size in range(s, hi + 1) for m in layer_masks(n, size)
                  if m != chosen0 and (m & chosen0).bit_count() >= t]
     masks = rng.sample(masks, rng.randint(0, len(masks)))
     got = search._relations(search._count_classes(masks, n), masks, n, t)
@@ -364,8 +365,7 @@ class TestOracleSmall:
     def test_matches_intersecting_k_sperner_theorem(self):
         # the t=1 maxima have known closed forms for both parities of n
         for (n, k) in [(5, 2), (6, 2), (6, 3), (5, 3)]:
-            expected = bounds_table(Params(n=n, t=1, k=k)).entries[
-                "frankl_intersecting"].value
+            expected = bounds_table(Params(n=n, t=1, k=k))["frankl_intersecting"].value
             banded = max_family_size(n, 1, k, use_compression=True)
             assert banded.proven_optimal and banded.best_size == expected, (n, k)
             if n <= 5:
@@ -450,7 +450,7 @@ class TestLayerMasks:
                 fits = [m for m in order
                         if m & required == required and not m & forbidden]
                 for size in range(n + 3):
-                    assert list(search._layer_masks(n, size, required, forbidden)) == [
+                    assert list(layer_masks(n, size, required, forbidden)) == [
                         m for m in fits if m.bit_count() == size], (n, size, required, forbidden)
 
 
@@ -584,7 +584,7 @@ class TestConstructions:
         def no_masks(*args, **kwargs):
             raise AssertionError("a mask was drawn")
             yield
-        monkeypatch.setattr(search, "_layer_masks", no_masks)
+        monkeypatch.setattr(search, "layer_masks", no_masks)
         with pytest.raises(PreconditionError, match="needs n <= 24"):
             construct(Params(25, 2, 2), "A")
         assert main(["construct", "--which", "B", "--n", "26", "--t", "1", "--k", "2"]) == 2
@@ -662,30 +662,30 @@ class TestGFunction:
 class TestBoundsTable:
     def test_sperner_n4(self):
         rep = bounds_table(Params(n=4, t=1, k=1))
-        assert rep.entries["sperner"].value == 6
+        assert rep["sperner"].value == 6
 
     def test_milner_n5_t1(self):
         rep = bounds_table(Params(n=5, t=1, k=1))
-        assert rep.entries["milner"].value == binomial(5, 3) == 10
+        assert rep["milner"].value == binomial(5, 3) == 10
 
     def test_frankl_even_n6_k2(self):
         rep = bounds_table(Params(n=6, t=1, k=2))
-        assert rep.entries["frankl_intersecting"].value == (
+        assert rep["frankl_intersecting"].value == (
             binomial(5, 2) + binomial(6, 4) + binomial(5, 5))
 
     def test_frankl_odd_n7_k2(self):
         rep = bounds_table(Params(n=7, t=1, k=2))
-        assert rep.entries["frankl_intersecting"].value == binomial(7, 4) + binomial(7, 5)
+        assert rep["frankl_intersecting"].value == binomial(7, 4) + binomial(7, 5)
 
     def test_parity_flags(self):
         rep = bounds_table(Params(n=6, t=2, k=2))
-        assert rep.entries["even_case_k_layers"].applicable
-        assert not rep.entries["odd_B_size"].applicable
+        assert rep["even_case_k_layers"].value is not None
+        assert rep["odd_B_size"].value is None
         rep = bounds_table(Params(n=5, t=2, k=2))
-        assert not rep.entries["even_case_k_layers"].applicable
-        assert rep.entries["odd_A_size"].value == 9
-        assert rep.entries["odd_B_size"].value == 8
+        assert rep["even_case_k_layers"].value is None
+        assert rep["odd_A_size"].value == 9
+        assert rep["odd_B_size"].value == 8
 
     def test_erdos_is_k_middle_layers(self):
         rep = bounds_table(Params(n=6, t=1, k=2))
-        assert rep.entries["erdos_k_layers"].value == binomial(6, 3) + binomial(6, 2)
+        assert rep["erdos_k_layers"].value == binomial(6, 3) + binomial(6, 2)
