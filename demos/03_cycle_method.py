@@ -13,6 +13,7 @@ from spernerlab.cycle import (
     bar_complement,
     check_complement_closure,
     check_count_inequalities,
+    check_instance,
     check_weight_bound,
     fill_full,
     g_profile,
@@ -64,11 +65,11 @@ p = Params(n=20, t=2, k=3)
 G = random_full_consecutive(rng, 20, 2, 3, m=2)
 prof = g_profile(G, p)
 print("size-class profile (classes -m..k+m-1):", prof.values, " total", prof.total())
-chk = check_count_inequalities(G, p)
-for r in chk.records:
+for r in check_count_inequalities(G, p):
     print(f"  inequality ({r.name}) at j={r.j}: {r.lhs} <= {r.rhs}  -> {r.holds}")
-print("missing-interval side families disjoint:", chk.disjoint)
-print("bar-complement closure:", check_complement_closure(G, p).holds)
+print("missing-interval side families disjoint:",
+      check_instance(G, p)["side_families_disjoint"])
+print("bar-complement closure:", not check_complement_closure(G, p))
 wb = check_weight_bound(G, p)
 print(f"weight {wb.total_weight} <= n * (sum of k middle binomials) = {wb.bound}:"
       f" {wb.holds}")

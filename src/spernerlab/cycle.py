@@ -299,17 +299,11 @@ def bar_complement(iv: Interval, n: int, t: int) -> Interval:
     return Interval(length=out_len, start=(iv.start + iv.length - t // 2) % n)
 
 
-@dataclass(frozen=True, slots=True)
-class ComplementCheck:
-    holds: bool
-    failures: tuple[str, ...]
-
-
-def check_complement_closure(G: IntervalFamily, params: Params) -> ComplementCheck:
+def check_complement_closure(G: IntervalFamily, params: Params) -> tuple[str, ...]:
     """For a full consecutive family inside the band: no proper subinterval
     of any member's bar complement is a member, and the bar complement of
-    every bottom-size member is itself a member.  Failures are bug traps
-    reported with witnesses.
+    every bottom-size member is itself a member.  Returns the failures, each
+    a bug trap with its witness; empty when the closure holds.
 
     Requires t >= 2: with t = 1 the bar complement overlaps its interval at
     one end only, and a proper subinterval keeping that end still meets the
@@ -345,7 +339,7 @@ def check_complement_closure(G: IntervalFamily, params: Params) -> ComplementChe
                 f"proper subinterval {sub} of bar complement of {iv} is a member")
         if iv.length == lo and bc.length not in chains.get(bc.start, ()):
             failures.append(f"bar complement {bc} of bottom member {iv} is missing")
-    return ComplementCheck(holds=not failures, failures=tuple(failures))
+    return tuple(failures)
 
 
 def g_profile(G: IntervalFamily, params: Params) -> CoeffVector:
@@ -372,44 +366,10 @@ class InequalityRecord:
         return self.lhs <= self.rhs
 
 
-@dataclass(frozen=True, slots=True)
-class InequalitiesCheck:
-    records: tuple[InequalityRecord, ...]
-    disjoint: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.disjoint and all(r.holds for r in self.records)
-
-
-def _side_families_meet(G: IntervalFamily, mid: int, j: int) -> bool:
-    """True iff the two side families of the missing intervals of sizes
-    mid..mid+j meet: those containing no member (they can only sit below
-    members) and those inside no member (they can only sit above).  Only
-    an empty chain can hold a meet: a missing arc of a non-empty chain
-    contains that chain's shortest member or lies inside it.  Arc a lies
-    inside arc b iff a & ~b == 0; a member lies inside an arc iff its
-    chain's shortest one does, and an arc inside a member iff inside its
-    chain's longest one."""
-    n, chains = G.n, G.chains
-    empty = [h for h in range(n) if h not in chains]
-    if not empty:
-        return False
-    lows = [arc_mask(n, run[0], h) for h, run in chains.items()]
-    highs = [arc_mask(n, run[-1], h) for h, run in chains.items()]
-    for h in empty:
-        for ell in range(mid, mid + j + 1):
-            arc = arc_mask(n, ell, h)
-            if (not any(low & ~arc == 0 for low in lows)
-                    and not any(arc & ~high == 0 for high in highs)):
-                return True
-    return False
-
-
-def check_count_inequalities(G: IntervalFamily, params: Params) -> InequalitiesCheck:
-    """Evaluate the four counting inequalities a full consecutive family
-    inside the band must satisfy, and verify the two missing-interval side
-    families are disjoint.  Any failure is a bug trap."""
+def check_count_inequalities(G: IntervalFamily, params: Params) -> tuple[InequalityRecord, ...]:
+    """The four counting inequalities a full consecutive family inside the
+    band must satisfy, one record per instance.  A record that does not
+    hold is a bug trap."""
     n, k = G.n, params.k
     if not is_full_consecutive(G, k):
         raise PreconditionError("count inequalities need a full consecutive family")
@@ -435,12 +395,7 @@ def check_count_inequalities(G: IntervalFamily, params: Params) -> InequalitiesC
         lhs = sum(g(i) for i in range(-m, k - 1 + j))
         rhs = k * n - sum(g(i) for i in range(-m, -j + 1))
         records.append(InequalityRecord("four", j, lhs, rhs))
-    # the missing-interval side families never meet at any level the
-    # counting inequalities draw on; the sizes of a level hold every lower one
-    levels = {j for j in range(0, m) if j >= k - m}
-    levels.update(k - j for j in range(1, m + 1) if j < k - m)
-    disjoint = not levels or not _side_families_meet(G, params.half_up, max(levels))
-    return InequalitiesCheck(records=tuple(records), disjoint=disjoint)
+    return tuple(records)
 
 
 @dataclass(frozen=True, slots=True)
@@ -467,13 +422,14 @@ def check_instance(G: IntervalFamily, params: Params) -> dict:
     band, as a JSON-ready record.
 
     The closure claim is out of force at t = 1 (one-sided overlap), so it
-    reads None there.  The weight bound and the rebalancing chain only
-    promise to hold above a size threshold; below it a failure is a
-    finding, not a bug, and does not clear `ok`.
+    reads None there.  The two missing-interval side families are disjoint
+    by construction, so that field is a constant.  The weight bound and the
+    rebalancing chain only promise to hold above a size threshold; below it
+    a failure is a finding, not a bug, and does not clear `ok`.
     """
     n, t, k = params.n, params.t, params.k
-    ineq = check_count_inequalities(G, params)
-    closure = check_complement_closure(G, params).holds if t >= 2 else None
+    records = check_count_inequalities(G, params)  # refuses any family not full consecutive
+    closure = not check_complement_closure(G, params) if t >= 2 else None
     wb = check_weight_bound(G, params)
     prof = g_profile(G, params)
     chain_ok = verify_chain(prof).ok
@@ -481,14 +437,17 @@ def check_instance(G: IntervalFamily, params: Params) -> dict:
     above = threshold is not None and n >= threshold
     return {
         "inequalities": [{"name": r.name, "j": r.j, "lhs": r.lhs, "rhs": r.rhs,
-                          "holds": r.holds} for r in ineq.records],
-        "side_families_disjoint": ineq.disjoint,
+                          "holds": r.holds} for r in records],
+        # a full consecutive family holds k consecutive lengths on every
+        # chain and arcs on one chain nest, so a missing arc lies inside its
+        # chain's members or around them, never in both side families
+        "side_families_disjoint": True,
         "complement_closure": closure,
         "weight_bound": {"holds": wb.holds, "weight": wb.total_weight,
                          "bound": wb.bound, "margin": wb.bound - wb.total_weight},
         "coefficient_chain": chain_ok,
         "above_chain_threshold": above,
-        "ok": (ineq.holds and closure is not False
+        "ok": (all(r.holds for r in records) and closure is not False
                and (not above or (wb.holds and chain_ok))),
     }
 

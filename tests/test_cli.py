@@ -429,8 +429,7 @@ class TestScan:
         assert a.read_bytes() == b.read_bytes()
 
     def test_unproven_oracle_is_budget_exceeded(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("spernerlab.cli.max_family_size", lambda *args, **kwargs:
-                            max_family_size(*args, **kwargs, budget=Budget(nodes=1)))
+        monkeypatch.setattr(cli, "SCAN_ORACLE_BUDGET", Budget(nodes=1))
         out = tmp_path / "s.json"
         assert main(["scan", "--seed", "7", "--n-max", "4", "--trials", "2",
                      "--out", str(out)]) == 0
@@ -438,6 +437,29 @@ class TestScan:
         unproven = [r for r in records if r["verdict"] == "budget-exceeded"]
         assert unproven
         assert all(r["margin"] is None and r["witness_path"] is None for r in unproven)
+        # the seeded incumbent already has the odd case's 9 members; unproven,
+        # it is no certificate
+        odd = [r for r in records if r["check"] == "odd_small_case"]
+        assert [(r["verdict"], r["margin"]) for r in odd] == [("budget-exceeded", None)]
+
+    def test_every_oracle_row_runs_under_the_scan_budget(self, tmp_path, monkeypatch):
+        assert cli.SCAN_ORACLE_BUDGET == Budget(nodes=100_000, seconds=float("inf"))
+        budgets = []
+
+        def recording(*args, **kwargs):
+            budgets.append(kwargs.get("budget"))
+            return max_family_size(*args, **kwargs)
+
+        monkeypatch.setattr("spernerlab.cli.max_family_size", recording)
+        out = tmp_path / "s.json"
+        assert main(["scan", "--seed", "7", "--n-max", "5", "--trials", "1",
+                     "--out", str(out)]) == 0
+        checks = {"even_case_oracle", "odd_small_case", "classical_sperner",
+                  "classical_k_layers", "classical_milner", "classical_intersecting_k_sperner"}
+        oracle = [r for r in json.loads(out.read_text())["records"] if r["check"] in checks]
+        assert {r["check"] for r in oracle} == checks
+        assert len(budgets) == len(oracle)
+        assert all(b is cli.SCAN_ORACLE_BUDGET for b in budgets)
 
     def test_violated_shade_expansion_writes_its_family(self, tmp_path, monkeypatch):
         monkeypatch.setattr("spernerlab.cli.shade_expansion_holds", lambda fam, p, i: False)

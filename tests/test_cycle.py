@@ -268,15 +268,17 @@ class TestChainsField:
 
 
 class TestMaskGeometry:
-    """The closure and side-family checks decide arc nesting on position
-    masks; the offset walks they replaced are the reference."""
+    """The closure check decides arc nesting on position masks; the offset
+    walk it replaced is the reference.  The side-family reference shows why
+    `check_instance` may write the side families' disjointness as a
+    constant."""
 
     def test_matches_offset_loops(self, monkeypatch):
         # the loose families are not full consecutive: let them past that
         # precondition so that closure failures of both kinds occur
         monkeypatch.setattr(cycle, "is_full_consecutive", lambda G, k: True)
         rng = random.Random(34)
-        closures, meets = set(), set()
+        closures = set()
         for _ in range(200):
             n = rng.choice([10, 12, 14])
             t = rng.choice([2, 4])
@@ -289,17 +291,12 @@ class TestMaskGeometry:
             except PreconditionError:
                 expected = None
             try:
-                got = check_complement_closure(G, p).failures
+                got = check_complement_closure(G, p)
             except PreconditionError:
                 got = None
             assert got == expected, (n, t, k, G.members)
             closures.add("refused" if got is None else bool(got))
-            for j in range(k):
-                h1, h2 = reference_side_families(G, (n + t) // 2, j)
-                meet = cycle._side_families_meet(G, (n + t) // 2, j)
-                assert meet == bool(h1 & h2), (n, t, k, j, G.members)
-                meets.add(meet)
-        assert closures == {"refused", True, False} and meets == {True, False}
+        assert closures == {"refused", True, False}
 
     def test_closure_failures_of_a_lowered_chain(self, monkeypatch):
         # chain 3 of the layers family lowered to lengths 5, 6: the new
@@ -320,12 +317,13 @@ class TestMaskGeometry:
             "Interval(length=6, start=8) is a member",
         )
         assert reference_closure_failures(G, p) == expected
-        assert check_complement_closure(G, p).failures == expected
+        assert check_complement_closure(G, p) == expected
 
     def test_side_families_meet_at_an_empty_chain(self):
         # a full consecutive family keeps every missing interval of a chain
         # inside its own top member or around its own bottom one; only an
-        # empty chain can hold an interval in both side families
+        # empty chain can hold an interval in both side families, and a
+        # full consecutive family has none
         G = IntervalFamily(10, [Interval(length=6 + i, start=h)
                                 for h in range(2, 8) for i in range(2)])
         h1, h2 = reference_side_families(G, 6, 1)
@@ -333,11 +331,23 @@ class TestMaskGeometry:
         assert h1 & h2 == {Interval(length=6, start=0), Interval(length=7, start=0),
                            Interval(length=6, start=1), Interval(length=6, start=9),
                            Interval(length=7, start=8), Interval(length=7, start=9)}
-        assert cycle._side_families_meet(G, 6, 1)
         full = layers_interval_family(10, 2, 2)
         assert not any(reference_side_families(full, 6, j)[0] & reference_side_families(
             full, 6, j)[1] for j in range(3))
-        assert not any(cycle._side_families_meet(full, 6, j) for j in range(3))
+        rng = random.Random(35)
+        ms = set()
+        for _ in range(120):
+            n = rng.choice([10, 12, 14])
+            t = rng.choice([2, 4])
+            k = rng.randint(1, 3)
+            m = rng.randint(0, min(k - 1, (n - t) // 2 - k))
+            G = random_full_consecutive(rng, n, t, k, m)
+            for j in range(k + m):
+                h1, h2 = reference_side_families(G, (n + t) // 2, j)
+                assert not h1 & h2, (n, t, k, m, j, G.members)
+            assert check_instance(G, Params(n=n, t=t, k=k))["side_families_disjoint"] is True
+            ms.add(m)
+        assert ms == {0, 1, 2}
 
 
 class TestSigmaPredicate:
@@ -572,7 +582,7 @@ class TestComplementClosure:
     def test_pure_layers(self):
         p = Params(n=10, t=2, k=2)
         G = layers_interval_family(10, 2, 2)
-        assert check_complement_closure(G, p).holds
+        assert check_complement_closure(G, p) == ()
 
     def test_random_instances(self):
         rng = random.Random(25)
@@ -581,7 +591,7 @@ class TestComplementClosure:
             m = rng.randint(0, k - 1)
             n = rng.choice([14, 16, 18])
             G = random_full_consecutive(rng, n, t, k, m)
-            assert check_complement_closure(G, Params(n=n, t=t, k=k)).holds
+            assert check_complement_closure(G, Params(n=n, t=t, k=k)) == ()
 
     def test_corrupted_family_detected(self, monkeypatch):
         # the broken family is no longer full consecutive: let it past the
@@ -593,8 +603,7 @@ class TestComplementClosure:
         victim = bar_complement(G.members[0], 10, 2)
         assert victim in G.members
         broken = IntervalFamily(G.n, [iv for iv in G.members if iv != victim])
-        chk = check_complement_closure(broken, p)
-        assert not chk.holds
+        assert check_complement_closure(broken, p)
 
     def test_member_inside_bar_complement_detected(self, monkeypatch):
         # a length-3 member at start 6 sits inside the bar complements of
@@ -604,9 +613,9 @@ class TestComplementClosure:
         p = Params(n=10, t=2, k=2)
         G = layers_interval_family(10, 2, 2)
         G = IntervalFamily(G.n, G.members + (Interval(length=3, start=6),))
-        chk = check_complement_closure(G, p)
+        failures = check_complement_closure(G, p)
         inside = "proper subinterval Interval(length=3, start=6) of bar complement of"
-        assert chk.failures == (
+        assert failures == (
             "proper subinterval Interval(length=6, start=8) of bar complement of "
             "Interval(length=3, start=6) is a member",
             "bar complement Interval(length=9, start=8) of bottom member "
@@ -673,8 +682,7 @@ class TestGProfile:
 class TestInequalities:
     def test_pure_layers_vacuous(self):
         p = Params(n=8, t=2, k=2)
-        chk = check_count_inequalities(layers_interval_family(8, 2, 2), p)
-        assert chk.holds and chk.records == ()
+        assert check_count_inequalities(layers_interval_family(8, 2, 2), p) == ()
 
     def test_random_instances(self):
         rng = random.Random(28)
@@ -683,8 +691,8 @@ class TestInequalities:
             m = rng.randint(0, k - 1)
             n = rng.choice([14, 16, 20])
             G = random_full_consecutive(rng, n, t, k, m)
-            chk = check_count_inequalities(G, Params(n=n, t=t, k=k))
-            assert chk.holds, [(r.name, r.j, r.lhs, r.rhs) for r in chk.records]
+            records = check_count_inequalities(G, Params(n=n, t=t, k=k))
+            assert all(r.holds for r in records), [(r.name, r.j, r.lhs, r.rhs) for r in records]
 
     def test_fabricated_violation_detected(self):
         assert not InequalityRecord("one", 0, lhs=21, rhs=20).holds
