@@ -196,7 +196,9 @@ def _close_gaps(run, n: int) -> list[int]:
 
 def make_consecutive(G: IntervalFamily, params: Params) -> IntervalFamily:
     """Close the length gaps inside every chain (see _close_gaps).  Per-chain
-    counts and both defining properties are untouched."""
+    counts and both defining properties are untouched.  Raises
+    InvariantViolation rather than return a family of lower weight or
+    another size."""
     if not is_sigma_ks_ti(G, params):
         raise PreconditionError("make_consecutive input is not sigma-k-Sperner t-intersecting")
     n = G.n
@@ -247,7 +249,8 @@ def interval_band(params: Params, m: int) -> tuple[int, int]:
 
 def fill_full(G: IntervalFamily, params: Params) -> IntervalFamily:
     """Extend to a full consecutive family (exactly k intervals per chain)
-    without decreasing weight.
+    without decreasing weight: raises InvariantViolation rather than return
+    a lighter family.
 
     Chains grow one step above their current maximum; a chain whose run is
     pinned against the band top (or is empty) instead receives the interval
@@ -450,15 +453,6 @@ def check_instance(G: IntervalFamily, params: Params) -> dict:
         "ok": (all(r.holds for r in records) and closure is not False
                and (not above or (wb.holds and chain_ok))),
     }
-
-
-def transforms_keep_weight(G: IntervalFamily, params: Params) -> bool:
-    """True iff make_consecutive and then fill_full never lower the weight
-    of the sigma-k-Sperner t-intersecting family G.  Each transform checks
-    its input and raises PreconditionError on an invalid one."""
-    cons = make_consecutive(G, params)
-    filled = fill_full(cons, params)
-    return interval_weight(G) <= interval_weight(cons) <= interval_weight(filled)
 
 
 @dataclass(frozen=True, slots=True)

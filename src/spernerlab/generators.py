@@ -99,7 +99,7 @@ def random_antichain_above_middle(rng: random.Random, n: int) -> Family:
     return Family(n, members)
 
 
-def random_inner_family(rng: random.Random, n: int, density: float = 0.35) -> Family:
+def random_inner_family(rng: random.Random, n: int, density: float) -> Family:
     """A random family avoiding the empty and the full set."""
     members = [m for m in range(1, (1 << n) - 1) if rng.random() < density]
     return Family(n, members)

@@ -13,14 +13,18 @@ from spernerlab.coefficients import (
     binom_swap,
     minimal_n0,
     rearrangement_dominance,
+    to_gdoubleprime,
+    to_gprime,
     verify_chain,
 )
 from spernerlab.compression import normalize
 from spernerlab.cycle import (
     averaging_identity,
     check_instance,
+    fill_full,
     g_profile,
-    transforms_keep_weight,
+    interval_weight,
+    make_consecutive,
 )
 from spernerlab.families import (
     Params,
@@ -182,7 +186,10 @@ def test_criterion_5_cycle_universals():
                     and chk["complement_closure"] is True):
                 violations += 1
             _harvested_profiles.append(g_profile(G, p))
-            if not transforms_keep_weight(random_sigma_ksti(rng, n, t, k, m), p):
+            loose = random_sigma_ksti(rng, n, t, k, m)
+            cons = make_consecutive(loose, p)
+            weights = [interval_weight(F) for F in (loose, cons, fill_full(cons, p))]
+            if weights != sorted(weights):
                 violations += 1
             total += 1
     report(5, violations == 0 and total == len(CELLS) * TRIALS_PER_CELL,
@@ -226,8 +233,9 @@ def test_criterion_7_coefficient_chain():
     violations = 0
     for prof in _harvested_profiles:
         rep = verify_chain(prof)
-        kn = prof.k * prof.n
-        if not (rep.ok and rep.mass_g == rep.mass_gprime == rep.mass_gdoubleprime == kn):
+        gp = to_gprime(prof)
+        masses = (prof.total(), gp.total(), to_gdoubleprime(gp).total())
+        if not (rep.ok and masses == (prof.k * prof.n,) * 3):
             violations += 1
     report(7, violations == 0,
            f"{len(_harvested_profiles)} harvested profiles pass the full chain")

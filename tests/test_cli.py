@@ -304,10 +304,11 @@ class TestAudits:
         assert len(below) == 21
         assert all(tr["coefficient_chain"] is False and tr["ok"] for tr in below)
 
-    def test_cycle_audit_records_the_loose_witness(self, tmp_path, monkeypatch):
-        # a failed weight check names the loose instance it ran on, next to
-        # the trial's full consecutive family
-        monkeypatch.setattr("spernerlab.cli.transforms_keep_weight", lambda G, p: False)
+    def test_cycle_audit_writes_the_family_of_a_failed_trial(self, tmp_path, monkeypatch):
+        # a failed trial names its full consecutive family; the transforms
+        # on the loose instance can only fail by raising, so no loose witness
+        check = cli.check_instance
+        monkeypatch.setattr(cli, "check_instance", lambda G, p: {**check(G, p), "ok": False})
         out = tmp_path / "out.json"
         assert main(["cycle-audit", "--n", "12", "--t", "2", "--k", "2", "--trials", "3",
                      "--seed", "5", "--out", str(out)]) == 1
@@ -317,10 +318,10 @@ class TestAudits:
         for trial in doc["trials"]:
             m = rng.randint(0, 1)
             G = random_full_consecutive(rng, 12, 2, 2, m)
-            loose = random_sigma_ksti(rng, 12, 2, 2, m)
-            assert trial["weight_monotone"] is False and trial["m"] == m
+            random_sigma_ksti(rng, 12, 2, 2, m)  # the loose instance's draws
+            assert trial["weight_monotone"] is True and trial["m"] == m
             assert trial["witness"]["members"] == [[iv.start, iv.length] for iv in G]
-            assert trial["loose_witness"]["members"] == [[iv.start, iv.length] for iv in loose]
+            assert "loose_witness" not in trial
 
     @pytest.mark.parametrize("trials", ["-1", "0"])
     def test_cycle_audit_bad_trials_exits_2(self, tmp_path, trials):
@@ -374,6 +375,24 @@ class TestAudits:
         doc = json.loads(capsys.readouterr().out)
         assert [p["verdict"] for p in doc["profiles"]] == ["skipped-precondition"] * 6
 
+    def test_coeff_audit_bytes_pinned(self, tmp_path):
+        # one profile that holds, one over the prefix and final bounds, one
+        # the star inequality refuses, then k = 0, m = -1, t > n, n + t odd
+        # and a count list of the wrong length
+        profiles = [{"n": 12, "t": 2, "k": 2, "m": 1, "counts": [3, 9, 9, 3]},
+                    {"n": 12, "t": 2, "k": 2, "m": 0, "counts": [25, 0]},
+                    {"n": 12, "t": 2, "k": 2, "m": 1, "counts": [24, 0, 0, 0]},
+                    {"n": 12, "t": 2, "k": 0, "m": 1, "counts": [1, 1]},
+                    {"n": 12, "t": 2, "k": 2, "m": -1, "counts": []},
+                    {"n": 4, "t": 6, "k": 2, "m": 0, "counts": [1, 1]},
+                    {"n": 13, "t": 2, "k": 2, "m": 0, "counts": [1, 1]},
+                    {"n": 12, "t": 2, "k": 2, "m": 1, "counts": [1, 1, 1]}]
+        profs, out = tmp_path / "p.json", tmp_path / "out.json"
+        profs.write_text(json.dumps(profiles))
+        assert main(["coeff-audit", str(profs), "--out", str(out)]) == 1
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "1edbda9b3fc684657e56fc58c0eb0b60e2cc783125b0a1b40a74795d114d17e0")
+
     def test_coeff_audit_prefix_violation(self, tmp_path, capsys):
         # 13 intervals of size (n+t)/2 on a cycle of 12 pass the cap 12
         profs = tmp_path / "p.json"
@@ -404,6 +423,18 @@ class TestScan:
         out = tmp_path / "scan.json"
         assert main(["scan", "--trials", "-3", "--no-cache", "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("n_max", ["-3", "0", "1"])
+    def test_n_max_below_2_exits_2(self, tmp_path, n_max, monkeypatch, capsys):
+        # the even-case and classical oracle rows start at n = 2: a lower
+        # --n-max would drop them all without a word
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the refusal")
+        monkeypatch.setattr(cli, "max_family_size", no_work)
+        out = tmp_path / "scan.json"
+        assert main(["scan", "--n-max", n_max, "--trials", "1", "--out", str(out)]) == 2
+        assert not list(tmp_path.iterdir())
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_injected_violation_exits_1(self, tmp_path):
         out = tmp_path / "s.json"

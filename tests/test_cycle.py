@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spernerlab import cycle
+from spernerlab.coefficients import verify_chain
 from spernerlab.compression import down_shift, normalize, up_compress
 from spernerlab.cycle import (
     AveragingCheck,
@@ -35,7 +36,6 @@ from spernerlab.cycle import (
     is_sigma_ks_ti,
     make_consecutive,
     restrict_to_cycle,
-    transforms_keep_weight,
 )
 from spernerlab.families import Family, Params, PreconditionError
 from spernerlab.generators import (
@@ -138,7 +138,7 @@ INVALID_INPUTS = [pytest.param(fn, *case, id=f"{fn.__name__}-{name}")
                   for fns, cases in (((up_compress, down_shift, normalize),
                                       (("not_t_intersecting", NOT_T_INTERSECTING),
                                        ("chain_too_long", CHAIN_TOO_LONG))),
-                                     ((make_consecutive, fill_full, transforms_keep_weight),
+                                     ((make_consecutive, fill_full),
                                       (("chain_over_k", CHAIN_OVER_K),
                                        ("minima_apart", MINIMA_APART))))
                   for fn in fns for name, case in cases]
@@ -835,3 +835,18 @@ def test_check_instance_ok_on_full_consecutive(t, m, data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     G = random_full_consecutive(random.Random(seed), n, t, k, m)
     assert check_instance(G, Params(n=n, t=t, k=k))["ok"]
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2), st.data())
+def test_chain_weighs_like_the_cycle_layer(t, m, data):
+    # the coefficient layer's weighted sum and final bound are the cycle
+    # layer's interval weight and weight bound, each computed on its own
+    k = data.draw(st.integers(m + 1, 3))
+    n = t + 2 * (m + k) + 2 * data.draw(st.integers(0, 8))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    G = random_full_consecutive(random.Random(seed), n, t, k, m)
+    p = Params(n=n, t=t, k=k)
+    rep, wb = verify_chain(g_profile(G, p)), check_weight_bound(G, p)
+    assert rep.weighted_g == interval_weight(G) == wb.total_weight
+    assert rep.final_bound == wb.bound

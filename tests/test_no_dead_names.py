@@ -1,14 +1,15 @@
 """Every module-level name the package defines is used somewhere, and
-every parameter default is overridden somewhere.
+every parameter default is both overridden and relied on somewhere.
 
 A name defined in src/spernerlab/*.py must occur as a whole word at least
 once outside its own definition, in src/, tests/ or demos/.  This file
 does not count, so dead API cannot hide behind it.
 
 A parameter with a default, in any function or method of the package,
-must be passed in at least one call in the same files.  Calls
-match by callee name (`__init__` by its class name); a parameter counts
-as passed by keyword, by position, or through `*` or `**`.
+must be passed in at least one call in the same files, and left out of
+at least one other.  Calls match by callee name (`__init__` by its class
+name); a parameter counts as passed by keyword, by position, or through
+`*` or `**`.
 """
 
 import ast
@@ -71,21 +72,26 @@ def test_one_import_path_per_name():
 
 
 def _calls():
-    """Per callee name: the keywords passed and the most positional
-    arguments in one call; and the callees some call spreads `*` or `**`
-    into."""
-    keywords, most, spread = collections.defaultdict(set), collections.Counter(), set()
+    """Per callee name, one (keywords, positional count, spreads `*` or
+    `**`) triple per call."""
+    calls = collections.defaultdict(list)
     for path in _files():
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            keywords[name].update(kw.arg for kw in node.keywords if kw.arg)
-            most[name] = max(most[name], len(node.args))
-            if (any(isinstance(a, ast.Starred) for a in node.args)
-                    or any(kw.arg is None for kw in node.keywords)):
-                spread.add(name)
-    return keywords, most, spread
+            spread = (any(isinstance(a, ast.Starred) for a in node.args)
+                      or any(kw.arg is None for kw in node.keywords))
+            calls[name].append(({kw.arg for kw in node.keywords if kw.arg},
+                                len(node.args), spread))
+    return calls
+
+
+def _passes(call, param, pos):
+    """Whether the call passes the parameter at position pos (None when
+    keyword-only)."""
+    keywords, nargs, spread = call
+    return spread or param in keywords or (pos is not None and nargs > pos)
 
 
 def _defaulted_params(path):
@@ -113,11 +119,20 @@ def _defaulted_params(path):
 
 
 def test_every_parameter_default_is_overridden():
-    keywords, most, spread = _calls()
-    never = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for name, lineno, param, pos in _defaulted_params(path):
-            if not (param in keywords[name] or name in spread
-                    or (pos is not None and most[name] > pos)):
-                never.append(f"{path.name}:{lineno} {name}({param}=...)")
+    calls = _calls()
+    never = [f"{path.name}:{lineno} {name}({param}=...)"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for name, lineno, param, pos in _defaulted_params(path)
+             if not any(_passes(call, param, pos) for call in calls[name])]
     assert not never, "parameter default never overridden: " + ", ".join(never)
+
+
+def test_every_parameter_default_is_relied_on():
+    # a default that every call overrides is a dead knob: the parameter
+    # should be required
+    calls = _calls()
+    always = [f"{path.name}:{lineno} {name}({param}=...)"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for name, lineno, param, pos in _defaulted_params(path)
+              if all(_passes(call, param, pos) for call in calls[name])]
+    assert not always, "parameter default never relied on: " + ", ".join(always)
