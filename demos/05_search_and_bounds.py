@@ -59,6 +59,6 @@ for name, e in sorted(bounds_table(Params(n=7, t=2, k=2)).items()):
 
 print()
 print("=== a budgeted run stays honest ===")
-res = max_family_size(7, 1, 3, use_compression=True, budget=Budget(nodes=200, seconds=5))
+res = max_family_size(9, 2, 2, use_compression=True, budget=Budget(nodes=200, seconds=5))
 print(f"tiny budget: best found {res.best_size}, proven: {res.proven_optimal}")
 print("notes:", *res.notes, sep="\n  ")

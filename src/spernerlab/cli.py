@@ -313,7 +313,8 @@ def cmd_bounds(args) -> int:
 # ------------------------------------------------------------------- scan
 
 # scan's oracle rows run under a node count alone, so that no verdict hangs
-# on the machine's speed; every even cell with n <= 8 proves in 3,111 nodes
+# on the machine's speed; with the cycle bound closing root branches, every
+# even cell with n <= 13 proves in at most 1,585 nodes, (13,1,3) the most
 SCAN_ORACLE_BUDGET = Budget(nodes=100_000, seconds=float("inf"))
 
 

@@ -10,6 +10,11 @@ AND of two n-bit position masks (`arc_mask`); no 2^n enumeration is
 involved, so the machinery works for ground sets far beyond the subset
 enumeration limit (the harnesses use n up to 40).
 
+`cycle_bound_at_most` turns Katona's averaging over the cyclic orders into
+an exact upper bound on t-intersecting k-Sperner families, by a search over
+the arcs of one cycle (`arc_weight_exceeds`); the search oracle closes root
+branches with it.
+
 The checks that take an interval family and a Params refuse a Params on
 another n, and any n + t odd: the band they weigh the family in is
 `Params.band`, centred at (n+t)/2.
@@ -20,6 +25,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -373,6 +379,12 @@ def check_count_inequalities(G: IntervalFamily, params: Params) -> tuple[Inequal
     """The four counting inequalities a full consecutive family inside the
     band must satisfy, one record per instance.  A record that does not
     hold is a bug trap."""
+    return _profile_and_inequalities(G, params)[1]
+
+
+def _profile_and_inequalities(G: IntervalFamily, params: Params):
+    """(g_profile(G, params), check_count_inequalities(G, params)), with
+    the profile built once."""
     n, k = G.n, params.k
     if not is_full_consecutive(G, k):
         raise PreconditionError("count inequalities need a full consecutive family")
@@ -398,7 +410,7 @@ def check_count_inequalities(G: IntervalFamily, params: Params) -> tuple[Inequal
         lhs = sum(g(i) for i in range(-m, k - 1 + j))
         rhs = k * n - sum(g(i) for i in range(-m, -j + 1))
         records.append(InequalityRecord("four", j, lhs, rhs))
-    return tuple(records)
+    return prof, tuple(records)
 
 
 @dataclass(frozen=True, slots=True)
@@ -431,10 +443,10 @@ def check_instance(G: IntervalFamily, params: Params) -> dict:
     a failure is a finding, not a bug, and does not clear `ok`.
     """
     n, t, k = params.n, params.t, params.k
-    records = check_count_inequalities(G, params)  # refuses any family not full consecutive
+    # refuses any family not full consecutive
+    prof, records = _profile_and_inequalities(G, params)
     closure = not check_complement_closure(G, params) if t >= 2 else None
     wb = check_weight_bound(G, params)
-    prof = g_profile(G, params)
     chain_ok = verify_chain(prof).ok
     threshold = minimal_chain_n(t, k, prof.m, 4 * n + 100)
     above = threshold is not None and n >= threshold
@@ -478,3 +490,150 @@ def averaging_identity(fam: Family) -> AveragingCheck:
               for perm in all_cyclic_perms(n))
     rhs = math.factorial(n) * len(inner)
     return AveragingCheck(holds=lhs == rhs, lhs=lhs, rhs=rhs)
+
+
+class _Heaviest(dict):
+    """Memo from a set of length ranks (bit p: the p-th heaviest length) to
+    the sum of the weights of its `most` heaviest lengths."""
+
+    def __init__(self, weights, most):
+        super().__init__()
+        self.weights, self.most = weights, most
+
+    def __missing__(self, ranks):
+        self[ranks] = total = sum(
+            [w for p, w in enumerate(self.weights) if ranks >> p & 1][:self.most])
+        return total
+
+
+def arc_weight_exceeds(n: int, t: int, k: int, lo: int, hi: int, floor: int,
+                       nodes: int = 0, node_cap: float = math.inf,
+                       deadline: float = math.inf) -> tuple[bool | None, int]:
+    """Whether some family of arcs of the n-cycle with lengths in
+    [lo, min(hi, n-1)], pairwise meeting in at least t positions and holding
+    no k + 1 nested arcs, weighs more than floor; an arc of length l weighs
+    C(n, l).
+
+    A decision search, depth-first over include/exclude, that stops at the
+    first family heavier than floor.  Arcs that share a start or an end
+    nest, so a family holds at most k of each; the k heaviest arcs left per
+    start, and likewise per end, cap the weight a node can still reach.
+    Chain heights are exact: an include raises the heights of the chosen
+    arcs above and below it along every chain through it.  At the root the
+    exclude child drops the arc's whole rotation class: a family holding a
+    rotation of the arc rotates into one that holds it, of the same weight.
+
+    Returns (answer, nodes), nodes being the count passed in plus this
+    search's nodes.  answer is None when the count passed node_cap, or the
+    clock passed deadline (read every 4,096 nodes), before the search
+    decided.
+    """
+    # with k = 0 only the empty family holds no chain of k + 1 = 1 arcs
+    lengths = sorted(range(max(lo, 1), min(hi, n - 1) + 1) if k else (),
+                     key=lambda ell: (-math.comb(n, ell), ell))
+    weights = [math.comb(n, ell) for ell in lengths]
+    m = len(lengths)
+    C = n * m
+    # Arc i = h*m + p, of length lengths[p] starting at h, is bit i of the
+    # start half and bit C + e*m + p of the end half, e its last position.
+    # Every arc set holds both bits of each of its arcs, so one start's and
+    # one end's arcs are each one m-bit block, heaviest first.
+    full = (1 << C) - 1
+
+    def rotate(x, h):
+        """x turned h positions clockwise: in each half, up by h blocks."""
+        r = h * m
+        starts, ends = x & full, x >> C
+        return (starts << r | starts >> C - r) & full | ((ends << r | ends >> C - r) & full) << C
+
+    every = [(arc_mask(n, ell, h), 1 << h * m + p | 1 << C + (h + ell - 1) % n * m + p)
+             for h in range(n) for p, ell in enumerate(lengths)]
+    own = [b for _, b in every]
+    # per arc at start 0: its t-conflicts, the arcs above it and those below
+    # it; every other arc's are a rotation of these
+    rels = [[sum(y for x, y in every if y != b and related(a, x)) for a, b in every[:m]]
+            for related in (lambda a, x: (a & x).bit_count() < t,
+                            lambda a, x: a & ~x == 0,
+                            lambda a, x: x & ~a == 0)]
+    conf, sup, sub = ([rotate(y, h) for h in range(n) for y in rel] for rel in rels)
+    rotation_class = [sum(own[p::m]) for p in range(m)]
+    block = (1 << m) - 1
+    starts, ends = range(0, C, m or 1), range(C, 2 * C, m or 1)
+    heaviest = _Heaviest(weights, k)
+
+    stack = []
+    pool, chosen, weight = (1 << 2 * C) - 1, 0, 0
+    # below[h - 1]: arcs with a chain of h chosen arcs strictly below them;
+    # above[h - 1] likewise strictly above
+    below = above = (0,) * k
+    while True:
+        nodes += 1
+        if nodes > node_cap or not nodes % 4096 and time.monotonic() > deadline:
+            return None, nodes
+        if weight > floor:
+            return True, nodes
+        live = pool | chosen
+        if (pool & full
+                and sum(heaviest[live >> o & block] for o in starts) > floor
+                and sum(heaviest[live >> o & block] for o in ends) > floor):
+            # branch on the heaviest arc left, lowest start first
+            x = next(x for x in map(pool.__and__, rotation_class) if x & full) & full
+            i = (x & -x).bit_length() - 1
+            b = own[i]
+            new = []
+            for levels, rel in ((below, sup), (above, sub)):
+                h = 0
+                while h < k and levels[h] & b:
+                    h += 1
+                # the arcs beyond i get chains of h + 1 through i, and of
+                # h + 1 + j through j chosen arcs beyond it
+                levels = [lev | rel[i] if d <= h else lev for d, lev in enumerate(levels)]
+                reach, d = rel[i], h + 1
+                while d < k and reach & chosen:
+                    step, reach = reach & chosen & full, 0
+                    while step:
+                        low = step & -step
+                        reach |= rel[low.bit_length() - 1]
+                        step ^= low
+                    levels[d] |= reach
+                    d += 1
+                new.append(tuple(levels))
+            new_below, new_above = new
+            # drop every arc that would close a chain of k + 1
+            closes = new_below[k - 1] | new_above[k - 1]
+            for d in range(k - 1):
+                closes |= new_below[d] & new_above[k - 2 - d]
+            stack.append((pool, chosen, weight, below, above, i))
+            pool &= ~(conf[i] | b | closes)
+            chosen |= b
+            weight += weights[i % m]
+            below, above = new_below, new_above
+            continue
+        if not stack:
+            return False, nodes
+        pool, chosen, weight, below, above, i = stack.pop()
+        pool &= ~(own[i] if chosen else rotation_class[i % m])
+
+
+def cycle_bound_at_most(n: int, t: int, k: int, lo: int, hi: int, size: int,
+                        nodes: int = 0, node_cap: float = math.inf,
+                        deadline: float = math.inf) -> tuple[bool | None, int]:
+    """Whether the cycle bound shows that every t-intersecting k-Sperner
+    family over [n] (n >= 3) with member sizes in [lo, hi], lo >= 1, has at
+    most `size` members.
+
+    Katona's averaging (Katona, JCT B 1972; `averaging_identity`): a member
+    of size l is an arc of l!(n-l)! of the (n-1)! cyclic orders, so the arcs
+    of F weigh n!|F| summed over the orders, and some order's arcs weigh at
+    least n|F|.  Those arcs are an arc family as in `arc_weight_exceeds`, so
+    |F| <= W/n for W the heaviest one.  [n] is an arc of no order; when hi
+    >= n it may be a member, and then the other members hold no k nested
+    sets, so |F| <= max(W_k/n, W_(k-1)/n + 1).  Returns (answer, nodes) as
+    `arc_weight_exceeds` does, over both searches.
+    """
+    heavier, nodes = arc_weight_exceeds(n, t, k, lo, hi, n * (size + 1) - 1,
+                                        nodes, node_cap, deadline)
+    if heavier is False and hi >= n:
+        heavier, nodes = arc_weight_exceeds(n, t, k - 1, lo, hi, n * size - 1,
+                                            nodes, node_cap, deadline)
+    return (None if heavier is None else not heavier), nodes

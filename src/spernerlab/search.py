@@ -2,9 +2,24 @@
 bound, plus the named constructions and closed-form bound table.
 
 The oracle branches first on the size s of a minimum-size member, which can
-be relabeled to {1..s}, then runs a depth-first include/exclude search over
-the remaining candidate masks with three prunes and a symmetry cut:
+be relabeled to {1..s}.  The cycle bound may close a root branch before its
+first node; the others run a depth-first include/exclude search over the
+remaining candidate masks.  The root cap, the three prunes and the
+symmetry cut:
 
+* the cycle bound (Katona's averaging, JCT B 1972), once per root branch
+  (s, hi) when t >= 1 and n >= 3: `cycle.cycle_bound_at_most` decides
+  whether every t-intersecting k-Sperner family with member sizes in
+  [s, hi] has at most the incumbent's size, and if so the branch closes.
+  Averaged over the (n-1)! cyclic orders, the members of such a family
+  that are arcs weigh n|F|, so |F| <= W/n for W the heaviest family of
+  arcs with lengths in [s, min(hi, n-1)] that pairwise meet in t
+  positions and hold no k + 1 nested arcs.  [n] is an arc of no order;
+  when hi >= n it may be a member, the others then hold no k nested sets,
+  and |F| <= max(W_k/n, W_(k-1)/n + 1).  The bound covers every family
+  with sizes in [s, hi], the branch's among them, so `proven` stays exact.
+  The arc search's nodes count into the search's nodes under the same
+  budget: a budget spent inside it leaves the result unproven;
 * pairwise intersection conflicts filter the pool on every inclusion;
 * an incremental longest-chain tracker drops candidates that would close a
   chain of k+1 nested members.  It is not exact: an include raises heights
@@ -65,6 +80,7 @@ import struct
 import time
 from dataclasses import dataclass
 
+from .cycle import cycle_bound_at_most
 from .families import (
     MAX_ENUM_N,
     MAX_FORMULA_N,
@@ -192,17 +208,25 @@ def _drop(packed, vec, gone):
 
 
 def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
-                       seeds) -> tuple[int, tuple[int, ...], bool, int]:
+                       seeds) -> tuple[int, tuple[int, ...], bool, int, list]:
     """Branch and bound over the root branches (s, hi), in order: in each,
     the minimum-size member is exactly {1..s} and every member size lies in
     [s, hi].  One incumbent, the first largest seed to start with, is shared
-    across the branches.  Returns (best, witness, proven, nodes); proven is
-    False when the node or time budget ran out first."""
+    across the branches.  Returns (best, witness, proven, nodes, closed);
+    proven is False when the node or time budget ran out first, and closed
+    lists the branches the cycle bound closed before their first node."""
     node_cap, deadline = budget.nodes, time.monotonic() + budget.seconds
     witness = max(seeds, key=len, default=())
-    best, nodes = len(witness), 0
+    best, nodes, closed = len(witness), 0, []
     bit_count, and_ = int.bit_count, operator.and_
     for s, hi in branches:
+        if t and s and n >= 3:
+            shut, nodes = cycle_bound_at_most(n, t, k, s, hi, best, nodes, node_cap, deadline)
+            if shut is None:
+                return best, witness, False, nodes, closed
+            if shut:
+                closed.append((s, hi))
+                continue
         chosen0 = (1 << s) - 1
         masks = [m for size in range(s, hi + 1) for m in layer_masks(n, size)
                  if m != chosen0 and (not t or (m & chosen0).bit_count() >= t)]
@@ -271,7 +295,7 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
         while True:
             nodes += 1
             if nodes > node_cap or not nodes % 4096 and time.monotonic() > deadline:
-                return best, witness, False, nodes
+                return best, witness, False, nodes, closed
             size = pool.bit_count()
             if (cc + size > best
                     # at most its room more members per symmetric chain
@@ -321,7 +345,7 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
             gone = pool & (_orbit(classes, atoms, masks[i]) if len(atoms) < n else 1 << i)
             pool ^= gone
             packed = _drop(packed, vec, gone)
-    return best, witness, True, nodes
+    return best, witness, True, nodes, closed
 
 
 CONSTRUCTIONS = ("layers", "A", "B")
@@ -438,7 +462,9 @@ def max_family_size(n: int, t: int, k: int, *, layer_window=None,
     # a subfamily of a t-intersecting k-Sperner family is one too
     seeds = [tuple(m for m in seed if lo <= m.bit_count() <= hi)
              for seed in _construction_seeds(n, t, k)]
-    best, witness, proven, nodes = _max_family_engine(n, t, k, branches, budget, seeds)
+    best, witness, proven, nodes, closed = _max_family_engine(n, t, k, branches, budget, seeds)
+    notes += [f"root branch with member sizes [{s}, {hi}] closed by the cycle bound"
+              for s, hi in closed]
     if not proven:
         notes.append("budget exceeded: best found so far, optimality not proven")
         if nodes <= budget.nodes:

@@ -280,7 +280,7 @@ class TestAudits:
         ("construct --which B --n 13 --t 2 --k 2",
          "233573240ddde259768a65f74aaf8b5ba63f3ec0af1862a38609f2c96cc0e29f"),
         ("search --n 7 --t 1 --k 3 --use-compression",
-         "8e6c17236de02c01fbaffd6db068ccee3842a2520bdc94ef723b9a45981cf179"),
+         "7f59e63b42f14ebf451119fe07f1730de8d2dcff04c0da62b35ae15122a692ab"),
     ])
     def test_output_bytes_pinned(self, tmp_path, argv, digest):
         out = tmp_path / "out.json"

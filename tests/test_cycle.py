@@ -850,3 +850,64 @@ def test_chain_weighs_like_the_cycle_layer(t, m, data):
     rep, wb = verify_chain(g_profile(G, p)), check_weight_bound(G, p)
     assert rep.weighted_g == interval_weight(G) == wb.total_weight
     assert rep.final_bound == wb.bound
+
+
+def heaviest_arc_families(n, lo, hi):
+    """By brute force over every arc subset that pairwise meets in at least
+    one position: {(least pairwise overlap, longest chain): the heaviest
+    weight}, where an arc of length l weighs C(n, l).  Arcs are frozensets
+    of positions; arcs join in order of length, so a new arc never lies
+    inside a chosen one and its height is one more than the highest chosen
+    arc inside it."""
+    arcs = [frozenset((h + j) % n for j in range(ell))
+            for ell in range(lo, hi + 1) for h in range(n)]
+    best = {}
+
+    def extend(start, chosen, least, tallest, weight):
+        key = (least, tallest)
+        best[key] = max(best.get(key, 0), weight)
+        for j in range(start, len(arcs)):
+            a = arcs[j]
+            meets = [len(a & c) for c, _ in chosen]
+            if 0 in meets:
+                continue
+            height = 1 + max([ht for c, ht in chosen if c < a], default=0)
+            if height <= 3:
+                extend(j + 1, chosen + [(a, height)], min([least, *meets]),
+                       max(tallest, height), weight + math.comb(n, len(a)))
+    extend(0, [], n, 0, 0)
+    return best
+
+
+ARC_RANGES = [(n, lo, hi) for n in range(3, 7) for lo in range(1, n) for hi in range(lo, n)
+              if n * (hi - lo + 1) <= 18]
+
+
+class TestArcSearch:
+    @pytest.mark.parametrize("n, lo, hi", ARC_RANGES)
+    def test_decides_like_brute_force(self, n, lo, hi):
+        best = heaviest_arc_families(n, lo, hi)
+        for t in range(1, n):
+            for k in (1, 2, 3):
+                W = max(w for (least, tallest), w in best.items() if least >= t and tallest <= k)
+                assert cycle.arc_weight_exceeds(n, t, k, lo, hi, W - 1)[0] is True, (t, k, W)
+                assert cycle.arc_weight_exceeds(n, t, k, lo, hi, W)[0] is False, (t, k, W)
+
+    def test_counts_nodes_into_the_budget(self):
+        # with k = 3, (8,1,3)'s first branch needs 399 nodes to decide: with
+        # 30 nodes already spent and a cap of 50 it stops at node 51
+        assert cycle.arc_weight_exceeds(8, 1, 3, 3, 8, 8 * 121 - 1, 30, 50) == (None, 51)
+        assert cycle.arc_weight_exceeds(8, 1, 3, 3, 8, 8 * 121 - 1, 30) == (False, 30 + 399)
+        # the clock is read every 4,096 nodes: a deadline already past does
+        # not stop a search that decides sooner
+        assert cycle.arc_weight_exceeds(8, 1, 3, 3, 8, 0, 0, 10, -math.inf) == (True, 2)
+
+    def test_full_set_may_join(self):
+        # the four 3-sets of [4] and [4] itself: 5 members, 2-Sperner and
+        # intersecting, while the 3-arcs weigh 16 = 4 * 4
+        assert cycle.cycle_bound_at_most(4, 1, 2, 3, 3, 4) == (True, 1)
+        assert cycle.cycle_bound_at_most(4, 1, 2, 3, 4, 4)[0] is False
+        assert cycle.cycle_bound_at_most(4, 1, 2, 3, 4, 5)[0] is True
+        # with k = 1, [n] is a member only alone
+        assert cycle.cycle_bound_at_most(5, 1, 1, 5, 5, 0)[0] is False
+        assert cycle.cycle_bound_at_most(5, 1, 1, 5, 5, 1)[0] is True

@@ -19,7 +19,7 @@ STDOUT_SHA256 = {
     "02_compression.py": "5e21ef4c50d29410b5ad28ecda754ab51190ae05a2cd2c2ebd5cf33cf32ae16b",
     "03_cycle_method.py": "1cfbea642faf1a8449767fb2f0a5e0d0114634966163ff1bca8dd3a4d886ad9f",
     "04_coefficient_chain.py": "46c032466da0f0bb037cc5cd44bb20cdbfc22f3c27b3969b08c026f97ab2c855",
-    "05_search_and_bounds.py": "df68faa68b17e6d6174cdfd2a5fb17fdf790e69d1b5f2673143d7239a3471a6a",
+    "05_search_and_bounds.py": "c1904610562291e289fea3ec18ca3478adfb3dce65d7a7c32c99689c8497efde",
 }
 
 

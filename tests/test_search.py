@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from spernerlab import search
 from spernerlab.cli import main
+from spernerlab.cycle import cycle_bound_at_most
 from spernerlab.families import (
     Family,
     InvariantViolation,
@@ -271,10 +272,27 @@ class TestOracleSmall:
         "misses a chosen member between it and a candidate: 15 members, "
         "a 4-chain, proven"))
     def test_unseeded_chain_tracker_exact(self):
-        best, witness, proven, _ = search._max_family_engine(
+        best, witness, proven, _, _ = search._max_family_engine(
             4, 0, 3, [(s, 4) for s in range(5)], Budget(), [])
         assert (best, proven) == (14, True)
         assert is_k_sperner(Family(4, witness), 3)
+
+    @pytest.mark.parametrize("cell, optimum", [
+        ((8, 1, 2), 98), ((8, 1, 3), 120), ((9, 1, 2), 210), ((9, 1, 3), 246)])
+    def test_cycle_bound_proves_the_t1_frontier(self, cell, optimum):
+        n, t, k = cell
+        res = max_family_size(*cell, use_compression=True, budget=Budget(nodes=5000, seconds=1e9))
+        assert (res.best_size, res.proven_optimal) == (optimum, True)
+        # every root branch closes before its first node
+        assert res.notes[1:] == tuple(
+            f"root branch with member sizes [{lo}, {min(hi, n)}] closed by the cycle bound"
+            for lo, hi in map(Params(*cell).band, range(k - 1, -1, -1)))
+
+    def test_cycle_bound_admits_every_optimum(self):
+        # over all member sizes, the bound never falls below a known optimum
+        for (n, t, k), expected in OPTIMA_N7.items():
+            if n >= 3:
+                assert cycle_bound_at_most(n, t, k, 1, n, expected - 1)[0] is False, (n, t, k)
 
     def test_frozen_values(self):
         assert max_family_size(4, 2, 1, use_compression=True).best_size == 4
@@ -322,8 +340,8 @@ class TestOracleSmall:
 
     def test_time_budget_labeled(self):
         # the clock is read every 4,096 nodes, so a spent time budget stops
-        # the search at node 4,096; (8,1,2) needs far more nodes than that
-        res = max_family_size(8, 1, 2, use_compression=True, budget=Budget(seconds=1e-9))
+        # the search at node 4,096; (9,2,2) needs far more nodes than that
+        res = max_family_size(9, 2, 2, use_compression=True, budget=Budget(seconds=1e-9))
         assert not res.proven_optimal and res.nodes == 4096
         assert res.notes[-2:] == (
             "budget exceeded: best found so far, optimality not proven",
@@ -332,7 +350,7 @@ class TestOracleSmall:
     def test_witness_self_check(self, monkeypatch, tmp_path):
         # {1,2} and {3,4} share nothing: not 1-intersecting
         def bad_engine(n, t, k, branches, budget, seeds):
-            return 2, (0b0011, 0b1100), True, 1
+            return 2, (0b0011, 0b1100), True, 1, ()
         monkeypatch.setattr(search, "_max_family_engine", bad_engine)
         with pytest.raises(InvariantViolation):
             max_family_size(4, 1, 1)
@@ -357,7 +375,7 @@ class TestOracleSmall:
 
     def test_witness_outside_window_is_caught(self, monkeypatch):
         def engine(n, t, k, branches, budget, seeds):
-            return 1, (0b0011,), True, 1
+            return 1, (0b0011,), True, 1, ()
         monkeypatch.setattr(search, "_max_family_engine", engine)
         with pytest.raises(InvariantViolation):
             max_family_size(4, 1, 1, layer_window=(3, 3))
@@ -379,16 +397,18 @@ class TestEngineNodeCounts:
     such a change re-pins them and records the old and new counts."""
 
     @pytest.mark.parametrize("cell, nodes, expected", [
-        ((6, 1, 2), 1_000_000, (26, True, 5222)),
-        ((6, 1, 2), 100, (26, False, 101)),
-        ((8, 2, 3), 5000, (92, True, 49)),
-        ((9, 3, 3), 5000, (129, True, 13)),
-        ((9, 1, 2), 5000, (210, False, 5001)),
-        ((7, 1, 3), 1_000_000, (63, True, 3111)),
-        ((8, 3, 2), 5000, (49, True, 828)),
-        ((9, 4, 2), 5000, (64, True, 966)),
-        ((9, 1, 3), 5000, (246, False, 5001)),
+        ((6, 1, 2), 1_000_000, (26, True, 35)),
+        ((6, 1, 2), 100, (26, True, 35)),
+        ((8, 2, 3), 5000, (92, True, 71)),
+        ((9, 3, 3), 5000, (129, True, 53)),
+        ((9, 1, 2), 5000, (210, True, 18)),
+        ((7, 1, 3), 1_000_000, (63, True, 73)),
+        ((8, 3, 2), 5000, (49, True, 841)),
+        ((9, 4, 2), 5000, (64, True, 980)),
+        ((9, 1, 3), 5000, (246, True, 208)),
         ((9, 2, 3), 5000, (176, False, 5001)),
+        # the budget runs out inside the first branch's arc search
+        ((6, 1, 2), 30, (26, False, 31)),
     ])
     def test_search(self, cell, nodes, expected):
         res = max_family_size(*cell, use_compression=True,
@@ -397,16 +417,17 @@ class TestEngineNodeCounts:
         digest = hashlib.sha256(json.dumps(sorted(res.witness.members)).encode()).hexdigest()
         assert self.WITNESS_SHA256.get((cell, nodes), digest) == digest
 
-    # sha256 of the JSON list of the sorted witness members, for the deep
-    # unproven searches, where the witness is the last incumbent found
+    # sha256 of the JSON list of the sorted witness members: (9,1,3) is
+    # proven by the cycle bound alone, so its witness is the seed, and the
+    # deep unproven (9,2,3) holds the last incumbent found
     WITNESS_SHA256 = {
         ((9, 1, 3), 5000): "55a48282d56a76d046ac2a47e52222163588a88dc4dfdda4a4ee6bb40d8f480a",
         ((9, 2, 3), 5000): "24a6adfefaaa2b5e5544e7bf2ce29efb72ef589f5d550871b86005c6ded6d844",
     }
 
     @pytest.mark.parametrize("cell, kwargs, expected", [
-        ((6, 1, 2), {}, (26, True, 5244)),
-        ((6, 1, 2), {"layer_window": (2, 5)}, (26, True, 5242)),
+        ((6, 1, 2), {}, (26, True, 164)),
+        ((6, 1, 2), {"layer_window": (2, 5)}, (26, True, 96)),
         ((6, 0, 2), {}, (35, True, 7)),
     ])
     def test_search_plans(self, cell, kwargs, expected):
