@@ -241,16 +241,13 @@ def cmd_coeff_audit(args) -> int:
 # ---------------------------------------------------------------- search
 
 def _layer_window(text):
-    """Parse the --layers argument "lo:hi" into a pair of ints with
-    0 <= lo <= hi."""
+    """Parse the --layers argument "lo:hi" into a pair of ints;
+    max_family_size checks that 0 <= lo <= hi."""
     lo, _, hi = text.partition(":")
     try:
-        lo, hi = int(lo), int(hi)
+        return int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}") from None
-    if not 0 <= lo <= hi:
-        raise argparse.ArgumentTypeError(f"expected a window with 0 <= lo <= hi, got {text!r}")
-    return lo, hi
 
 
 def _positive_int(text):

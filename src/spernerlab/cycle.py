@@ -35,6 +35,7 @@ from .families import (
     InvariantViolation,
     Params,
     PreconditionError,
+    include_in_chains,
 )
 
 
@@ -518,10 +519,10 @@ def arc_weight_exceeds(n: int, t: int, k: int, lo: int, hi: int, floor: int,
     first family heavier than floor.  Arcs that share a start or an end
     nest, so a family holds at most k of each; the k heaviest arcs left per
     start, and likewise per end, cap the weight a node can still reach.
-    Chain heights are exact: an include raises the heights of the chosen
-    arcs above and below it along every chain through it.  At the root the
-    exclude child drops the arc's whole rotation class: a family holding a
-    rotation of the arc rotates into one that holds it, of the same weight.
+    Chain heights are exact, kept by `families.include_in_chains` as in the
+    oracle.  At the root the exclude child drops the arc's whole rotation
+    class: a family holding a rotation of the arc rotates into one that
+    holds it, of the same weight.
 
     Returns (answer, nodes), nodes being the count passed in plus this
     search's nodes.  answer is None when the count passed node_cap, or the
@@ -580,34 +581,13 @@ def arc_weight_exceeds(n: int, t: int, k: int, lo: int, hi: int, floor: int,
             x = next(x for x in map(pool.__and__, rotation_class) if x & full) & full
             i = (x & -x).bit_length() - 1
             b = own[i]
-            new = []
-            for levels, rel in ((below, sup), (above, sub)):
-                h = 0
-                while h < k and levels[h] & b:
-                    h += 1
-                # the arcs beyond i get chains of h + 1 through i, and of
-                # h + 1 + j through j chosen arcs beyond it
-                levels = [lev | rel[i] if d <= h else lev for d, lev in enumerate(levels)]
-                reach, d = rel[i], h + 1
-                while d < k and reach & chosen:
-                    step, reach = reach & chosen & full, 0
-                    while step:
-                        low = step & -step
-                        reach |= rel[low.bit_length() - 1]
-                        step ^= low
-                    levels[d] |= reach
-                    d += 1
-                new.append(tuple(levels))
-            new_below, new_above = new
-            # drop every arc that would close a chain of k + 1
-            closes = new_below[k - 1] | new_above[k - 1]
-            for d in range(k - 1):
-                closes |= new_below[d] & new_above[k - 2 - d]
             stack.append((pool, chosen, weight, below, above, i))
+            # drop every arc that would close a chain of k + 1; the start
+            # half of chosen indexes the chosen arcs
+            below, above, closes = include_in_chains(below, above, sup, sub, i, b, chosen & full, k)
             pool &= ~(conf[i] | b | closes)
             chosen |= b
             weight += weights[i % m]
-            below, above = new_below, new_above
             continue
         if not stack:
             return False, nodes

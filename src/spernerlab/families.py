@@ -283,6 +283,38 @@ def chain_heights(fam: Family) -> list[int]:
     return heights
 
 
+def include_in_chains(below, above, sup, sub, i, bit, chosen, k):
+    """(below, above, closes) once item i joins the chosen items: below[d]
+    (above[d]) is the bitmask of the items with a chain of d + 1 chosen
+    items strictly below (above) them, and closes that of the items that
+    would close a chain of k + 1.  sup[j] and sub[j] are the items strictly
+    above and below item j, bit is item i's own bits, and chosen the
+    indices of the chosen items, i not among them."""
+    new = []
+    for levels, rel in ((below, sup), (above, sub)):
+        h = 1
+        while h <= k and levels[h - 1] & bit:
+            h += 1
+        # the items beyond i get chains of up to h through i, h - 1 being
+        # i's own height, and of h + j through j chosen items beyond it
+        reach = rel[i]
+        levels = (*map(reach.__or__, levels[:h]), *levels[h:])
+        while h < k and reach & chosen:
+            step, reach = reach & chosen, 0
+            while step:
+                low = step & -step
+                reach |= rel[low.bit_length() - 1]
+                step ^= low
+            levels = (*levels[:h], levels[h] | reach, *levels[h + 1:])
+            h += 1
+        new.append(levels)
+    new_below, new_above = new
+    closes = new_below[k - 1] | new_above[k - 1]
+    for d in range(k - 1):
+        closes |= new_below[d] & new_above[k - 2 - d]
+    return new_below, new_above, closes
+
+
 def longest_chain_members(fam: Family) -> list[int]:
     """One longest nested chain inside fam, from its top member down ([]
     if empty).

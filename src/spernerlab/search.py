@@ -21,12 +21,8 @@ symmetry cut:
   The arc search's nodes count into the search's nodes under the same
   budget: a budget spent inside it leaves the result unproven;
 * pairwise intersection conflicts filter the pool on every inclusion;
-* an incremental longest-chain tracker drops candidates that would close a
-  chain of k+1 nested members.  It is not exact: an include raises heights
-  through the new member only, so it can miss a chosen set lying between
-  the new member and a candidate.  The search then explores a superset of
-  the valid families, and the witness check turns any invalid result into
-  InvariantViolation (exit code 1);
+* an exact incremental chain tracker, `families.include_in_chains`, drops
+  candidates that would close a chain of k+1 nested members;
 * upper bounds: remaining-count, a symmetric-chain-decomposition cap
   (at most k per chain, minus what the chosen sets already use), and a
   complement-pair cap (a set and its complement never share a family when
@@ -39,14 +35,13 @@ symmetry cut:
   two candidates share a G-orbit iff they meet every atom in the same
   number of elements.  The include child is unchanged; the exclude child
   drops the whole orbit of the branch candidate i from the pool, not only
-  i.  This is sound with the inexact chain tracker too.  G fixes every
-  chosen set, so the conflicts, the band, the k = 1 filter and the
-  tracker's levels are G-invariant; each excluded orbit is a union of
-  orbits of every descendant's smaller group; so the pool is G-invariant
-  at every node.  A family below the node that holds some j in the orbit
-  of i then maps, under a relabelling in G, to one of the same size and
-  objective that holds i, and the include subtree, explored first, leaves
-  an incumbent at least as good.
+  i.  G fixes every chosen set, so the conflicts, the band, the k = 1
+  filter and the tracker's levels are G-invariant; each excluded orbit is
+  a union of orbits of every descendant's smaller group; so the pool is
+  G-invariant at every node.  A family below the node that holds some j
+  in the orbit of i then maps, under a relabelling in G, to one of the
+  same size and objective that holds i, and the include subtree, explored
+  first, leaves an incumbent at least as good.
 
 The bounds and the branch choice are read from an incrementally maintained
 pool vector: the sum over the pool of one packed vector per candidate (the
@@ -89,6 +84,7 @@ from .families import (
     Params,
     PreconditionError,
     binomial,
+    include_in_chains,
     is_t_intersecting,
     layer_masks,
     longest_chain,
@@ -274,12 +270,14 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
         ge = [unit * ((1 << w - 1) - j) for j in range(1, k + 1)]
         c0 = chain_of.get(scd_anchor(chosen0, n))
         roomy = (guard,) * (k - 1) + (guard if c0 is None else guard ^ 1 << w * c0 + w - 1,)
-        # below[h - 1]: candidates with a tracked chain of h chosen members
-        # strictly below them; above[h - 1] likewise strictly above.  An
-        # include raises heights through the new member only.
+        # below[h - 1]: candidates with a chain of h chosen members strictly
+        # below them; above[h - 1] likewise strictly above.  chosen holds the
+        # included indices: the pinned member contains no candidate, so no
+        # chain walk needs to pass through it.
         below = (sum(1 << i for i, m in enumerate(masks) if (m & chosen0) == chosen0),
                  *[0] * (k - 1))
         above = (0,) * k
+        chosen = 0
         if not best:
             best, witness = 1, (chosen0,)
         # the Venn atoms of the chosen sets, for orbital branching
@@ -308,29 +306,20 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
                 lanes = lanes_of((packed >> doff).to_bytes(4 * C, "little"))
                 i = lanes.index(max(lanes))
                 bit = 1 << i
-                h = 1
-                while h <= k and below[h - 1] & bit:
-                    h += 1
-                new_below = (*map(sup[i].__or__, below[:h]), *below[h:])
-                h = 1
-                while h <= k and above[h - 1] & bit:
-                    h += 1
-                new_above = (*map(sub[i].__or__, above[:h]), *above[h:])
-                # drop every candidate that would close a chain of k + 1
-                closes = new_below[k - 1] | new_above[k - 1]
-                for x in range(k - 1):
-                    closes |= new_below[x] & new_above[k - 2 - x]
                 g = 1 << w * cid[i] + w - 1
                 r = 0
                 while r < k and roomy[r] & g:
                     r += 1
-                stack.append((pool, packed, cc, i, below, above, roomy, atoms))
+                stack.append((pool, packed, cc, i, below, above, roomy, atoms, chosen))
                 if r:  # a room of 0 adds nothing to the cap and stays 0
                     roomy = (*roomy[:r - 1], roomy[r - 1] ^ g, *roomy[r:])
+                # drop every candidate that would close a chain of k + 1
+                below, above, closes = include_in_chains(below, above, sup, sub, i, bit,
+                                                         chosen, k)
                 gone = pool & (tconf[i] | bit | closes)
                 pool ^= gone
                 packed = _drop(packed, vec, gone)
-                below, above = new_below, new_above
+                chosen |= bit
                 if len(atoms) < n:
                     atoms = _refine(atoms, masks[i])
                 cc += 1
@@ -340,7 +329,7 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
                 continue
             if not stack:
                 break
-            pool, packed, cc, i, below, above, roomy, atoms = stack.pop()
+            pool, packed, cc, i, below, above, roomy, atoms, chosen = stack.pop()
             # once every atom is a singleton the orbit is {i}
             gone = pool & (_orbit(classes, atoms, masks[i]) if len(atoms) < n else 1 << i)
             pool ^= gone
@@ -439,6 +428,8 @@ def max_family_size(n: int, t: int, k: int, *, layer_window=None,
     notes = []
     if layer_window is not None:
         lo, hi = layer_window
+        if not 0 <= lo <= hi:
+            raise PreconditionError(f"layer window needs 0 <= lo <= hi, got {layer_window}")
         notes.append(f"window restricted to sizes [{lo}, {hi}]: optimum relative to the window")
     else:
         lo, hi = (0 if t == 0 else 1), n

@@ -13,6 +13,7 @@ from spernerlab.families import (
     chain_heights,
     complement_family,
     elements_of,
+    include_in_chains,
     is_k_sperner,
     is_t_intersecting,
     longest_chain,
@@ -346,6 +347,40 @@ def test_chain_heights_definition(case):
         assert h == 1 or any(height[b] == h - 1 for b in below)
         # each height class is an antichain
         assert not any(height[b] == h for b in below)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, 3), st.permutations(range(1 << n)))))
+def test_include_in_chains_keeps_exact_heights(case):
+    # the items are the subsets of [n], indexed by their masks, included in
+    # random order unless they would close a chain of k + 1
+    n, k, order = case
+    full = (1 << n) - 1
+    sup = [sum(1 << j for j in range(full + 1) if j != i and i & j == i) for i in range(full + 1)]
+    sub = [sum(1 << j for j in range(full + 1) if j != i and i & j == j) for i in range(full + 1)]
+    below = above = (0,) * k
+    chosen = closes = 0
+    for i in order:
+        if closes >> i & 1:
+            continue
+        below, above, closes = include_in_chains(below, above, sup, sub, i, 1 << i, chosen, k)
+        chosen |= 1 << i
+        fam = Family(n, [c for c in range(full + 1) if chosen >> c & 1])
+        # up[c]: the longest chain of chosen sets ending at c; down[c]: the
+        # longest starting at c, read off the complements
+        up = dict(zip(fam.members, chain_heights(fam)))
+        dual = complement_family(fam)
+        down = {full ^ c: h for c, h in zip(dual.members, chain_heights(dual))}
+        assert max(up.values()) <= k
+        for j in range(full + 1):
+            inside = max((h for c, h in up.items() if c != j and c & j == c), default=0)
+            around = max((h for c, h in down.items() if c != j and c & j == j), default=0)
+            for d in range(k):
+                assert (below[d] >> j & 1) == (inside >= d + 1), (n, k, j, d)
+                assert (above[d] >> j & 1) == (around >= d + 1), (n, k, j, d)
+            if not chosen >> j & 1:
+                assert (closes >> j & 1) == (inside + around >= k), (n, k, j)
 
 
 class TestShadowShade:

@@ -267,11 +267,9 @@ class TestOracleSmall:
                 res = max_family_size(n, t, k, use_compression=compress)
                 assert (res.best_size, res.proven_optimal) == (expected, True), (n, t, k)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the chain tracker raises heights through the new member only and "
-        "misses a chosen member between it and a candidate: 15 members, "
-        "a 4-chain, proven"))
     def test_unseeded_chain_tracker_exact(self):
+        # a tracker that raised heights through the new member only missed
+        # a chosen member between it and a candidate: 15 members, a 4-chain
         best, witness, proven, _, _ = search._max_family_engine(
             4, 0, 3, [(s, 4) for s in range(5)], Budget(), [])
         assert (best, proven) == (14, True)
@@ -373,6 +371,12 @@ class TestOracleSmall:
         assert (res.best_size, res.proven_optimal) == (4, True)
         assert all(m.bit_count() == 3 for m in res.witness)
 
+    @pytest.mark.parametrize("window", [(-1, 2), (3, 1)])
+    def test_window_needs_0_le_lo_le_hi(self, window):
+        # (-1, 2) ran a root branch at s = -1, and (3, 1) reported 0 as proven
+        with pytest.raises(PreconditionError, match="0 <= lo <= hi"):
+            max_family_size(4, 1, 1, layer_window=window)
+
     def test_witness_outside_window_is_caught(self, monkeypatch):
         def engine(n, t, k, branches, budget, seeds):
             return 1, (0b0011,), True, 1, ()
@@ -429,9 +433,17 @@ class TestEngineNodeCounts:
         ((6, 1, 2), {}, (26, True, 164)),
         ((6, 1, 2), {"layer_window": (2, 5)}, (26, True, 96)),
         ((6, 0, 2), {}, (35, True, 7)),
+        # unseeded, the exact chain tracker decides what the family holds
+        ((4, 0, 3), {"seeds": []}, (14, True, 125)),
+        ((6, 1, 3), {"seeds": []}, (31, True, 14_545)),
     ])
-    def test_search_plans(self, cell, kwargs, expected):
-        # the unrestricted, windowed and t = 0 branch plans
+    def test_search_plans(self, monkeypatch, cell, kwargs, expected):
+        # the unrestricted, windowed and t = 0 branch plans; "seeds", when
+        # given, replaces the construction seeds
+        kwargs = dict(kwargs)
+        if "seeds" in kwargs:
+            seeds = kwargs.pop("seeds")
+            monkeypatch.setattr(search, "_construction_seeds", lambda n, t, k: seeds)
         res = max_family_size(*cell, **kwargs)
         assert (res.best_size, res.proven_optimal, res.nodes) == expected
 
