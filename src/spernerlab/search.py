@@ -43,13 +43,16 @@ symmetry cut:
   same size and objective that holds i, and the include subtree, explored
   first, leaves an incumbent at least as good.
 
-The bounds and the branch choice are read from an incrementally maintained
-pool vector: the sum over the pool of one packed vector per candidate (the
-chain counters and complement bits of the caps, then per candidate j a lane
-counting j's t-conflicts in the pool, with a top bit while j is in it).  It
-rides on the explicit stack next to the pool, and a child subtracts the
-vectors of the few candidates it removes.  The largest lane names the
-branch candidate: the most conflicted one in the pool, lowest index first.
+The caps are read from an incrementally maintained pool vector: the sum
+over the pool of one packed vector per candidate, the chain counters and
+complement bits of the caps.  The branch candidate, the most conflicted one
+in the pool, lowest index first, is read from bit planes, as in bit-parallel
+maximum-clique search (San Segundo, Rodriguez-Losada, Jimenez, Computers &
+OR 2011): plane b holds bit b of each pool candidate's count of t-conflicts
+in the pool, and a walk down the planes keeps the candidates whose bit is
+set wherever some are.  Both ride on the explicit stack next to the pool;
+a child subtracts the vectors of the candidates it removes and lowers the
+counts of their t-conflicts with a borrow up the planes.
 
 The t-conflict, superset and subset relations come from the count classes
 that orbital branching uses: the t-conflicts of m meet it in fewer than t
@@ -68,10 +71,8 @@ truth.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
-import struct
 import time
 from dataclasses import dataclass
 
@@ -133,15 +134,6 @@ class SearchResult:
     notes: tuple[str, ...]
 
 
-_BITS01 = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _members(pool: int) -> bytes:
-    """One 0/1 byte per bit of pool, lowest bit first: a selector for
-    itertools.compress."""
-    return bin(pool)[:1:-1].encode().translate(_BITS01)
-
-
 def _refine(atoms, mask):
     """The Venn atoms of the chosen sets once mask joins them: each atom
     split into its parts inside and outside mask, empty parts dropped."""
@@ -194,13 +186,55 @@ def _orbit(classes, atoms, mask):
     return orbit
 
 
-def _drop(packed, vec, gone):
-    """packed minus vec[j] for each index j in the bitmask gone."""
+def _most_conflicted(pool, planes):
+    """The index of the pool candidate with the most t-conflicts in the
+    pool, lowest index first.  planes[b] holds bit b of each pool
+    candidate's count; pool is not empty."""
+    cand = pool
+    for plane in reversed(planes):
+        top = cand & plane
+        if top:
+            cand = top
+    return (cand & -cand).bit_length() - 1
+
+
+def _drop(packed, planes, vec, tconf, pool, gone):
+    """Take the candidates in the bitmask gone, already out of pool, off the
+    pool vector and the conflict counts: packed minus vec[j] for each j in
+    gone, and planes with the count of each candidate in pool & tconf[j]
+    lowered by one.  Each such count still includes j, so no borrow runs
+    past the top plane.  Returns (packed, planes), the caller's planes
+    unchanged."""
+    planes = planes.copy()
     while gone:
         low = gone & -gone
-        packed -= vec[low.bit_length() - 1]
+        j = low.bit_length() - 1
+        packed -= vec[j]
+        borrow = tconf[j] & pool
+        b = 0
+        while borrow:
+            plane = planes[b] ^ borrow
+            planes[b] = plane
+            borrow &= plane
+            b += 1
         gone ^= low
-    return packed
+    return packed, planes
+
+
+def _greedy_matching(pool, tconf):
+    """The size of a greedy matching of t-conflicting pairs in pool: the
+    lowest candidate left is matched with its lowest t-conflict left, if
+    any, and both leave.  tconf is symmetric and what is left only shrinks,
+    so a candidate without a partner at its turn never gets one later."""
+    matched = 0
+    while pool:
+        low = pool & -pool
+        pool ^= low
+        other = pool & tconf[low.bit_length() - 1]
+        if other:
+            matched += 1
+            pool ^= other & -other
+    return matched
 
 
 def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
@@ -241,7 +275,7 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
         cid = [chain_of.setdefault(scd_anchor(m, n), len(chain_of)) for m in masks]
         w = max(n + 1, k).bit_length() + 1
         off = w * len(chain_of)
-        field = [1 << w * c for c in cid]
+        vec = [1 << w * c for c in cid]
         if t:
             # a set and its complement never share a t-intersecting family
             index = {m: i for i, m in enumerate(masks)}
@@ -249,18 +283,12 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
             for i, m in enumerate(masks):
                 j = index.get(full ^ m, -1)
                 if j > i:
-                    field[i] |= 1 << off + j
-        # Above those, from bit doff, one 32-bit lane per candidate j: j's
-        # t-conflicts in the pool, plus the top bit while j is in it.
-        # Candidate i adds 1 to the lane of each of its t-conflicts (each
-        # byte of _members(tconf[i]) widened to a lane) and the top bit to
-        # its own lane.
-        doff = off + C
-        vec = [f | int.from_bytes(_members(tc).replace(b"\0", bytes(4))
-                                  .replace(b"\1", b"\1\0\0\0"), "little") << doff
-               | 1 << doff + 32 * i + 31
-               for i, (f, tc) in enumerate(zip(field, tconf))]
-        lanes_of = struct.Struct(f"<{C}I").unpack
+                    vec[i] |= 1 << off + j
+        # Bit-sliced conflict counts: planes[b] holds bit b of each pool
+        # candidate's number of t-conflicts in the pool.
+        degree = [tc.bit_count() for tc in tconf]
+        planes = [sum(1 << j for j, d in enumerate(degree) if d >> b & 1)
+                  for b in range(max(degree, default=0).bit_length())]
         unit = sum(1 << w * c for c in range(len(chain_of)))
         guard = unit << w - 1
         # counter + ge[j - 1] has its guard bit set iff the counter is >= j;
@@ -287,7 +315,7 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
         # child's subtree, then its exclude child.  The stack holds, per
         # include still open, what the exclude child needs; its included
         # indices are the chosen members after the pinned one.  A child
-        # subtracts the vectors of the candidates it removes from packed.
+        # takes the candidates it removes off packed and planes.
         stack = []
         pool, packed, cc = (1 << C) - 1, sum(vec), 1
         while True:
@@ -301,16 +329,13 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
                     > best
                     # at most one member per complement pair
                     and cc + size - (packed >> off & pool).bit_count() > best):
-                # branch on the most conflicted candidate, lowest index
-                # first; a lane outside the pool lacks the top bit
-                lanes = lanes_of((packed >> doff).to_bytes(4 * C, "little"))
-                i = lanes.index(max(lanes))
+                i = _most_conflicted(pool, planes)
                 bit = 1 << i
                 g = 1 << w * cid[i] + w - 1
                 r = 0
                 while r < k and roomy[r] & g:
                     r += 1
-                stack.append((pool, packed, cc, i, below, above, roomy, atoms, chosen))
+                stack.append((pool, packed, planes, cc, i, below, above, roomy, atoms, chosen))
                 if r:  # a room of 0 adds nothing to the cap and stays 0
                     roomy = (*roomy[:r - 1], roomy[r - 1] ^ g, *roomy[r:])
                 # drop every candidate that would close a chain of k + 1
@@ -318,22 +343,22 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
                                                          chosen, k)
                 gone = pool & (tconf[i] | bit | closes)
                 pool ^= gone
-                packed = _drop(packed, vec, gone)
+                packed, planes = _drop(packed, planes, vec, tconf, pool, gone)
                 chosen |= bit
                 if len(atoms) < n:
                     atoms = _refine(atoms, masks[i])
                 cc += 1
                 if cc > best:
                     best = cc
-                    witness = (chosen0, *(masks[f[3]] for f in stack))
+                    witness = (chosen0, *(masks[f[4]] for f in stack))
                 continue
             if not stack:
                 break
-            pool, packed, cc, i, below, above, roomy, atoms, chosen = stack.pop()
+            pool, packed, planes, cc, i, below, above, roomy, atoms, chosen = stack.pop()
             # once every atom is a singleton the orbit is {i}
             gone = pool & (_orbit(classes, atoms, masks[i]) if len(atoms) < n else 1 << i)
             pool ^= gone
-            packed = _drop(packed, vec, gone)
+            packed, planes = _drop(packed, planes, vec, tconf, pool, gone)
     return best, witness, True, nodes, closed
 
 
@@ -499,7 +524,6 @@ def g_function(params: Params, budget: Budget | None = None) -> GFunctionResult:
     shades = [sum(1 << top_index[sm] for sm in layer_masks(n, top, required=m)) for m in layer]
     classes = _count_classes(layer, n)
     tconf = _relations(classes, layer, n, t)[0]
-    ids = range(len(layer))
     best, best_shade, witness = 0, 0, ()
     nodes, proven = 0, True
     deadline = time.monotonic() + budget.seconds
@@ -519,18 +543,9 @@ def g_function(params: Params, budget: Budget | None = None) -> GFunctionResult:
             witness = tuple(layer[f[3]] for f in stack)
         cap = pool.bit_count()
         if obj + cap > best:
-            # a greedy matching of conflicting pool pairs: each matched
-            # pair contributes at most one future member
-            matched = 0
-            avail = pool
-            for i in itertools.compress(ids, _members(pool)):
-                bit = 1 << i
-                if avail & bit:
-                    other = avail & tconf[i]
-                    if other:
-                        matched += 1
-                        avail ^= bit | other & -other
-            if obj + cap - matched > best:
+            # each pair of a matching of conflicting pool candidates
+            # contributes at most one future member
+            if obj + cap - _greedy_matching(pool, tconf) > best:
                 i = (pool & -pool).bit_length() - 1
                 stack.append((pool, shade_union, cc, i, atoms))
                 pool &= ~(tconf[i] | 1 << i)

@@ -203,6 +203,70 @@ def test_relations_match_pairwise(case):
     assert list(got) == list(pairwise_relations(masks, t))
 
 
+def random_conflicts(C, density, rng):
+    """A symmetric conflict relation on C candidates, as one bitmask per
+    candidate, with no candidate in conflict with itself."""
+    tconf = [0] * C
+    for i, j in itertools.combinations(range(C), 2):
+        if rng.random() < density:
+            tconf[i] |= 1 << j
+            tconf[j] |= 1 << i
+    return tconf
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(1, 40), st.floats(0, 1), st.integers(0, 2**32))
+def test_bit_planes_track_the_conflict_counts(C, density, seed):
+    # the engine's planes over a random removal sequence: every pool count
+    # stays exact, the branch read picks the reference argmax, packed loses
+    # the vectors of what leaves, and the caller's planes stay as they were
+    rng = random.Random(seed)
+    tconf = random_conflicts(C, density, rng)
+    degree = [tc.bit_count() for tc in tconf]
+    planes = [sum(1 << j for j in range(C) if degree[j] >> b & 1)
+              for b in range(max(degree).bit_length())]
+    vec = [rng.getrandbits(20) for _ in range(C)]
+    pool, packed = (1 << C) - 1, sum(vec)
+    while pool:
+        members = [j for j in range(C) if pool >> j & 1]
+        for j in members:
+            count = sum((plane >> j & 1) << b for b, plane in enumerate(planes))
+            assert count == (pool & tconf[j]).bit_count()
+        expected = max(members, key=lambda j: ((pool & tconf[j]).bit_count(), -j))
+        assert search._most_conflicted(pool, planes) == expected
+        gone = sum(1 << j for j in rng.sample(members, rng.randint(1, len(members))))
+        pool ^= gone
+        before = list(planes)
+        new_packed, planes_after = search._drop(packed, planes, vec, tconf, pool, gone)
+        assert planes == before
+        assert new_packed == packed - sum(vec[j] for j in members if gone >> j & 1)
+        packed, planes = new_packed, planes_after
+
+
+def compress_matching(pool, tconf):
+    """The reference greedy matching: one pass over the pool in index
+    order, each candidate still unmatched at its turn paired with its
+    lowest unmatched conflict."""
+    matched, avail = 0, pool
+    for i in itertools.compress(range(len(tconf)), [pool >> j & 1 for j in range(len(tconf))]):
+        bit = 1 << i
+        if avail & bit:
+            other = avail & tconf[i]
+            if other:
+                matched += 1
+                avail ^= bit | other & -other
+    return matched
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(0, 40), st.floats(0, 1), st.integers(0, 2**32))
+def test_greedy_matching_matches_the_pool_pass(C, density, seed):
+    rng = random.Random(seed)
+    tconf = random_conflicts(C, density, rng)
+    pool = rng.getrandbits(C) if C else 0
+    assert search._greedy_matching(pool, tconf) == compress_matching(pool, tconf)
+
+
 class TestSCD:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_decomposition_structure(self, n):
@@ -291,6 +355,22 @@ class TestOracleSmall:
         for (n, t, k), expected in OPTIMA_N7.items():
             if n >= 3:
                 assert cycle_bound_at_most(n, t, k, 1, n, expected - 1)[0] is False, (n, t, k)
+
+    def test_cycle_bound_admits_every_construction(self):
+        # each construction is a t-intersecting k-Sperner family with member
+        # sizes in [lo, hi], so the bound never falls below it; they equal
+        # every proven optimum with n <= 9, the n = 8, 9 optima among them
+        for n in range(3, 12):
+            for t in range(1, n):
+                for k in (1, 2, 3):
+                    for which in search.CONSTRUCTIONS:
+                        try:
+                            fam = construct(Params(n, t, k), which)
+                        except PreconditionError:  # the other parity
+                            continue
+                        sizes = [m.bit_count() for m in fam]
+                        assert cycle_bound_at_most(n, t, k, min(sizes), max(sizes),
+                                                   len(fam) - 1)[0] is False, (n, t, k, which)
 
     def test_frozen_values(self):
         assert max_family_size(4, 2, 1, use_compression=True).best_size == 4
@@ -413,6 +493,9 @@ class TestEngineNodeCounts:
         ((9, 2, 3), 5000, (176, False, 5001)),
         # the budget runs out inside the first branch's arc search
         ((6, 1, 2), 30, (26, False, 31)),
+        # large pools: 1,005 and 1,551 candidates in the first open branch
+        ((11, 2, 2), 5000, (540, False, 5001)),
+        ((12, 3, 2), 5000, (825, False, 5001)),
     ])
     def test_search(self, cell, nodes, expected):
         res = max_family_size(*cell, use_compression=True,
@@ -427,6 +510,8 @@ class TestEngineNodeCounts:
     WITNESS_SHA256 = {
         ((9, 1, 3), 5000): "55a48282d56a76d046ac2a47e52222163588a88dc4dfdda4a4ee6bb40d8f480a",
         ((9, 2, 3), 5000): "24a6adfefaaa2b5e5544e7bf2ce29efb72ef589f5d550871b86005c6ded6d844",
+        ((11, 2, 2), 5000): "43ce8d951f3b26bc0502060d168fd2450153cbe4fb681d49508cc4b18d9a0198",
+        ((12, 3, 2), 5000): "fd055a84b8d9fa4789a74c18391633e08a27105750f5c1ccd2a7ad6462955c08",
     }
 
     @pytest.mark.parametrize("cell, kwargs, expected", [
@@ -456,6 +541,14 @@ class TestEngineNodeCounts:
     def test_g_function(self, cell, expected):
         res = g_function(Params(*cell), Budget(nodes=5000, seconds=1e9))
         assert (res.value, res.proven_optimal, res.nodes) == expected
+        digest = hashlib.sha256(json.dumps(sorted(res.witness.members)).encode()).hexdigest()
+        assert self.G_WITNESS_SHA256.get(cell, digest) == digest
+
+    # the same digest of g_function's witness at 5,000 nodes
+    G_WITNESS_SHA256 = {
+        (8, 1, 3): "1ba6977782b19102d437acbd559ebbc7898db38fccfa3de1428344606d7b438b",
+        (9, 2, 3): "48c6c1960360b631553c1e112a3e3bf6387233c3d8d15c2aefe468df6f1178dd",
+    }
 
     def test_recursion_limit_untouched(self):
         # the engines keep their own stacks: deep searches need no deeper
