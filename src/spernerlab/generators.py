@@ -6,11 +6,20 @@ valid set families grow around a random t-element core and are thinned
 back to k-Sperner; full consecutive interval families pick per-chain
 bottoms inside the band and repair pairwise intersections by raising
 bottoms, in one pass that always succeeds.
+
+The stream is a contract: a generator draws exactly the numbers it has
+always drawn, so a seed names the same instances (and the same `scan` and
+`cycle-audit` bytes) from release to release.  Subset draws go through
+`_sample_masks`, which mirrors `Random.sample` call for call on
+`getrandbits`; `tests/test_families.py::test_sample_masks_mirror_sample`,
+not this docstring, is what guards that mirror on every supported Python
+(`requires-python >= 3.10`).
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 
 from .cycle import (
     Interval,
@@ -29,6 +38,33 @@ from .families import (
 )
 
 
+def _sample_masks(rng: random.Random, bits: list[int], r: int) -> Iterator[int]:
+    """Endless sum(rng.sample(bits, r)) for distinct one-bit masks, at most
+    MAX_ENUM_N of them, and 0 <= r <= len(bits): each next() makes the
+    rng.getrandbits calls of one sample call, and nothing is drawn ahead.
+
+    Like sample, each index below the i elements left is drawn by rejection
+    on getrandbits(i.bit_length()), and the last element left moves into
+    the drawn place.  Above 21 elements and for r <= 5 sample keeps a set of
+    drawn indices instead; those draws are left to sample.
+    """
+    if len(bits) > 21 and r <= 5:
+        while True:
+            yield sum(rng.sample(bits, r))
+    getrandbits = rng.getrandbits
+    steps = [(i, i.bit_length()) for i in range(len(bits), len(bits) - r, -1)]
+    while True:
+        pool = bits[:]
+        mask = 0
+        for i, width in steps:
+            j = getrandbits(width)
+            while j >= i:
+                j = getrandbits(width)
+            mask |= pool[j]
+            pool[j] = pool[i - 1]
+        yield mask
+
+
 def random_valid_family(rng: random.Random, n: int, t: int, k: int) -> Family:
     """A random t-intersecting k-Sperner family over [n].
 
@@ -38,11 +74,9 @@ def random_valid_family(rng: random.Random, n: int, t: int, k: int) -> Family:
     """
     if not 1 <= t <= n:
         raise PreconditionError("need 1 <= t <= n")
-    core_elems = rng.sample(range(n), t)
-    core = 0
-    for e in core_elems:
-        core |= 1 << e
-    free = [i for i in range(n) if not core >> i & 1]
+    bits = [1 << e for e in range(n)]
+    core = next(_sample_masks(rng, bits, t))
+    free = [b for b in bits if not b & core]
     lo = rng.randint(t, n)
     hi = rng.randint(lo, n)
     count = rng.randint(1, 24)
@@ -50,11 +84,7 @@ def random_valid_family(rng: random.Random, n: int, t: int, k: int) -> Family:
     for _ in range(4 * count):
         if len(members) >= count:
             break
-        size = rng.randint(lo, hi)
-        m = core
-        for b in rng.sample(free, size - t):
-            m |= 1 << b
-        members.add(m)
+        members.add(core | next(_sample_masks(rng, free, rng.randint(lo, hi) - t)))
     pool = list(members)
     while True:
         chain = longest_chain_members(Family(n, pool))
@@ -71,17 +101,18 @@ def random_uniform_t_intersecting(rng: random.Random, n: int, r: int, t: int,
     far."""
     if not (0 < t <= r <= n):
         raise PreconditionError("need 0 < t <= r <= n")
-    # sample() draws depend only on the population's length: as from range(n)
     bits = [1 << e for e in range(n)]
-    core = rng.sample(bits, t)
-    rest = [b for b in bits if b not in core]
-    first = sum(core) | sum(rng.sample(rest, r - t))
-    members = [first]
+    core = next(_sample_masks(rng, bits, t))
+    members = [core | next(_sample_masks(rng, [b for b in bits if not b & core], r - t))]
+    draws = _sample_masks(rng, bits, r)
     attempts = 30 * target
     while len(members) < target and attempts:
         attempts -= 1
-        cand = sum(rng.sample(bits, r))
-        if all((cand & m).bit_count() >= t for m in members):
+        cand = next(draws)
+        for m in members:
+            if (cand & m).bit_count() < t:
+                break
+        else:
             if cand not in members:
                 members.append(cand)
     return Family(n, members)
@@ -90,10 +121,11 @@ def random_uniform_t_intersecting(rng: random.Random, n: int, r: int, t: int,
 def random_antichain_above_middle(rng: random.Random, n: int) -> Family:
     """A nonempty antichain whose minimum member size exceeds n/2."""
     lo = rng.randint(n // 2 + 1, n)
+    bits = [1 << e for e in range(n)]
     members: list[int] = []  # the first candidate always joins
     for _ in range(rng.randint(1, 3 * n)):
         size = rng.randint(lo, n)
-        cand = sum(1 << e for e in rng.sample(range(n), size))
+        cand = next(_sample_masks(rng, bits, size))
         if all(not ((cand & m) == m or (cand & m) == cand) for m in members):
             members.append(cand)
     return Family(n, members)
@@ -170,7 +202,10 @@ def random_sigma_ksti(rng: random.Random, n: int, t: int, k: int, m: int) -> Int
         if cand in members:
             continue
         arc = arc_mask(n, cand.length, h)
-        if all((arc & other).bit_count() >= t for other in arcs):
+        for other in arcs:
+            if (arc & other).bit_count() < t:
+                break
+        else:
             members.append(cand)
             arcs.append(arc)
             per_chain[h] += 1

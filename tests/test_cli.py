@@ -281,6 +281,8 @@ class TestAudits:
          "233573240ddde259768a65f74aaf8b5ba63f3ec0af1862a38609f2c96cc0e29f"),
         ("search --n 7 --t 1 --k 3 --use-compression",
          "7f59e63b42f14ebf451119fe07f1730de8d2dcff04c0da62b35ae15122a692ab"),
+        ("scan --seed 1729 --trials 300",
+         "3918fb1eb99f3cfe308681322cd2c89a9c78ca8d0a90a9a2ba42b50a01009f80"),
     ])
     def test_output_bytes_pinned(self, tmp_path, argv, digest):
         out = tmp_path / "out.json"

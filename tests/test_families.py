@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spernerlab.families import (
+    MAX_ENUM_N,
     Family,
     Params,
     PreconditionError,
@@ -26,6 +27,7 @@ from spernerlab.families import (
 )
 from spernerlab.compression import _peel_antichains
 from spernerlab.generators import (
+    _sample_masks,
     random_inner_family,
     random_uniform_t_intersecting,
     random_valid_family,
@@ -241,6 +243,19 @@ class TestLongestChain:
         for (s, n, t, k), sets in pinned.items():
             assert random_valid_family(random.Random(s), n, t, k).to_sets() == sets
 
+    def test_random_valid_family_draws_pinned(self):
+        # 330 draws from scan's compression-invariants distribution; the
+        # digest pins every rng draw and every member
+        rng = random.Random(1729)
+        out = []
+        for _ in range(330):
+            n = rng.randint(4, 9)
+            t = rng.randint(1, max(1, n - 2))
+            k = rng.randint(1, 3)
+            out.append((n, t, k, random_valid_family(rng, n, t, k).members))
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+            "b6cc6b5440e8cd5c5090e34741193948db3b86c9a526fc2a198e34f9add760c3")
+
     def test_random_uniform_t_intersecting_pinned(self):
         # 300 draws from scan's (n, r, t) distribution; the digest pins
         # every rng draw and every member
@@ -253,6 +268,24 @@ class TestLongestChain:
             out.append((n, r, t, random_uniform_t_intersecting(rng, n, r, t).members))
         assert hashlib.sha256(repr(out).encode()).hexdigest() == (
             "68f4277a64ba0fa2dce18d297441b231c0fbc91fc730d8ee523fd4b2521c2a59")
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.permutations(range(MAX_ENUM_N)).flatmap(lambda elems: st.tuples(
+    st.one_of(st.integers(1, 21), st.integers(22, MAX_ENUM_N)).flatmap(lambda size: st.tuples(
+        st.just(elems[:size]), st.integers(0, size))),
+    st.integers(0, 2**32 - 1))))
+def test_sample_masks_mirror_sample(case):
+    # one stream against repeated Random.sample on a twin rng: the same mask
+    # and the same rng state after each draw, over both of sample's paths
+    # (above 21 elements with r <= 5 it keeps a set of drawn indices)
+    (elems, r), seed = case
+    bits = [1 << e for e in elems]
+    mine, ref = random.Random(seed), random.Random(seed)
+    draws = _sample_masks(mine, bits, r)
+    for _ in range(3):
+        assert next(draws) == sum(ref.sample(bits, r))
+        assert mine.getstate() == ref.getstate()
 
 
 def pair_loop_t_intersecting(fam, t):
