@@ -12,7 +12,9 @@ Output bytes are a pure function of (command, arguments, seed): no
 timestamps or timings go into files (wall-clock summaries go to stderr).
 Every JSON document written is `json.dumps(doc, sort_keys=True, indent=2)`
 plus a newline, byte for byte; `_dump` is the one writer, and a hypothesis
-test in tests/test_cli.py pins it to that expression.
+test in tests/test_cli.py pins it to that expression.  A Family inside a
+document is written as its `to_json_dict()`, but from the masks themselves:
+no list of element lists is built on the way out.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ import random
 import sys
 import time
 from functools import cache
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from .families import (
+    _BYTE_ELEMENTS,
     MAX_ENUM_N,
     Family,
     InvariantViolation,
@@ -66,7 +68,8 @@ from .search import (
 
 def _dump(obj) -> str:
     """The one writer of output documents: `json.dumps(obj, sort_keys=True,
-    indent=2) + "\\n"` byte for byte, with the bulk of the work done in C."""
+    indent=2) + "\\n"` byte for byte, with each Family in obj read as its
+    to_json_dict() but written from its masks."""
     return _render(obj, "\n") + "\n"
 
 
@@ -80,6 +83,8 @@ def _render(x, nl: str) -> str:
         return str(x)
     if x is None or type(x) is bool:
         return "null" if x is None else "true" if x else "false"
+    if type(x) is Family:
+        return _render_family(x, nl)
     if not isinstance(x, (dict, list, tuple)):
         return json.dumps(x)
     if not x:
@@ -89,19 +94,35 @@ def _render(x, nl: str) -> str:
     if isinstance(x, dict):
         body = sep.join(_quote(k) + ": " + _render(v, ind) for k, v in sorted(x.items()))
         return "{" + ind + body + nl + "}"
-    types = set(map(type, x))
-    if types == {int}:
+    if set(map(type, x)) == {int}:
         body = sep.join(map(str, x))
-    elif types <= {list, tuple} and set(map(type, chain.from_iterable(x))) <= {int}:
-        # rows of ints: break one compact C encoding at its punctuation, then
-        # mend the breaks between rows and inside empty rows
-        ind2 = ind + "  "
-        body = (json.dumps(x, separators=(",", ":"))[1:-1]
-                .replace(",", "," + ind2).replace("[", "[" + ind2).replace("]", ind + "]")
-                .replace("]," + ind2 + "[", "]" + sep + "[").replace("[" + ind2 + ind + "]", "[]"))
     else:
         body = sep.join(_render(v, ind) for v in x)
     return "[" + ind + body + nl + "]"
+
+
+@cache
+def _element_text(sep: str) -> tuple[tuple[str, ...], ...]:
+    """_element_text(sep)[b][v]: sep before each element of byte value v at
+    byte b of a mask, the elements read off families._BYTE_ELEMENTS."""
+    return tuple(tuple("".join(sep + str(e) for e in elements) for elements in table)
+                 for table in _BYTE_ELEMENTS)
+
+
+def _render_family(fam: Family, nl: str) -> str:
+    """_render of fam.to_json_dict(), each row read off the element text of
+    its mask's bytes."""
+    ind = nl + "  "
+    head = "{" + ind + '"n": ' + str(fam.n) + "," + ind + '"sets": '
+    if not fam.members:
+        return head + "[]" + nl + "}"
+    row_nl = ind + "  "
+    lo, mid, hi = _element_text("," + row_nl + "  ")
+    close = row_nl + "]"
+    # a row's element text starts with a comma, which its bracket replaces
+    rows = ["[" + (lo[m & 255] + mid[m >> 8 & 255] + hi[m >> 16])[1:] + close if m else "[]"
+            for m in fam.members]
+    return head + "[" + row_nl + ("," + row_nl).join(rows) + ind + "]" + nl + "}"
 
 
 def _emit(text: str, out_path):
@@ -164,7 +185,7 @@ def cmd_compress(args) -> int:
     p = Params(n=fam.n, t=args.t, k=args.k)
     out, rep = normalize(fam, p)
     doc = {
-        "family": out.to_json_dict(),
+        "family": out,
         "report": {"m": rep.m, "c": rep.c, "band": list(rep.band) if rep.band else None,
                    "steps": [list(s) for s in rep.steps],
                    "size_before": len(fam), "size_after": len(out)},
@@ -274,7 +295,7 @@ def cmd_search(args) -> int:
         "proven_optimal": res.proven_optimal,
         "nodes": res.nodes,
         "notes": list(res.notes),
-        "witness": res.witness.to_json_dict(),
+        "witness": res.witness,
     }
     _emit(_dump(doc), args.out)
     print(f"search finished in {time.monotonic() - t0:.2f}s, {res.nodes} nodes",
@@ -289,7 +310,7 @@ def cmd_construct(args) -> int:
     fam, expected = construct(p, args.which), construction_size(p, args.which)
     doc = {"which": args.which, "n": p.n, "t": p.t, "k": p.k,
            "size": len(fam), "size_formula": expected,
-           "family": fam.to_json_dict()}
+           "family": fam}
     if args.which == "B":
         doc["size_closed_form"] = size_B_closed_form(p)
     _emit(_dump(doc), args.out)
@@ -330,7 +351,7 @@ def _scan_records(args):
         if verdict == "violated" and witness is not None:
             path = f"{witness_base}.{len(records)}.json"
             with open(path, "w") as fh:
-                fh.write(_dump(witness.to_json_dict() if isinstance(witness, Family) else witness))
+                fh.write(_dump(witness))
         records.append({"check": check, "params": params, "verdict": verdict,
                         "margin": margin, "witness_path": path, "note": note})
 

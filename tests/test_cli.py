@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import spernerlab
 from spernerlab import cli, search
 from spernerlab.cli import _dump, main
-from spernerlab.families import Family, is_t_intersecting, longest_chain
+from spernerlab.families import MAX_ENUM_N, Family, is_t_intersecting, longest_chain
 from spernerlab.generators import random_full_consecutive, random_sigma_ksti
 from spernerlab.search import Budget, max_family_size
 
@@ -283,6 +283,12 @@ class TestAudits:
          "7f59e63b42f14ebf451119fe07f1730de8d2dcff04c0da62b35ae15122a692ab"),
         ("scan --seed 1729 --trials 300",
          "3918fb1eb99f3cfe308681322cd2c89a9c78ca8d0a90a9a2ba42b50a01009f80"),
+        # 24,310 members with elements in the third byte of a mask
+        ("construct --which layers --n 17 --t 1 --k 1",
+         "9671c5f4eb9d4e2df64147e10016d4922163a72b42011feca8b3e3c38f5f2194"),
+        # a witness that holds the empty set
+        ("search --n 3 --t 0 --k 4",
+         "80d6e9db0e55f4f5b45fb385c843601866d7a68675211f9adcf64f33c8140479"),
     ])
     def test_output_bytes_pinned(self, tmp_path, argv, digest):
         out = tmp_path / "out.json"
@@ -504,7 +510,9 @@ class TestScan:
         assert len(shade) == 2
         for r in shade:
             assert r["verdict"] == "violated"
-            fam = Family.from_json_dict(json.loads(open(r["witness_path"]).read()))
+            text = open(r["witness_path"]).read()
+            fam = Family.from_json_dict(json.loads(text))
+            assert text == json.dumps(fam.to_json_dict(), sort_keys=True, indent=2) + "\n"
             assert fam.n == r["params"]["n"] and len(fam) > 0
             assert is_t_intersecting(fam, r["params"]["t"]) and longest_chain(fam) <= 2
         assert all(r["witness_path"] is None for r in records if r["verdict"] == "holds")
@@ -559,14 +567,18 @@ class TestEntryPoint:
 # JSON trees that reach every branch of the writer: strings and keys with
 # json's own punctuation, newlines and non-ASCII text, huge and negative
 # ints, bool, None, floats with nan and inf, tuples, empty containers, and
-# rows of ints with empty rows, tuple rows and True mixed in
+# rows of ints with empty rows, tuple rows and True mixed in, and families
+# over [1] to [24] with the empty and the full set, empty families among them
 TEXT = st.text(st.one_of(st.sampled_from('[],:"\n\\ \u00e9\u2028\U0001f600'), st.characters()),
                max_size=6)
 INTS = st.one_of(st.integers(), st.integers(-(2 ** 200), 2 ** 200))
 ROWS = st.lists(st.one_of(st.lists(INTS, max_size=4), st.lists(INTS, max_size=3).map(tuple),
                           st.lists(st.one_of(INTS, st.just(True)), max_size=3)), max_size=5)
+FAMILIES = st.integers(1, MAX_ENUM_N).flatmap(lambda n: st.lists(
+    st.one_of(st.just(0), st.just((1 << n) - 1), st.integers(0, (1 << n) - 1)), max_size=6)
+    .map(lambda masks: Family(n, masks)))
 LEAVES = st.one_of(TEXT, INTS, st.booleans(), st.none(), st.floats(), ROWS,
-                   st.lists(INTS, max_size=5))
+                   st.lists(INTS, max_size=5), FAMILIES)
 TREES = st.recursive(LEAVES, lambda kids: st.one_of(
     st.lists(kids, max_size=4), st.lists(kids, max_size=3).map(tuple),
     st.dictionaries(TEXT, kids, max_size=4)), max_leaves=24)
@@ -575,4 +587,15 @@ TREES = st.recursive(LEAVES, lambda kids: st.one_of(
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(TREES)
 def test_dump_is_indented_sorted_json(doc):
-    assert _dump(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert _dump(doc) == json.dumps(_as_json(doc), sort_keys=True, indent=2) + "\n"
+
+
+def _as_json(doc):
+    """doc with each Family in it read as its to_json_dict()."""
+    if isinstance(doc, Family):
+        return doc.to_json_dict()
+    if isinstance(doc, dict):
+        return {k: _as_json(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_as_json(v) for v in doc]
+    return doc
