@@ -521,6 +521,10 @@ class TestEngineNodeCounts:
         # unseeded, the exact chain tracker decides what the family holds
         ((4, 0, 3), {"seeds": []}, (14, True, 125)),
         ((6, 1, 3), {"seeds": []}, (31, True, 14_545)),
+        # unseeded, where the symmetric-chain cap does the most work; at
+        # k = 1 the pinned member lies on no candidate's chain
+        ((6, 1, 1), {"seeds": []}, (15, True, 306)),
+        ((7, 2, 2), {"use_compression": True, "seeds": []}, (36, True, 13_932)),
     ])
     def test_search_plans(self, monkeypatch, cell, kwargs, expected):
         # the unrestricted, windowed and t = 0 branch plans; "seeds", when
