@@ -94,11 +94,7 @@ def _render(x, nl: str) -> str:
     if isinstance(x, dict):
         body = sep.join(_quote(k) + ": " + _render(v, ind) for k, v in sorted(x.items()))
         return "{" + ind + body + nl + "}"
-    if set(map(type, x)) == {int}:
-        body = sep.join(map(str, x))
-    else:
-        body = sep.join(_render(v, ind) for v in x)
-    return "[" + ind + body + nl + "]"
+    return "[" + ind + sep.join(_render(v, ind) for v in x) + nl + "]"
 
 
 @cache

@@ -24,7 +24,7 @@ symmetry cut:
 * an exact incremental chain tracker, `families.include_in_chains`, drops
   candidates that would close a chain of k+1 nested members;
 * upper bounds: remaining-count, a symmetric-chain-decomposition cap
-  (at most k per chain, minus what the chosen sets already use), and a
+  (at most k live members, chosen or in the pool, per chain), and a
   complement-pair cap (a set and its complement never share a family when
   t >= 1);
 * orbital branching (Ostrowski, Linderoth, Rossi, Smriglio, "Orbital
@@ -43,16 +43,17 @@ symmetry cut:
   same size and objective that holds i, and the include subtree, explored
   first, leaves an incumbent at least as good.
 
-The caps are read from an incrementally maintained pool vector: the sum
-over the pool of one packed vector per candidate, the chain counters and
-complement bits of the caps.  The branch candidate, the most conflicted one
-in the pool, lowest index first, is read from bit planes, as in bit-parallel
-maximum-clique search (San Segundo, Rodriguez-Losada, Jimenez, Computers &
-OR 2011): plane b holds bit b of each pool candidate's count of t-conflicts
-in the pool, and a walk down the planes keeps the candidates whose bit is
-set wherever some are.  Both ride on the explicit stack next to the pool;
-a child subtracts the vectors of the candidates it removes and lowers the
-counts of their t-conflicts with a borrow up the planes.
+The caps are read from an incrementally maintained live vector: the sum
+over the live members of one packed vector per member, the chain counters
+and complement bits of the caps.  The branch candidate, the most conflicted
+one in the pool, lowest index first, is read from bit planes, as in
+bit-parallel maximum-clique search (San Segundo, Rodriguez-Losada, Jimenez,
+Computers & OR 2011): plane b holds bit b of each pool candidate's count of
+t-conflicts in the pool, and a walk down the planes keeps the candidates
+whose bit is set wherever some are.  Both ride on the explicit stack next
+to the pool; a child lowers the counts of the t-conflicts of the candidates
+it removes with a borrow up the planes, and subtracts the vectors of all
+but the include child's own candidate, which stays live.
 
 The t-conflict, superset and subset relations come from the count classes
 that orbital branching uses: the t-conflicts of m meet it in fewer than t
@@ -72,7 +73,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import time
 from dataclasses import dataclass
 
@@ -200,7 +200,7 @@ def _most_conflicted(pool, planes):
 
 def _drop(packed, planes, vec, tconf, pool, gone):
     """Take the candidates in the bitmask gone, already out of pool, off the
-    pool vector and the conflict counts: packed minus vec[j] for each j in
+    live vector and the conflict counts: packed minus vec[j] for each j in
     gone, and planes with the count of each candidate in pool & tconf[j]
     lowered by one.  Each such count still includes j, so no borrow runs
     past the top plane.  Returns (packed, planes), the caller's planes
@@ -248,7 +248,7 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
     node_cap, deadline = budget.nodes, time.monotonic() + budget.seconds
     witness = max(seeds, key=len, default=())
     best, nodes, closed = len(witness), 0, []
-    bit_count, and_ = int.bit_count, operator.and_
+    bit_count = int.bit_count
     for s, hi in branches:
         if t and s and n >= 3:
             shut, nodes = cycle_bound_at_most(n, t, k, s, hi, best, nodes, node_cap, deadline)
@@ -266,16 +266,16 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
         C = len(masks)
         classes = _count_classes(masks, n)
         tconf, sup, sub = _relations(classes, masks, n, t)
-        # One packed vector per candidate; packed is their sum over the
-        # pool.  First a w-bit counter per symmetric chain, then one bit at
-        # the complement's index for the lower member of each complement
-        # pair.  A counter stays below n + 2 and its top bit is a guard that
-        # the tests below set without carrying into the next counter.
+        # One packed vector per member; packed is their sum over the live
+        # ones, chosen or in the pool.  First a w-bit counter per symmetric
+        # chain, then one bit at the complement's index for the lower member
+        # of each complement pair.  A counter stays below n + 2 and its top
+        # bit is a guard that the tests below set without carrying further.
         chain_of = {}
-        cid = [chain_of.setdefault(scd_anchor(m, n), len(chain_of)) for m in masks]
         w = max(n + 1, k).bit_length() + 1
+        vec = [1 << w * chain_of.setdefault(scd_anchor(m, n), len(chain_of)) for m in masks]
+        c0 = chain_of.setdefault(scd_anchor(chosen0, n), len(chain_of))
         off = w * len(chain_of)
-        vec = [1 << w * c for c in cid]
         if t:
             # a set and its complement never share a t-intersecting family
             index = {m: i for i, m in enumerate(masks)}
@@ -291,13 +291,8 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
                   for b in range(max(degree, default=0).bit_length())]
         unit = sum(1 << w * c for c in range(len(chain_of)))
         guard = unit << w - 1
-        # counter + ge[j - 1] has its guard bit set iff the counter is >= j;
-        # roomy[j - 1] holds the guard bits of the chains with room >= j, so
-        # a chain's room is the number of levels that hold its guard bit.
-        # The pinned member takes one unit of its chain's room.
+        # counter + ge[j - 1] has its guard bit set iff the counter is >= j
         ge = [unit * ((1 << w - 1) - j) for j in range(1, k + 1)]
-        c0 = chain_of.get(scd_anchor(chosen0, n))
-        roomy = (guard,) * (k - 1) + (guard if c0 is None else guard ^ 1 << w * c0 + w - 1,)
         # below[h - 1]: candidates with a chain of h chosen members strictly
         # below them; above[h - 1] likewise strictly above.  chosen holds the
         # included indices: the pinned member contains no candidate, so no
@@ -315,35 +310,30 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
         # child's subtree, then its exclude child.  The stack holds, per
         # include still open, what the exclude child needs; its included
         # indices are the chosen members after the pinned one.  A child
-        # takes the candidates it removes off packed and planes.
+        # takes the candidates it removes off planes, and those that leave
+        # the family for good off packed.
         stack = []
-        pool, packed, cc = (1 << C) - 1, sum(vec), 1
+        pool, packed, cc = (1 << C) - 1, sum(vec) + (1 << w * c0), 1
         while True:
             nodes += 1
             if nodes > node_cap or not nodes % 4096 and time.monotonic() > deadline:
                 return best, witness, False, nodes, closed
             size = pool.bit_count()
             if (cc + size > best
-                    # at most its room more members per symmetric chain
-                    and cc + sum(map(bit_count, map(and_, map(packed.__add__, ge), roomy)))
-                    > best
+                    # at most k live members per symmetric chain
+                    and sum(map(bit_count, map(guard.__and__, map(packed.__add__, ge)))) > best
                     # at most one member per complement pair
                     and cc + size - (packed >> off & pool).bit_count() > best):
                 i = _most_conflicted(pool, planes)
                 bit = 1 << i
-                g = 1 << w * cid[i] + w - 1
-                r = 0
-                while r < k and roomy[r] & g:
-                    r += 1
-                stack.append((pool, packed, planes, cc, i, below, above, roomy, atoms, chosen))
-                if r:  # a room of 0 adds nothing to the cap and stays 0
-                    roomy = (*roomy[:r - 1], roomy[r - 1] ^ g, *roomy[r:])
+                stack.append((pool, packed, planes, cc, i, below, above, atoms, chosen))
                 # drop every candidate that would close a chain of k + 1
                 below, above, closes = include_in_chains(below, above, sup, sub, i, bit,
                                                          chosen, k)
                 gone = pool & (tconf[i] | bit | closes)
                 pool ^= gone
-                packed, planes = _drop(packed, planes, vec, tconf, pool, gone)
+                # i leaves the pool but stays live
+                packed, planes = _drop(packed, planes, vec, tconf, pool, gone ^ bit)
                 chosen |= bit
                 if len(atoms) < n:
                     atoms = _refine(atoms, masks[i])
@@ -354,7 +344,7 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
                 continue
             if not stack:
                 break
-            pool, packed, planes, cc, i, below, above, roomy, atoms, chosen = stack.pop()
+            pool, packed, planes, cc, i, below, above, atoms, chosen = stack.pop()
             # once every atom is a singleton the orbit is {i}
             gone = pool & (_orbit(classes, atoms, masks[i]) if len(atoms) < n else 1 << i)
             pool ^= gone

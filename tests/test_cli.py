@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -510,7 +511,7 @@ class TestScan:
         assert len(shade) == 2
         for r in shade:
             assert r["verdict"] == "violated"
-            text = open(r["witness_path"]).read()
+            text = pathlib.Path(r["witness_path"]).read_text()
             fam = Family.from_json_dict(json.loads(text))
             assert text == json.dumps(fam.to_json_dict(), sort_keys=True, indent=2) + "\n"
             assert fam.n == r["params"]["n"] and len(fam) > 0
