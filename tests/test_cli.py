@@ -296,6 +296,21 @@ class TestAudits:
         assert main([*argv.split(), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("n, t, k, sets, digest", [
+        # below the band: two lifts, the first cascading through two levels
+        (9, 1, 3, [[1], [1, 2], [1, 3], [1, 2, 3], [1, 4, 5], [1, 6]],
+         "f460de70c77c14f6e415e9b29e28d44af127ea8036db098d72a57bc625b8cc4d"),
+        # above the band: both antichains shift down
+        (8, 2, 2, [[1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 7], [1, 2, 3, 4, 5, 6, 7],
+                   [2, 3, 4, 5, 6, 7, 8], [1, 2, 3, 5, 7, 8]],
+         "9875d350af5041a37bb688c850f2a6d040b57798ca9921c550dbd23ac790ae51"),
+    ])
+    def test_compress_bytes_pinned(self, tmp_path, n, t, k, sets, digest):
+        fam, out = tmp_path / "fam.json", tmp_path / "out.json"
+        write_family(fam, n, sets)
+        assert main(["compress", str(fam), "--t", str(t), "--k", str(k), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_closure_out_of_force_at_t1(self, tmp_path):
         out = tmp_path / "out.json"
         assert main(["cycle-audit", "--n", "15", "--t", "1", "--k", "2", "--trials", "20",

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -214,6 +215,24 @@ class TestNormalize:
         out, rep = normalize(Family(6), Params(n=6, t=2, k=2))
         assert len(out) == 0
         assert (rep.band, rep.m, rep.steps) == (None, 0, ())
+
+
+def test_pass_outputs_and_reports_pinned():
+    # every pass's members and report on 300 seeded draws, as the sha256 of
+    # their JSON
+    rows = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(2, 10)
+        t = rng.randint(1, n)
+        k = rng.randint(1, 3)
+        fam = random_valid_family(rng, n, t, k)
+        p = Params(n=n, t=t, k=k)
+        for fn in (up_compress, down_shift, normalize):
+            out, rep = fn(fam, p)
+            rows.append([fn.__name__, list(out.members), rep.m, rep.c, rep.steps, rep.band])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "d744cc11fd9cb208e063913abd9b58212997bf46d0fef2aa9f9602d879e17800")
 
 
 @settings(derandomize=True, deadline=None)

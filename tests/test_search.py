@@ -525,6 +525,10 @@ class TestEngineNodeCounts:
         # k = 1 the pinned member lies on no candidate's chain
         ((6, 1, 1), {"seeds": []}, (15, True, 306)),
         ((7, 2, 2), {"use_compression": True, "seeds": []}, (36, True, 13_932)),
+        # windows whose top is ceil(n/2), where the complement-pair cap
+        # decides nodes: without it these take 21,216 and 98 nodes
+        ((8, 1, 2), {"layer_window": (3, 4)}, (56, True, 1_072)),
+        ((6, 1, 2), {"layer_window": (0, 3)}, (15, True, 92)),
     ])
     def test_search_plans(self, monkeypatch, cell, kwargs, expected):
         # the unrestricted, windowed and t = 0 branch plans; "seeds", when
