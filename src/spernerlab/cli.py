@@ -346,8 +346,7 @@ def _scan_records(args):
         path = None
         if verdict == "violated" and witness is not None:
             path = f"{witness_base}.{len(records)}.json"
-            with open(path, "w") as fh:
-                fh.write(_dump(witness))
+            _emit(_dump(witness), path)
         records.append({"check": check, "params": params, "verdict": verdict,
                         "margin": margin, "witness_path": path, "note": note})
 

@@ -17,7 +17,7 @@ outcome).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .families import (
     Family,
@@ -27,6 +27,7 @@ from .families import (
     chain_heights,
     is_k_sperner,
     is_t_intersecting,
+    layer_masks,
     longest_chain,
     shade,
     shadow,
@@ -47,6 +48,13 @@ class NormalizationReport:
     c: int
     steps: tuple[tuple[str, int, int], ...]
     band: tuple[int, int] | None
+
+
+def _report(fam: Family, params: Params, c: int, steps) -> NormalizationReport:
+    """The report of a pass that applied c and steps and produced fam."""
+    band = (fam.min_size(), fam.max_size()) if len(fam) else None
+    m = max(0, params.half_up - band[0]) if band else 0
+    return NormalizationReport(m=m, c=c, steps=tuple(steps), band=band)
 
 
 def _validate(fam: Family, params: Params, who: str):
@@ -92,29 +100,27 @@ def up_compress(fam: Family, params: Params) -> tuple[Family, NormalizationRepor
         if rounds > n + 1:
             raise InvariantViolation("up_compress failed to terminate")
         i = cur.min_size()
-        # cascade: H_i = bottom layer; H_{j+1} = shade(H_j) meet layer j+1
-        new_masks = set(m for m in cur.members if m.bit_count() != i)
-        h = set(cur.layer(i))
+        # cascade: H_i = bottom layer; H_{j+1} = shade(H_j) meet layer j+1 of
+        # cur, which members holds there alone: earlier lifts stay below j+1
+        members = {m for m in cur.members if m.bit_count() != i}
+        h = cur.layer(i)
         j = i
         while h:
             if j >= i + k:
                 raise InvariantViolation(
                     "up_compress cascade ran past k levels: input had a chain longer than k")
-            lifted = shade(Family(n, h), j + 1)
-            new_masks.update(lifted.members)
-            nxt_layer = set(cur.layer(j + 1))
-            h = set(lifted.members) & nxt_layer
+            lifted = {x for m in h for x in layer_masks(n, j + 1, required=m)}
+            h = lifted & members
+            members |= lifted
             j += 1
-        nxt = Family(n, new_masks)
+        nxt = Family(n, members)
         if len(nxt) < len(cur):
             raise InvariantViolation(
                 f"up_compress round at level {i} shrank the family "
                 f"({len(cur)} -> {len(nxt)}): shade expansion failed")
         steps.append((f"lift_level_{i}", len(cur), len(nxt)))
         cur = nxt
-    band = (cur.min_size(), cur.max_size()) if len(cur) else None
-    m = max(0, params.half_up - band[0]) if band else 0
-    return cur, NormalizationReport(m=m, c=0, steps=tuple(steps), band=band)
+    return cur, _report(cur, params, 0, steps)
 
 
 def antichain_shadow_holds(fam: Family, j: int) -> bool:
@@ -167,41 +173,32 @@ def down_shift(fam: Family, params: Params) -> tuple[Family, NormalizationReport
 
 def _down_shift(fam: Family, params: Params) -> tuple[Family, NormalizationReport]:
     """down_shift on a family already known to be valid."""
-    if len(fam) == 0:
-        return fam, NormalizationReport(m=0, c=0, steps=(), band=None)
     mid = params.half_up
     # The literal parameter may be negative for families living entirely
     # above the middle; thresholds below the middle would not keep the
     # family t-intersecting, so clamp at 0 (see design notes).
-    c = max(0, mid - fam.min_size())
+    c = max(0, mid - fam.min_size()) if len(fam) else 0
     layers = _peel_antichains(fam, params.k)
     pieces: list[set[int]] = []
     steps: list[tuple[str, int, int]] = []
     for idx, members in enumerate(layers, start=1):
         threshold = mid + c + idx - 1
-        keep = [m for m in members if m.bit_count() <= threshold]
+        piece = {m for m in members if m.bit_count() <= threshold}
         high = [m for m in members if m.bit_count() > threshold]
         if high:
-            dropped = shadow(Family(fam.n, high), threshold)
-            piece = set(keep) | set(dropped.members)
+            piece.update(shadow(Family(fam.n, high), threshold).members)
             if len(piece) < len(members):
                 raise InvariantViolation(
                     f"down_shift antichain {idx} shrank ({len(members)} -> {len(piece)})")
             steps.append((f"shift_antichain_{idx}_to_{threshold}", len(members), len(piece)))
-        else:
-            piece = set(keep)
         pieces.append(piece)
-    total = sum(len(p) for p in pieces)
-    merged: set[int] = set()
-    for p in pieces:
-        merged |= p
-    if len(merged) != total:
+    merged = set().union(*pieces)
+    if len(merged) != sum(map(len, pieces)):
         raise InvariantViolation("down_shift produced a duplicate set across antichains")
     out = Family(fam.n, merged)
     if len(out) < len(fam):
         raise InvariantViolation(f"down_shift shrank the family ({len(fam)} -> {len(out)})")
-    band = (out.min_size(), out.max_size())
-    return out, NormalizationReport(m=max(0, mid - band[0]), c=c, steps=tuple(steps), band=band)
+    return out, _report(out, params, c, steps)
 
 
 def normalize(fam: Family, params: Params) -> tuple[Family, NormalizationReport]:
@@ -210,17 +207,14 @@ def normalize(fam: Family, params: Params) -> tuple[Family, NormalizationReport]
     never losing cardinality.  The input is checked once, by up_compress,
     which keeps both properties."""
     lifted, up_rep = up_compress(fam, params)
-    shifted, down_rep = _down_shift(lifted, params)
-    steps = up_rep.steps + down_rep.steps
-    if len(shifted) == 0:
-        return shifted, NormalizationReport(m=0, c=down_rep.c, steps=steps, band=None)
-    m = params.half_up - shifted.min_size()
-    band = (shifted.min_size(), shifted.max_size())
-    if not 0 <= m <= params.k - 1:
-        raise InvariantViolation(f"normalize landed outside the band: m={m}, k={params.k}")
-    top = params.band(m)[1]
-    if band[1] > top:
-        raise InvariantViolation(f"normalize max size {band[1]} exceeds band top {top}")
-    if len(shifted) < len(fam):
-        raise InvariantViolation("normalize shrank the family")
-    return shifted, NormalizationReport(m=m, c=down_rep.c, steps=steps, band=band)
+    shifted, rep = _down_shift(lifted, params)
+    if rep.band:
+        m = params.half_up - rep.band[0]
+        if not 0 <= m <= params.k - 1:
+            raise InvariantViolation(f"normalize landed outside the band: m={m}, k={params.k}")
+        top = params.band(m)[1]
+        if rep.band[1] > top:
+            raise InvariantViolation(f"normalize max size {rep.band[1]} exceeds band top {top}")
+        if len(shifted) < len(fam):
+            raise InvariantViolation("normalize shrank the family")
+    return shifted, replace(rep, steps=up_rep.steps + rep.steps)

@@ -159,11 +159,6 @@ def restrict_to_cycle(fam: Family, perm: CyclicPerm) -> IntervalFamily:
     return IntervalFamily(n, ivs)
 
 
-def chain_intervals(n: int, h: int) -> list[Interval]:
-    """The n-1 nested intervals starting at position h, lengths 1..n-1."""
-    return [Interval(length=ell, start=h % n) for ell in range(1, n)]
-
-
 def is_sigma_ks_ti(G: IntervalFamily, params: Params) -> bool:
     """True iff G is pairwise t-intersecting and meets every chain in at
     most k intervals.
@@ -215,10 +210,6 @@ def make_consecutive(G: IntervalFamily, params: Params) -> IntervalFamily:
     if len(out) != len(G):
         raise InvariantViolation("make_consecutive changed the family size")
     return out
-
-
-def is_consecutive(G: IntervalFamily) -> bool:
-    return all(run[-1] - run[0] == len(run) - 1 for run in G.chains.values())
 
 
 def is_full_consecutive(G: IntervalFamily, k: int) -> bool:
@@ -447,8 +438,9 @@ def check_instance(G: IntervalFamily, params: Params) -> dict:
     # refuses any family not full consecutive
     prof, records = _profile_and_inequalities(G, params)
     closure = not check_complement_closure(G, params) if t >= 2 else None
-    wb = check_weight_bound(G, params)
-    chain_ok = verify_chain(prof).ok
+    # the chain report holds both sides of the weight bound
+    chain = verify_chain(prof)
+    weight, bound = chain.weighted_g, chain.final_bound
     threshold = minimal_chain_n(t, k, prof.m, 4 * n + 100)
     above = threshold is not None and n >= threshold
     return {
@@ -459,12 +451,12 @@ def check_instance(G: IntervalFamily, params: Params) -> dict:
         # chain's members or around them, never in both side families
         "side_families_disjoint": True,
         "complement_closure": closure,
-        "weight_bound": {"holds": wb.holds, "weight": wb.total_weight,
-                         "bound": wb.bound, "margin": wb.bound - wb.total_weight},
-        "coefficient_chain": chain_ok,
+        "weight_bound": {"holds": weight <= bound, "weight": weight,
+                         "bound": bound, "margin": bound - weight},
+        "coefficient_chain": chain.ok,
         "above_chain_threshold": above,
         "ok": (all(r.holds for r in records) and closure is not False
-               and (not above or (wb.holds and chain_ok))),
+               and (not above or (weight <= bound and chain.ok))),
     }
 
 

@@ -155,28 +155,18 @@ def random_full_consecutive(rng: random.Random, n: int, t: int, k: int, m: int) 
     arcs = [arc_mask(n, b, h) for h, b in enumerate(bottoms)]
     # One pass always repairs: arcs of lengths a and b share at least
     # a + b - n positions, t + 2m for two bottoms at high and t for the
-    # pinned lo against high, so every short pair has a raisable bottom;
-    # each of the n - 1 unpinned bottoms rises at most 2m times, far below
-    # 4 n^2.  A raise only lengthens an arc, so every pair before the last
-    # short pair stays good and the scan resumes there.
-    h1, h2 = 0, 1
-    for _ in range(4 * n * n):
-        while h1 < n - 1:
-            while h2 < n and (arcs[h1] & arcs[h2]).bit_count() >= t:
-                h2 += 1
-            if h2 < n:
-                break
-            h1, h2 = h1 + 1, h1 + 2
-        else:
-            break
-        raisable = [h for h in (h1, h2) if h != pinned and bottoms[h] < high]
-        if not raisable:
-            raise InvariantViolation(f"chains {h1} and {h2} have no raisable bottom")
-        h = rng.choice(raisable)
-        bottoms[h] += 1
-        arcs[h] = arc_mask(n, bottoms[h], h)
-    else:
-        raise InvariantViolation(f"the repair took {4 * n * n} raises")
+    # pinned lo against high, so every short pair has a raisable bottom.
+    # Each raise lifts one bottom, which stops at high, so the pass ends.  A
+    # raise only lengthens an arc, so every pair already passed stays good.
+    for h1 in range(n):
+        for h2 in range(h1 + 1, n):
+            while (arcs[h1] & arcs[h2]).bit_count() < t:
+                raisable = [h for h in (h1, h2) if h != pinned and bottoms[h] < high]
+                if not raisable:
+                    raise InvariantViolation(f"chains {h1} and {h2} have no raisable bottom")
+                h = rng.choice(raisable)
+                bottoms[h] += 1
+                arcs[h] = arc_mask(n, bottoms[h], h)
     fam = IntervalFamily(n, [Interval(length=b + i, start=h)
                              for h, b in enumerate(bottoms) for i in range(k)])
     if not (is_full_consecutive(fam, k) and is_sigma_ks_ti(fam, params)):

@@ -258,11 +258,11 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
                 closed.append((s, hi))
                 continue
         chosen0 = (1 << s) - 1
-        masks = [m for size in range(s, hi + 1) for m in layer_masks(n, size)
-                 if m != chosen0 and (not t or (m & chosen0).bit_count() >= t)]
-        masks.sort(key=lambda m: (-math.comb(n, m.bit_count()), m.bit_count(), m))
         # with k = 1 no member may contain the pinned minimum member
-        masks = [m for m in masks if (m & chosen0) != chosen0 or k >= 2]
+        masks = [m for size in range(s, hi + 1) for m in layer_masks(n, size)
+                 if m != chosen0 and (not t or (m & chosen0).bit_count() >= t)
+                 and (k >= 2 or (m & chosen0) != chosen0)]
+        masks.sort(key=lambda m: (-math.comb(n, m.bit_count()), m.bit_count(), m))
         C = len(masks)
         classes = _count_classes(masks, n)
         tconf, sup, sub = _relations(classes, masks, n, t)
@@ -514,7 +514,7 @@ def g_function(params: Params, budget: Budget | None = None) -> GFunctionResult:
     shades = [sum(1 << top_index[sm] for sm in layer_masks(n, top, required=m)) for m in layer]
     classes = _count_classes(layer, n)
     tconf = _relations(classes, layer, n, t)[0]
-    best, best_shade, witness = 0, 0, ()
+    best, witness = 0, ()
     nodes, proven = 0, True
     deadline = time.monotonic() + budget.seconds
     # preorder: a node, its include child's subtree, then its exclude child;
@@ -529,7 +529,7 @@ def g_function(params: Params, budget: Budget | None = None) -> GFunctionResult:
             break
         obj = cc - shade_union.bit_count()
         if obj > best:
-            best, best_shade = obj, shade_union.bit_count()
+            best = obj
             witness = tuple(layer[f[3]] for f in stack)
         cap = pool.bit_count()
         if obj + cap > best:
@@ -551,11 +551,11 @@ def g_function(params: Params, budget: Budget | None = None) -> GFunctionResult:
     fam = Family(n, witness)
     shade_size = len(shade(fam, top)) if top <= n else 0
     if (any(m.bit_count() != base for m in fam) or not is_t_intersecting(fam, t)
-            or best_shade != shade_size or best != len(fam) - shade_size):
+            or best != len(fam) - shade_size):
         raise InvariantViolation(
             f"g_function ({n},{t},{k}) returned a witness that does not attain "
             f"{best} inside the {t}-intersecting families of layer {base}")
-    return GFunctionResult(value=best, witness=fam, shade_size=best_shade,
+    return GFunctionResult(value=best, witness=fam, shade_size=shade_size,
                            proven_optimal=proven, nodes=nodes)
 
 
