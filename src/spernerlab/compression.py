@@ -101,7 +101,7 @@ def up_compress(fam: Family, params: Params) -> tuple[Family, NormalizationRepor
             raise InvariantViolation("up_compress failed to terminate")
         i = cur.min_size()
         # cascade: H_i = bottom layer; H_{j+1} = shade(H_j) meet layer j+1 of
-        # cur, which members holds there alone: earlier lifts stay below j+1
+        # cur, which is members at that level: earlier lifts lie at or below j
         members = {m for m in cur.members if m.bit_count() != i}
         h = cur.layer(i)
         j = i
