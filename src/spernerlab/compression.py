@@ -17,6 +17,7 @@ outcome).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 from .families import (
@@ -24,10 +25,14 @@ from .families import (
     InvariantViolation,
     Params,
     PreconditionError,
-    chain_heights,
+    _add_one,
+    _chain_levels,
+    _drop_one,
+    _lattice,
+    _masks_of,
+    _walk,
     is_k_sperner,
     is_t_intersecting,
-    layer_masks,
     longest_chain,
     shade,
     shadow,
@@ -100,20 +105,22 @@ def up_compress(fam: Family, params: Params) -> tuple[Family, NormalizationRepor
         if rounds > n + 1:
             raise InvariantViolation("up_compress failed to terminate")
         i = cur.min_size()
-        # cascade: H_i = bottom layer; H_{j+1} = shade(H_j) meet layer j+1 of
-        # cur, which is members at that level: earlier lifts lie at or below j
-        members = {m for m in cur.members if m.bit_count() != i}
-        h = cur.layer(i)
+        bottom = cur.layer(i)
+        # cascade on lattice bitsets: H_i = bottom layer; H_{j+1} = shade(H_j)
+        # meet layer j+1 of cur, which is members at that level: earlier
+        # lifts lie at or below j.  The rest of cur is a suffix of its order.
+        members = _lattice(cur.members[len(bottom):], n)
+        h = _lattice(bottom, n)
         j = i
         while h:
             if j >= i + k:
                 raise InvariantViolation(
                     "up_compress cascade ran past k levels: input had a chain longer than k")
-            lifted = {x for m in h for x in layer_masks(n, j + 1, required=m)}
+            lifted = _add_one(h, n)
             h = lifted & members
             members |= lifted
             j += 1
-        nxt = Family(n, members)
+        nxt = Family(n, _masks_of(members, n))
         if len(nxt) < len(cur):
             raise InvariantViolation(
                 f"up_compress round at level {i} shrank the family "
@@ -141,21 +148,6 @@ def antichain_shadow_holds(fam: Family, j: int) -> bool:
     return len(shadow(fam, j)) >= len(fam)
 
 
-def _peel_antichains(fam: Family, k: int) -> list[list[int]]:
-    """Partition members into at most k antichains: the j-th holds the
-    members of chain height j, in canonical order, which is what
-    repeatedly removing the minimal sets peels off."""
-    heights = chain_heights(fam)
-    top = max(heights, default=0)
-    if top > k:
-        raise InvariantViolation(
-            "peeling needed more than k antichains: input had a chain longer than k")
-    layers: list[list[int]] = [[] for _ in range(top)]
-    for m, h in zip(fam.members, heights):
-        layers[h - 1].append(m)
-    return layers
-
-
 def down_shift(fam: Family, params: Params) -> tuple[Family, NormalizationReport]:
     """Pull oversized members down so the maximum size lands below
     ceil((n+t)/2) + c + k - 1, where c is the deficiency of the minimum
@@ -173,29 +165,39 @@ def down_shift(fam: Family, params: Params) -> tuple[Family, NormalizationReport
 
 def _down_shift(fam: Family, params: Params) -> tuple[Family, NormalizationReport]:
     """down_shift on a family already known to be valid."""
+    n, ms = fam.n, fam.members
     mid = params.half_up
     # The literal parameter may be negative for families living entirely
     # above the middle; thresholds below the middle would not keep the
     # family t-intersecting, so clamp at 0 (see design notes).
-    c = max(0, mid - fam.min_size()) if len(fam) else 0
-    layers = _peel_antichains(fam, params.k)
-    pieces: list[set[int]] = []
+    c = max(0, mid - fam.min_size()) if ms else 0
+    levels = _chain_levels(fam)
+    if len(levels) > params.k:
+        raise InvariantViolation(
+            "peeling needed more than k antichains: input had a chain longer than k")
+    # the j-th antichain holds the members of chain height j, which is what
+    # repeatedly removing the minimal sets peels off
+    merged = 0
     steps: list[tuple[str, int, int]] = []
-    for idx, members in enumerate(layers, start=1):
+    for idx, (level, above) in enumerate(zip(levels, levels[1:] + [0]), start=1):
+        antichain = level & ~above
         threshold = mid + c + idx - 1
-        piece = {m for m in members if m.bit_count() <= threshold}
-        high = [m for m in members if m.bit_count() > threshold]
+        # the members larger than the threshold are a suffix of the order
+        high = antichain & _lattice(ms[bisect_right(ms, threshold, key=int.bit_count):], n)
+        piece = antichain
         if high:
-            piece.update(shadow(Family(fam.n, high), threshold).members)
-            if len(piece) < len(members):
+            layers = (high & _lattice(fam.layer(size), n)
+                      for size in range(fam.max_size(), threshold, -1))
+            piece = antichain ^ high | _drop_one(_walk(layers, _drop_one, n), n)
+            before, after = antichain.bit_count(), piece.bit_count()
+            if after < before:
                 raise InvariantViolation(
-                    f"down_shift antichain {idx} shrank ({len(members)} -> {len(piece)})")
-            steps.append((f"shift_antichain_{idx}_to_{threshold}", len(members), len(piece)))
-        pieces.append(piece)
-    merged = set().union(*pieces)
-    if len(merged) != sum(map(len, pieces)):
-        raise InvariantViolation("down_shift produced a duplicate set across antichains")
-    out = Family(fam.n, merged)
+                    f"down_shift antichain {idx} shrank ({before} -> {after})")
+            steps.append((f"shift_antichain_{idx}_to_{threshold}", before, after))
+        if merged & piece:
+            raise InvariantViolation("down_shift produced a duplicate set across antichains")
+        merged |= piece
+    out = Family(n, _masks_of(merged, n))
     if len(out) < len(fam):
         raise InvariantViolation(f"down_shift shrank the family ({len(fam)} -> {len(out)})")
     return out, _report(out, params, c, steps)

@@ -207,6 +207,15 @@ def _as_bytes(bits: int, n: int) -> bytes:
     return bits.to_bytes(((1 << n) + 7) >> 3, "little")
 
 
+def _masks_of(bits: int, n: int) -> list[int]:
+    """The masks in a lattice bitset over [n], ascending.  The scan for
+    nonzero bytes runs in C, so Python work follows the masks, not 2^n;
+    each byte's masks come off the element table of byte 0."""
+    b = _as_bytes(bits, n)
+    return [8 * i + e - 1 for i in itertools.compress(range(len(b)), b)
+            for e in _BYTE_ELEMENTS[0][b[i]]]
+
+
 def _add_one(bits: int, n: int) -> int:
     """Every mask over [n] that is a mask in bits plus one element."""
     out = 0
@@ -259,27 +268,35 @@ def is_t_intersecting(fam: Family, t: int) -> bool:
     return True
 
 
+def _chain_levels(fam: Family) -> list[int]:
+    """Lattice bitsets of the members by chain height: entry h - 1 holds
+    the members of height >= h, where a member's height is the number of
+    sets in the longest chain of members that ends at it.
+
+    Each round keeps those members of the last level that strictly contain
+    one of them (the up-closure of the masks one element above them).  By
+    Mirsky's theorem the height classes, level h minus level h + 1, are
+    antichains, and the longest chain is the number of levels.
+    """
+    n = fam.n
+    levels = []
+    level = _lattice(fam.members, n)
+    while level:
+        levels.append(level)
+        level &= _up_closure(_add_one(level, n), n)
+    return levels
+
+
 def chain_heights(fam: Family) -> list[int]:
     """For each member, in canonical order, the number of sets in the
-    longest chain of members that ends at it.
-
-    Round h keeps, as one lattice bitset, the members of height >= h; the
-    next round keeps those of them that strictly contain one of them (the
-    up-closure of the masks one element above them).  By Mirsky's theorem
-    the height classes are antichains, and the longest chain is the fewest
-    antichains that cover the family.
-    """
+    longest chain of members that ends at it."""
     n, ms = fam.n, fam.members
     heights = [0] * len(ms)
-    level = _lattice(ms, n)
-    h = 0
-    while level:
-        h += 1
+    for h, level in enumerate(_chain_levels(fam), start=1):
         b = _as_bytes(level, n)
         for i, m in enumerate(ms):
             if b[m >> 3] >> (m & 7) & 1:
                 heights[i] = h
-        level &= _up_closure(_add_one(level, n), n)
     return heights
 
 
@@ -340,7 +357,7 @@ def longest_chain_members(fam: Family) -> list[int]:
 
 def longest_chain(fam: Family) -> int:
     """Number of sets in the longest nested chain inside fam (0 if empty)."""
-    return max(chain_heights(fam), default=0)
+    return len(_chain_levels(fam))
 
 
 def is_k_sperner(fam: Family, k: int) -> bool:
@@ -358,35 +375,41 @@ def layer_masks(n: int, size: int, required: int = 0, forbidden: int = 0):
             yield required + sum(comb)
 
 
+def _walk(layers, step, n: int) -> int:
+    """OR lattice bitsets of consecutive sizes, one size at a time, and
+    step (_drop_one or _add_one) the union once before each layer joins:
+    the result holds the last layer and every set of its size that lies
+    below (above) a mask of an earlier layer."""
+    walk = 0
+    for bits in layers:
+        walk = step(walk, n) | bits
+    return walk
+
+
 def shadow(fam: Family, level: int) -> Family:
     """All level-subsets of members of size >= level.
 
     On a uniform family of size r this is the usual shadow; on mixed
-    families every member at or above the level contributes.
+    families every member at or above the level contributes.  The walk
+    starts at the top layer and drops one element per size.
     """
     n = fam.n
     if not 0 <= level <= n:
         raise PreconditionError(f"shadow level must lie in [0, {n}]")
-    out = set()
-    for m in fam.members:
-        c = m.bit_count()
-        if c < level:
-            continue
-        bits = [1 << i for i in range(n) if m >> i & 1]
-        for drop in itertools.combinations(bits, c - level):
-            x = m
-            for b in drop:
-                x ^= b
-            out.add(x)
-    return Family(n, out)
+    top = fam.max_size() if fam.members else level
+    layers = (_lattice(fam.layer(size), n) for size in range(top, level - 1, -1))
+    return Family(n, _masks_of(_walk(layers, _drop_one, n), n))
 
 
 def shade(fam: Family, level: int) -> Family:
-    """All level-supersets (within [n]) of members of size <= level."""
+    """All level-supersets (within [n]) of members of size <= level: the
+    mirror walk of shadow, from the bottom layer up."""
     n = fam.n
     if not 0 <= level <= n:
         raise PreconditionError(f"shade level must lie in [0, {n}]")
-    return Family(n, {x for m in fam.members for x in layer_masks(n, level, required=m)})
+    bottom = fam.min_size() if fam.members else level
+    layers = (_lattice(fam.layer(size), n) for size in range(bottom, level + 1))
+    return Family(n, _masks_of(_walk(layers, _add_one, n), n))
 
 
 def complement_family(fam: Family) -> Family:

@@ -11,12 +11,15 @@ from spernerlab.families import (
     Params,
     PreconditionError,
     binomial,
+    _chain_levels,
+    _masks_of,
     chain_heights,
     complement_family,
     elements_of,
     include_in_chains,
     is_k_sperner,
     is_t_intersecting,
+    layer_masks,
     longest_chain,
     longest_chain_members,
     mask_from,
@@ -25,7 +28,6 @@ from spernerlab.families import (
     verify_katona_shadow,
     weight,
 )
-from spernerlab.compression import _peel_antichains
 from spernerlab.generators import (
     _sample_masks,
     random_inner_family,
@@ -222,7 +224,7 @@ class TestLongestChain:
             assert set(chain) <= set(fam.members)
             for upper, lower in zip(chain, chain[1:]):
                 assert upper != lower and upper & lower == lower
-            assert len(chain) == len(_peel_antichains(fam, n + 2))
+            assert len(chain) == len(pair_loop_peel(fam))
 
     def test_members_tie_breaks(self):
         # top: first member of maximal height; back: first predecessor
@@ -356,7 +358,11 @@ def test_lattice_matches_pair_loops():
             chain = longest_chain_members(fam)
             assert chain == pair_loop_chain_members(fam)
             assert longest_chain(fam) == len(chain)
-            assert _peel_antichains(fam, n + 1) == pair_loop_peel(fam)
+            # the height classes that compression's down-shift reads
+            levels = _chain_levels(fam)
+            classes = [_masks_of(level & ~above, n)
+                       for level, above in zip(levels, levels[1:] + [0])]
+            assert classes == [sorted(layer) for layer in pair_loop_peel(fam)]
             for t in range(6):
                 got = is_t_intersecting(fam, t)
                 assert got == pair_loop_t_intersecting(fam, t), (n, t, fam.members)
@@ -456,6 +462,50 @@ class TestShadowShade:
                         n, [x for x in layer if any(x & m == x for m in fam)])
                     assert shade(fam, lvl) == Family(
                         n, [x for x in layer if any(x & m == m for m in fam)])
+
+
+def combination_shadow(fam, level):
+    """Reference: every level-subset of every member of size >= level, one
+    combination of dropped elements at a time."""
+    out = set()
+    for m in fam.members:
+        c = m.bit_count()
+        if c < level:
+            continue
+        bits = [1 << i for i in range(fam.n) if m >> i & 1]
+        for drop in itertools.combinations(bits, c - level):
+            out.add(m - sum(drop))
+    return Family(fam.n, out)
+
+
+def combination_shade(fam, level):
+    """Reference: every level-superset of every member of size <= level."""
+    return Family(fam.n, {x for m in fam.members for x in layer_masks(fam.n, level, required=m)})
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=12), st.integers(0, n))))
+def test_shadow_shade_match_a_filter_to_n_10(case):
+    # mixed sizes, the empty family, and the end levels 0 and n
+    n, masks, lvl = case
+    for fam in (Family(n, masks), Family(n)):
+        for level in (0, lvl, n):
+            layer = [x for x in range(1 << n) if x.bit_count() == level]
+            assert shadow(fam, level) == Family(
+                n, [x for x in layer if any(x & m == x for m in fam)])
+            assert shade(fam, level) == Family(
+                n, [x for x in layer if any(x & m == m for m in fam)])
+
+
+def test_shadow_shade_at_n_24_match_combinations():
+    # a lattice bitset of 2^24 bits, mostly zero bytes, decoded to masks
+    n = MAX_ENUM_N
+    fam = Family.from_sets(n, [range(1, 14), range(12, 25), range(5, 21), range(3, 23, 2)])
+    for level in (10, 13):
+        assert shadow(fam, level) == combination_shadow(fam, level)
+    for level in (14, 22):
+        assert shade(fam, level) == combination_shade(fam, level)
 
 
 class TestComplement:
