@@ -31,7 +31,6 @@ from .families import (
     _lattice,
     _masks_of,
     _walk,
-    is_k_sperner,
     is_t_intersecting,
     longest_chain,
     shade,
@@ -62,13 +61,17 @@ def _report(fam: Family, params: Params, c: int, steps) -> NormalizationReport:
     return NormalizationReport(m=m, c=c, steps=tuple(steps), band=band)
 
 
-def _validate(fam: Family, params: Params, who: str):
+def _validate(fam: Family, params: Params, who: str) -> list[int]:
+    """Refuse a family that is not a t-intersecting k-Sperner family over
+    [n]; return its _chain_levels otherwise."""
     if fam.n != params.n:
         raise PreconditionError(f"{who}: family over [{fam.n}] but params.n={params.n}")
     if not is_t_intersecting(fam, params.t):
         raise PreconditionError(f"{who}: family is not {params.t}-intersecting")
-    if not is_k_sperner(fam, params.k):
+    levels = _chain_levels(fam)
+    if len(levels) > params.k:
         raise PreconditionError(f"{who}: family has a chain longer than k={params.k}")
+    return levels
 
 
 def shade_expansion_holds(fam: Family, params: Params, i: int) -> bool:
@@ -95,6 +98,12 @@ def up_compress(fam: Family, params: Params) -> tuple[Family, NormalizationRepor
     Rounds repeat until the floor is reached.
     """
     _validate(fam, params, "up_compress")
+    return _up_compress(fam, params)
+
+
+def _up_compress(fam: Family, params: Params) -> tuple[Family, NormalizationReport]:
+    """up_compress on a family already known to be valid; fam itself when
+    no round lifts."""
     n, k = params.n, params.k
     target = params.band(k - 1)[0]
     steps: list[tuple[str, int, int]] = []
@@ -159,19 +168,19 @@ def down_shift(fam: Family, params: Params) -> tuple[Family, NormalizationReport
     at exactly that threshold.  Cardinality never drops and no set is
     created twice; either failure is a bug trap.
     """
-    _validate(fam, params, "down_shift")
-    return _down_shift(fam, params)
+    return _down_shift(fam, params, _validate(fam, params, "down_shift"))
 
 
-def _down_shift(fam: Family, params: Params) -> tuple[Family, NormalizationReport]:
-    """down_shift on a family already known to be valid."""
+def _down_shift(fam: Family, params: Params, levels) -> tuple[Family, NormalizationReport]:
+    """down_shift on a family already known to be valid, levels being its
+    _chain_levels; fam itself when no antichain reaches above its
+    threshold."""
     n, ms = fam.n, fam.members
     mid = params.half_up
     # The literal parameter may be negative for families living entirely
     # above the middle; thresholds below the middle would not keep the
     # family t-intersecting, so clamp at 0 (see design notes).
     c = max(0, mid - fam.min_size()) if ms else 0
-    levels = _chain_levels(fam)
     if len(levels) > params.k:
         raise InvariantViolation(
             "peeling needed more than k antichains: input had a chain longer than k")
@@ -197,7 +206,8 @@ def _down_shift(fam: Family, params: Params) -> tuple[Family, NormalizationRepor
         if merged & piece:
             raise InvariantViolation("down_shift produced a duplicate set across antichains")
         merged |= piece
-    out = Family(n, _masks_of(merged, n))
+    # with no step the antichains are the members as they were
+    out = Family(n, _masks_of(merged, n)) if steps else fam
     if len(out) < len(fam):
         raise InvariantViolation(f"down_shift shrank the family ({len(fam)} -> {len(out)})")
     return out, _report(out, params, c, steps)
@@ -206,10 +216,13 @@ def _down_shift(fam: Family, params: Params) -> tuple[Family, NormalizationRepor
 def normalize(fam: Family, params: Params) -> tuple[Family, NormalizationReport]:
     """up_compress then down_shift: land every member size in
     [ceil((n+t)/2) - m, ceil((n+t)/2) + k - 1 + m] with 0 <= m <= k-1,
-    never losing cardinality.  The input is checked once, by up_compress,
-    which keeps both properties."""
-    lifted, up_rep = up_compress(fam, params)
-    shifted, rep = _down_shift(lifted, params)
+    never losing cardinality.  The input is checked once, as up_compress
+    checks it, and the up pass keeps both properties; its chain levels
+    serve the down pass when no round lifted."""
+    levels = _validate(fam, params, "up_compress")
+    lifted, up_rep = _up_compress(fam, params)
+    shifted, rep = _down_shift(lifted, params,
+                               levels if lifted is fam else _chain_levels(lifted))
     if rep.band:
         m = params.half_up - rep.band[0]
         if not 0 <= m <= params.k - 1:

@@ -539,16 +539,28 @@ def arc_weight_exceeds(n: int, t: int, k: int, lo: int, hi: int, floor: int,
         starts, ends = x & full, x >> C
         return (starts << r | starts >> C - r) & full | ((ends << r | ends >> C - r) & full) << C
 
-    every = [(arc_mask(n, ell, h), 1 << h * m + p | 1 << C + (h + ell - 1) % n * m + p)
+    every = [(arc_mask(n, ell, h), ell, 1 << h * m + p | 1 << C + (h + ell - 1) % n * m + p)
              for h in range(n) for p, ell in enumerate(lengths)]
-    own = [b for _, b in every]
-    # per arc at start 0: its t-conflicts, the arcs above it and those below
-    # it; every other arc's are a rotation of these
-    rels = [[sum(y for x, y in every if y != b and related(a, x)) for a, b in every[:m]]
-            for related in (lambda a, x: (a & x).bit_count() < t,
-                            lambda a, x: a & ~x == 0,
-                            lambda a, x: x & ~a == 0)]
-    conf, sup, sub = ([rotate(y, h) for h in range(n) for y in rel] for rel in rels)
+    own = [b for _, _, b in every]
+    # per arc a at start 0: its t-conflicts, the arcs above it and those
+    # below it, read off one overlap o per other arc x (o == |a|: x holds
+    # a; o == |x|: a holds x); every other arc's are a rotation of these
+    conf0, sup0, sub0 = [], [], []
+    for a, size, b in every[:m]:
+        few = over = under = 0
+        for x, ell, y in every:
+            if y != b:
+                o = (a & x).bit_count()
+                if o < t:
+                    few |= y
+                if o == size:
+                    over |= y
+                if o == ell:
+                    under |= y
+        conf0.append(few)
+        sup0.append(over)
+        sub0.append(under)
+    conf, sup, sub = ([rotate(y, h) for h in range(n) for y in rel] for rel in (conf0, sup0, sub0))
     rotation_class = [sum(own[p::m]) for p in range(m)]
     block = (1 << m) - 1
     starts, ends = range(0, C, m or 1), range(C, 2 * C, m or 1)

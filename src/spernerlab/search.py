@@ -55,13 +55,17 @@ to the pool; a child lowers the counts of the t-conflicts of the candidates
 it removes with a borrow up the planes, and subtracts the vectors of all
 but the include child's own candidate, which stays live.
 
-The t-conflict, superset and subset relations come from the count classes
-that orbital branching uses: the t-conflicts of m meet it in fewer than t
-elements, its supersets meet it in |m|, its subsets meet its complement in
-none.  These equal the pair-by-pair relations, where a t-conflict is never
-also counted as nested, because every candidate meets {1..s} in at least t
-elements (in g_function, all have the same size, at least t): a nested
-pair meets in at least t elements and is no t-conflict.
+The t-conflict, superset and subset relations are bit formulas over
+has[x], the candidates that hold element x: the supersets of m are the AND
+of has[x] over x in m, its subsets the candidates outside the OR of has[x]
+over x not in m, and its t-conflicts the OR of t saturating count levels,
+level c holding the candidates that meet the elements of m read so far in
+exactly c of them.  The elements are read from the top down, so a candidate
+starts from the states of the one before at their highest differing
+element.  These equal the pair-by-pair relations, where a t-conflict is
+never also counted as nested, because every candidate meets {1..s} in at
+least t elements (in g_function, all have the same size, at least t): a
+nested pair meets in at least t elements and is no t-conflict.
 
 With `use_compression` the candidate sizes are confined to the band the
 compression transforms land in; the justification is recorded in the
@@ -140,10 +144,21 @@ def _refine(atoms, mask):
     return [p for a in atoms for p in (a & mask, a ^ a & mask) if p]
 
 
+def _holders(masks, n):
+    """has[x]: the bitmask of the indices j with element x in masks[j],
+    read off column n - 1 - x of the masks' binary digits, last mask first."""
+    if not masks:
+        return [0] * n
+    rows = [format(m, f"0{n}b") for m in reversed(masks)]
+    return [int("".join(column), 2) for column in zip(*rows)][::-1]
+
+
 def _count_classes(masks, n):
     """A memoized map from an atom (a mask over [n]) to its count classes:
-    entry c is the bitmask of the indices j with |masks[j] & atom| = c."""
-    has = [sum(1 << j for j, m in enumerate(masks) if m >> x & 1) for x in range(n)]
+    entry c is the bitmask of the indices j with |masks[j] & atom| = c.
+    It serves orbital branching only, so it holds the classes of the Venn
+    atoms the searches reach."""
+    has = _holders(masks, n)
     everyone = (1 << len(masks)) - 1
 
     @functools.cache
@@ -159,20 +174,56 @@ def _count_classes(masks, n):
     return classes
 
 
-def _relations(classes, masks, n, t):
+def _fold_elements(masks, n, start, step):
+    """Yield per mask m, in order, the state after step(state, x, m >> x & 1)
+    is applied for x from n - 1 down to 0, starting from start.  The state
+    after the elements >= x depends on those bits alone, so each mask
+    starts from the last one's state at its highest differing element."""
+    # states[x]: the state after the elements >= x of the last mask read
+    states = [None] * n + [start]
+    last = 1 << n
+    for m in masks:
+        for x in range(min((m ^ last).bit_length(), n) - 1, -1, -1):
+            states[x] = step(states[x + 1], x, m >> x & 1)
+        yield states[0]
+        last = m
+
+
+def _t_conflicts(masks, has, t):
+    """Per candidate, the bitmask of the candidates that meet it in fewer
+    than t elements; has is _holders(masks, n).  Level c holds the
+    candidates that meet the elements read so far in exactly c of them,
+    for c < t; one that reaches t leaves."""
+    if not t:
+        return [0] * len(masks)
+
+    def step(levels, x, held):
+        if not held:
+            return levels
+        h = has[x]
+        return [levels[0] & ~h, *(hi & ~h | lo & h for lo, hi in zip(levels, levels[1:]))]
+    start = [(1 << len(masks)) - 1, *[0] * (t - 1)]
+    return list(map(sum, _fold_elements(masks, len(has), start, step)))
+
+
+def _relations(masks, n, t):
     """Per candidate i, bitmasks over the candidate indices: tconf[i], the
     candidates that meet masks[i] in fewer than t elements; sup[i] and
     sub[i], the other candidates that contain it and that it contains.
-    classes is _count_classes(masks, n).  Every candidate has at least t
-    elements, so no candidate is a t-conflict of itself."""
-    full = (1 << n) - 1
-    tconf, sup, sub = [], [], []
-    for i, m in enumerate(masks):
-        meet = classes(m)
-        tconf.append(sum(meet[:t]))
-        sup.append(meet[-1] ^ 1 << i)
-        sub.append(classes(full ^ m)[0] ^ 1 << i)
-    return tconf, sup, sub
+    The supersets of m hold every element of m, its subsets none outside
+    it.  Every candidate has at least t elements, so no candidate is a
+    t-conflict of itself."""
+    has = _holders(masks, n)
+    everyone = (1 << len(masks)) - 1
+
+    def step(state, x, held):
+        inside, outside = state
+        return (inside & has[x], outside) if held else (inside, outside | has[x])
+    sup, sub = [], []
+    for i, (inside, outside) in enumerate(_fold_elements(masks, n, (everyone, 0), step)):
+        sup.append(inside ^ 1 << i)
+        sub.append(everyone ^ outside ^ 1 << i)
+    return _t_conflicts(masks, has, t), sup, sub
 
 
 def _orbit(classes, atoms, mask):
@@ -265,7 +316,7 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
         masks.sort(key=lambda m: (-math.comb(n, m.bit_count()), m.bit_count(), m))
         C = len(masks)
         classes = _count_classes(masks, n)
-        tconf, sup, sub = _relations(classes, masks, n, t)
+        tconf, sup, sub = _relations(masks, n, t)
         # One packed vector per member; packed is their sum over the live
         # ones, chosen or in the pool.  First a w-bit counter per symmetric
         # chain, then one bit at the complement's index for the lower member
@@ -497,7 +548,10 @@ class GFunctionResult:
 def g_function(params: Params, budget: Budget | None = None) -> GFunctionResult:
     """max |G| - |shade_{(n+t-1)/2+k}(G)| over t-intersecting subfamilies
     of the (n+t-1)/2 layer, by branch and bound with an incremental shade
-    union."""
+    union.  The greedy matching cap is a function of the pool alone, as
+    tconf is fixed for the call, so one memo per call maps each pool to it:
+    the search reaches a pool again through other chosen sets, and every
+    pruning decision stays the same."""
     if params.even_case:
         raise PreconditionError("the g function is defined for n + t odd")
     if budget is None:
@@ -513,7 +567,8 @@ def g_function(params: Params, budget: Budget | None = None) -> GFunctionResult:
     top_index = {m: i for i, m in enumerate(layer_masks(n, top))}
     shades = [sum(1 << top_index[sm] for sm in layer_masks(n, top, required=m)) for m in layer]
     classes = _count_classes(layer, n)
-    tconf = _relations(classes, layer, n, t)[0]
+    tconf = _t_conflicts(layer, _holders(layer, n), t)
+    matching = functools.cache(lambda pool: _greedy_matching(pool, tconf))
     best, witness = 0, ()
     nodes, proven = 0, True
     deadline = time.monotonic() + budget.seconds
@@ -535,7 +590,7 @@ def g_function(params: Params, budget: Budget | None = None) -> GFunctionResult:
         if obj + cap > best:
             # each pair of a matching of conflicting pool candidates
             # contributes at most one future member
-            if obj + cap - _greedy_matching(pool, tconf) > best:
+            if obj + cap - matching(pool) > best:
                 i = (pool & -pool).bit_length() - 1
                 stack.append((pool, shade_union, cc, i, atoms))
                 pool &= ~(tconf[i] | 1 << i)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -42,6 +43,7 @@ from spernerlab.generators import (
     random_sigma_ksti,
     random_valid_family,
 )
+from spernerlab.search import CONSTRUCTIONS, construction_size
 
 
 def reference_overlap(n, a, b):
@@ -896,3 +898,32 @@ class TestArcSearch:
         # with k = 1, [n] is a member only alone
         assert cycle.cycle_bound_at_most(5, 1, 1, 5, 5, 0)[0] is False
         assert cycle.cycle_bound_at_most(5, 1, 1, 5, 5, 1)[0] is True
+
+    def test_decisions_pinned(self):
+        # (answer, nodes) on every band(m) range of the cells with
+        # 3 <= n <= 12 and t, k <= 3, at the size of the cell's largest
+        # construction: 180 decisions, 163 of them True, in 17,748 nodes
+        rows = []
+        for n, t, k in itertools.product(range(3, 13), range(1, 4), range(1, 4)):
+            params = Params(n, t, k)
+            size = max(construction_size(params, which) for which in CONSTRUCTIONS
+                       if (which == "layers") == params.even_case)
+            for m in range(k):
+                lo, hi = params.band(m)
+                rows.append([n, t, k, lo, hi, size,
+                             *cycle.cycle_bound_at_most(n, t, k, lo, hi, size)])
+        assert (len(rows), sum(r[-2] for r in rows), sum(r[-1] for r in rows)) == (180, 163, 17_748)
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+            "0601c6d5c5b54a7b2734a92ae4552a30982b06515d2b77ba60138eb67f8f3ce4")
+
+    def test_window_decisions_pinned(self):
+        # (answer, nodes) on every window [lo, hi] with 3 <= n <= 9 and
+        # t, k <= 2 at floor 50n: windows below the middle, which no band
+        # reaches, are where the arcs below a chosen arc move node counts
+        rows = []
+        for n, t, k in itertools.product(range(3, 10), range(1, 3), range(1, 3)):
+            for lo, hi in itertools.combinations_with_replacement(range(1, n), 2):
+                rows.append([n, t, k, lo, hi, *cycle.arc_weight_exceeds(n, t, k, lo, hi, 50 * n)])
+        assert (len(rows), sum(r[-2] for r in rows), sum(r[-1] for r in rows)) == (476, 174, 2_227)
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+            "a441ab72e0ef2122d0762e2b06d926336b8041d4a6cca41388f8173c101a0095")

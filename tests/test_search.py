@@ -177,30 +177,34 @@ def pairwise_relations(masks, t):
     return tconf, sup, sub
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
-    st.just(n), st.integers(0, 3), st.integers(0, n), st.integers(0, n), st.integers(1, 3),
-    st.sampled_from(["banded", "windowed", "layer"]), st.randoms(use_true_random=False))))
-def test_relations_match_pairwise(case):
-    # candidate lists as the engines build them, subsampled and shuffled:
-    # a root branch (s, hi) of the banded or windowed plan in the oracle,
-    # or one layer of size >= t in g_function
-    n, t, a, b, k, plan, rng = case
-    if plan == "layer":
-        masks = list(layer_masks(n, max(a, t))) if max(a, t) <= n else []
-    else:
-        if plan == "banded":
-            mid_up = (n + t + 1) // 2
-            s = min(a, mid_up)
-            hi = min(n, 2 * mid_up - s + k - 1)
-        else:
-            s, hi = min(a, b), max(a, b)
-        chosen0 = (1 << s) - 1
-        masks = [m for size in range(s, hi + 1) for m in layer_masks(n, size)
-                 if m != chosen0 and (m & chosen0).bit_count() >= t]
-    masks = rng.sample(masks, rng.randint(0, len(masks)))
-    got = search._relations(search._count_classes(masks, n), masks, n, t)
-    assert list(got) == list(pairwise_relations(masks, t))
+def test_relations_match_pairwise():
+    # for every n <= 9, 0 <= t <= n and t <= a <= n, candidate lists as
+    # the engines build them, subsampled and either kept in order or
+    # shuffled: a root branch of the banded plan from s = min(a, mid_up),
+    # of the windowed plan over sizes a to b, or the layer a in g_function
+    rng = random.Random(31)
+    for n in range(1, 10):
+        for t in range(n + 1):
+            for plan, a in itertools.product(("banded", "windowed", "layer"), range(t, n + 1)):
+                b, k = rng.randint(t, n), rng.randint(1, 3)
+                if plan == "layer":
+                    masks = list(layer_masks(n, a))
+                else:
+                    if plan == "banded":
+                        mid_up = (n + t + 1) // 2
+                        s = min(a, mid_up)
+                        hi = min(n, 2 * mid_up - s + k - 1)
+                    else:
+                        s, hi = min(a, b), max(a, b)
+                    chosen0 = (1 << s) - 1
+                    masks = [m for size in range(s, hi + 1) for m in layer_masks(n, size)
+                             if m != chosen0 and (m & chosen0).bit_count() >= t]
+                picked = rng.sample(range(len(masks)), rng.randint(min(len(masks), 1), len(masks)))
+                if rng.random() < 0.5:
+                    picked.sort()
+                masks = [masks[j] for j in picked]
+                got = search._relations(masks, n, t)
+                assert list(got) == list(pairwise_relations(masks, t)), (n, t, plan)
 
 
 def random_conflicts(C, density, rng):
@@ -496,6 +500,10 @@ class TestEngineNodeCounts:
         # large pools: 1,005 and 1,551 candidates in the first open branch
         ((11, 2, 2), 5000, (540, False, 5001)),
         ((12, 3, 2), 5000, (825, False, 5001)),
+        # open frontier cells, whose first open branches hold 6,341 and 3,171
+        # candidates
+        ((14, 3, 2), 2000, (3289, False, 2001)),
+        ((13, 4, 3), 2000, (1496, False, 2001)),
     ])
     def test_search(self, cell, nodes, expected):
         res = max_family_size(*cell, use_compression=True,
@@ -512,6 +520,8 @@ class TestEngineNodeCounts:
         ((9, 2, 3), 5000): "24a6adfefaaa2b5e5544e7bf2ce29efb72ef589f5d550871b86005c6ded6d844",
         ((11, 2, 2), 5000): "43ce8d951f3b26bc0502060d168fd2450153cbe4fb681d49508cc4b18d9a0198",
         ((12, 3, 2), 5000): "fd055a84b8d9fa4789a74c18391633e08a27105750f5c1ccd2a7ad6462955c08",
+        ((14, 3, 2), 2000): "e80da75c20f1bde4fa73500e9c0ddf6ef814a0aa6ad27323ffee65259cfedc99",
+        ((13, 4, 3), 2000): "45f117150040fa29be18ebacdd68f6298273e97d3145343bdb4469ac4de1caea",
     }
 
     @pytest.mark.parametrize("cell, kwargs, expected", [
@@ -557,6 +567,15 @@ class TestEngineNodeCounts:
         (8, 1, 3): "1ba6977782b19102d437acbd559ebbc7898db38fccfa3de1428344606d7b438b",
         (9, 2, 3): "48c6c1960360b631553c1e112a3e3bf6387233c3d8d15c2aefe468df6f1178dd",
     }
+
+    def test_g_function_deep(self):
+        # (9,2,3) stays open at 200,000 nodes, with the incumbent it had at
+        # 5,000; the matching cap is memoized by pool, and 199,993 calls see
+        # 9,741 distinct pools
+        res = g_function(Params(9, 2, 3), Budget(nodes=200_000, seconds=1e9))
+        assert (res.value, res.proven_optimal, res.nodes) == (47, False, 200_001)
+        digest = hashlib.sha256(json.dumps(sorted(res.witness.members)).encode()).hexdigest()
+        assert digest == self.G_WITNESS_SHA256[(9, 2, 3)]
 
     def test_recursion_limit_untouched(self):
         # the engines keep their own stacks: deep searches need no deeper
