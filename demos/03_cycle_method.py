@@ -7,18 +7,17 @@ import itertools
 import random
 
 from spernerlab.cycle import (
+    CyclicPerm,
     Interval,
     IntervalFamily,
+    arc_mask,
     averaging_identity,
     bar_complement,
     check_complement_closure,
     check_count_inequalities,
     check_instance,
-    check_weight_bound,
     fill_full,
     g_profile,
-    identity_perm,
-    interval_mask,
     interval_weight,
     is_full_consecutive,
     make_consecutive,
@@ -29,7 +28,7 @@ from spernerlab.generators import random_full_consecutive
 
 print("=== restriction to the cycle ===")
 fam = Family.from_sets(4, itertools.combinations(range(1, 5), 2))
-res = restrict_to_cycle(fam, identity_perm(4))
+res = restrict_to_cycle(fam, CyclicPerm((1, 2, 3, 4)))
 print("of the six 2-subsets of [4], the cyclically consecutive ones:",
       [(iv.start, iv.length) for iv in res])
 
@@ -54,7 +53,7 @@ print()
 print("=== bar complements overlap their interval in exactly t spots ===")
 iv = Interval(length=4, start=0)
 bc = bar_complement(iv, 6, 2)
-mask = interval_mask(identity_perm(6), bc)
+mask = arc_mask(6, bc.length, bc.start)
 print("interval {1,2,3,4} on the 6-cycle; bar complement:",
       sorted(e + 1 for e in range(6) if mask >> e & 1), "(size n + t - |G|)")
 
@@ -67,12 +66,12 @@ prof = g_profile(G, p)
 print("size-class profile (classes -m..k+m-1):", prof.values, " total", prof.total())
 for r in check_count_inequalities(G, p):
     print(f"  inequality ({r.name}) at j={r.j}: {r.lhs} <= {r.rhs}  -> {r.holds}")
-print("missing-interval side families disjoint:",
-      check_instance(G, p)["side_families_disjoint"])
+rec = check_instance(G, p)
+print("missing-interval side families disjoint:", rec["side_families_disjoint"])
 print("bar-complement closure:", not check_complement_closure(G, p))
-wb = check_weight_bound(G, p)
-print(f"weight {wb.total_weight} <= n * (sum of k middle binomials) = {wb.bound}:"
-      f" {wb.holds}")
+wb = rec["weight_bound"]
+print(f"weight {wb['weight']} <= n * (sum of k middle binomials) = {wb['bound']}:"
+      f" {wb['holds']}")
 
 print()
 print("=== the averaging identity that transfers the cycle bound ===")

@@ -4,8 +4,8 @@ Positions run 0..n-1 clockwise; an interval is (length, start) with
 1 <= length <= n-1 (the full set and the empty set are never intervals).
 The h-th chain consists of the n-1 nested intervals starting at h.  An
 interval family is keyed by n alone: every check works on positions, and a
-cyclic order of [n] is needed only to map intervals to sets and back
-(`interval_mask`, `restrict_to_cycle`).  An overlap is the popcount of the
+cyclic order of [n] is needed only to map sets to intervals
+(`restrict_to_cycle`).  An overlap is the popcount of the
 AND of two n-bit position masks (`arc_mask`); no 2^n enumeration is
 involved, so the machinery works for ground sets far beyond the subset
 enumeration limit (the harnesses use n up to 40).
@@ -57,10 +57,6 @@ class CyclicPerm:
         return len(self.order)
 
 
-def identity_perm(n: int) -> CyclicPerm:
-    return CyclicPerm(tuple(range(1, n + 1)))
-
-
 def all_cyclic_perms(n: int):
     """One representative per cyclic order: element 1 pinned at position 0.
 
@@ -82,20 +78,6 @@ def arc_mask(n: int, length: int, start: int) -> int:
     """Position mask of an arc: `length` ones rotated by `start` in n bits."""
     run = (1 << length) - 1
     return (run << start | run >> (n - start)) & ((1 << n) - 1)
-
-
-def arc_overlap(n: int, a: Interval, b: Interval) -> int:
-    """Exact number of shared positions of two cyclic arcs."""
-    return (arc_mask(n, a.length, a.start) & arc_mask(n, b.length, b.start)).bit_count()
-
-
-def interval_mask(perm: CyclicPerm, iv: Interval) -> int:
-    """Element bitmask of an interval under the given cyclic order."""
-    n = perm.n
-    m = 0
-    for off in range(iv.length):
-        m |= 1 << (perm.order[(iv.start + off) % n] - 1)
-    return m
 
 
 @dataclass(frozen=True, slots=True)
@@ -403,25 +385,6 @@ def _profile_and_inequalities(G: IntervalFamily, params: Params):
         rhs = k * n - sum(g(i) for i in range(-m, -j + 1))
         records.append(InequalityRecord("four", j, lhs, rhs))
     return prof, tuple(records)
-
-
-@dataclass(frozen=True, slots=True)
-class WeightBoundCheck:
-    holds: bool
-    total_weight: int
-    bound: int
-
-
-def check_weight_bound(G: IntervalFamily, params: Params) -> WeightBoundCheck:
-    """Compare the family weight against n * sum of the k middle-layer
-    binomials.  A violation is reported, not raised: below the (unknown)
-    size threshold it is a legitimate finding."""
-    _band(G, params)  # refuses another n and n + t odd
-    n = G.n
-    lo, hi = params.band(0)
-    bound = n * sum(math.comb(n, size) for size in range(lo, hi + 1))
-    w = interval_weight(G)
-    return WeightBoundCheck(holds=w <= bound, total_weight=w, bound=bound)
 
 
 def check_instance(G: IntervalFamily, params: Params) -> dict:

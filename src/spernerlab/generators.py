@@ -94,19 +94,18 @@ def random_valid_family(rng: random.Random, n: int, t: int, k: int) -> Family:
     return Family(n, pool)
 
 
-def random_uniform_t_intersecting(rng: random.Random, n: int, r: int, t: int,
-                                  target: int = 12) -> Family:
-    """An r-uniform t-intersecting family: a random core superset first,
-    then random layer sets kept only when compatible with everything so
-    far."""
+def random_uniform_t_intersecting(rng: random.Random, n: int, r: int, t: int) -> Family:
+    """An r-uniform t-intersecting family of at most 12 members: a random
+    core superset first, then random layer sets kept only when compatible
+    with everything so far."""
     if not (0 < t <= r <= n):
         raise PreconditionError("need 0 < t <= r <= n")
     bits = [1 << e for e in range(n)]
     core = next(_sample_masks(rng, bits, t))
     members = [core | next(_sample_masks(rng, [b for b in bits if not b & core], r - t))]
     draws = _sample_masks(rng, bits, r)
-    attempts = 30 * target
-    while len(members) < target and attempts:
+    attempts = 360
+    while len(members) < 12 and attempts:
         attempts -= 1
         cand = next(draws)
         for m in members:

@@ -18,18 +18,14 @@ from spernerlab.cycle import (
     InequalityRecord,
     all_cyclic_perms,
     arc_mask,
-    arc_overlap,
     averaging_identity,
     bar_complement,
     check_complement_closure,
     check_count_inequalities,
     check_instance,
-    check_weight_bound,
     fill_full,
     g_profile,
-    identity_perm,
     interval_band,
-    interval_mask,
     interval_weight,
     is_full_consecutive,
     is_sigma_ks_ti,
@@ -44,6 +40,12 @@ from spernerlab.generators import (
     random_valid_family,
 )
 from spernerlab.search import CONSTRUCTIONS, construction_size
+
+
+def overlap(n, a, b):
+    """Shared positions of two arcs, as the checks read them: the popcount
+    of the AND of their position masks."""
+    return (arc_mask(n, a.length, a.start) & arc_mask(n, b.length, b.start)).bit_count()
 
 
 def reference_overlap(n, a, b):
@@ -158,16 +160,11 @@ class TestPermsAndIntervals:
     def test_enumeration_count(self):
         assert sum(1 for _ in all_cyclic_perms(5)) == math.factorial(4)
 
-    def test_interval_mask(self):
-        perm = identity_perm(6)
-        iv = Interval(length=3, start=4)
-        assert sorted(e + 1 for e in range(6) if interval_mask(perm, iv) >> e & 1) == [1, 5, 6]
-
     def test_arc_overlap_wraps(self):
         n = 6
         a = Interval(length=4, start=0)
         b = Interval(length=4, start=3)
-        assert arc_overlap(n, a, b) == 2
+        assert overlap(n, a, b) == 2
 
     def test_interval_is_ordered_by_length_then_start(self):
         # check_complement_closure's failure messages print this repr
@@ -188,7 +185,7 @@ class TestPermsAndIntervals:
             ivs = [Interval(length=ell, start=h) for ell in range(1, n) for h in range(n)]
             for a in ivs:
                 for b in ivs:
-                    assert arc_overlap(n, a, b) == reference_overlap(n, a, b), (n, a, b)
+                    assert overlap(n, a, b) == reference_overlap(n, a, b), (n, a, b)
 
     @pytest.mark.parametrize("n", [32, 40])
     def test_overlap_matches_reference_at_large_n(self, n):
@@ -196,30 +193,21 @@ class TestPermsAndIntervals:
         for _ in range(3000):
             a = Interval(length=rng.randint(1, n - 1), start=rng.randrange(n))
             b = Interval(length=rng.randint(1, n - 1), start=rng.randrange(n))
-            assert arc_overlap(n, a, b) == reference_overlap(n, a, b), (n, a, b)
-
-    def test_overlap_matches_masks(self):
-        rng = random.Random(20)
-        perm = identity_perm(9)
-        for _ in range(200):
-            a = Interval(length=rng.randint(1, 8), start=rng.randrange(9))
-            b = Interval(length=rng.randint(1, 8), start=rng.randrange(9))
-            expected = (interval_mask(perm, a) & interval_mask(perm, b)).bit_count()
-            assert arc_overlap(9, a, b) == expected
+            assert overlap(n, a, b) == reference_overlap(n, a, b), (n, a, b)
 
 
 class TestRestrictAndChains:
     def test_adjacent_pairs(self):
         fam = Family.from_sets(4, itertools.combinations(range(1, 5), 2))
-        assert len(restrict_to_cycle(fam, identity_perm(4))) == 4
+        assert len(restrict_to_cycle(fam, CyclicPerm((1, 2, 3, 4)))) == 4
 
     def test_non_consecutive_dropped(self):
         fam = Family.from_sets(4, [[1, 3]])
-        assert len(restrict_to_cycle(fam, identity_perm(4))) == 0
+        assert len(restrict_to_cycle(fam, CyclicPerm((1, 2, 3, 4)))) == 0
 
     def test_full_set_never_an_interval(self):
         fam = Family.from_sets(4, [[1, 2, 3, 4], [1, 2]])
-        res = restrict_to_cycle(fam, identity_perm(4))
+        res = restrict_to_cycle(fam, CyclicPerm((1, 2, 3, 4)))
         assert res.members == (Interval(length=2, start=0),)
 
     def test_interval_count_over_all_orders(self):
@@ -477,7 +465,7 @@ class TestBarComplement:
     def test_frozen_example(self):
         bc = bar_complement(Interval(length=4, start=0), 6, 2)
         assert bc == Interval(length=4, start=3)
-        mask = interval_mask(identity_perm(6), bc)
+        mask = arc_mask(6, bc.length, bc.start)
         assert sorted(e + 1 for e in range(6) if mask >> e & 1) == [1, 4, 5, 6]
 
     def test_cardinality_identity(self):
@@ -495,7 +483,7 @@ class TestBarComplement:
                     for length in range(t + 1, n - t):
                         iv = Interval(length=length, start=start)
                         bc = bar_complement(iv, n, t)
-                        assert arc_overlap(n, iv, bc) == reference_overlap(n, iv, bc) == t
+                        assert overlap(n, iv, bc) == reference_overlap(n, iv, bc) == t
 
     def test_too_small_rejected(self):
         with pytest.raises(PreconditionError):
@@ -636,7 +624,7 @@ class TestComplementClosure:
         assert bc == Interval(length=9, start=7)
         inside = Interval(length=8, start=8)
         assert inside in G.members
-        assert arc_overlap(n, inside, low) == 1  # meets in exactly t elements
+        assert overlap(n, inside, low) == 1  # meets in exactly t elements
         with pytest.raises(PreconditionError, match="t >= 2"):
             check_complement_closure(G, p)
 
@@ -688,8 +676,8 @@ class TestInequalities:
 class TestWeightBound:
     def test_pure_layers_equality(self):
         p = Params(n=8, t=2, k=2)
-        chk = check_weight_bound(layers_interval_family(8, 2, 2), p)
-        assert chk.holds and chk.total_weight == chk.bound
+        wb = check_instance(layers_interval_family(8, 2, 2), p)["weight_bound"]
+        assert wb["holds"] and wb["margin"] == 0
 
     def test_random_restrictions(self):
         rng = random.Random(29)
@@ -702,9 +690,9 @@ class TestWeightBound:
                 continue
             k = rng.randint(1, 3)
             fam = random_valid_family(rng, n, t, k)
-            G = restrict_to_cycle(fam, identity_perm(n))
-            chk = check_weight_bound(G, Params(n=n, t=t, k=k))
-            assert chk.holds
+            G = restrict_to_cycle(fam, CyclicPerm(tuple(range(1, n + 1))))
+            lo, hi = Params(n=n, t=t, k=k).band(0)
+            assert interval_weight(G) <= n * sum(math.comb(n, s) for s in range(lo, hi + 1))
 
 
 class TestWeightBoundSweep:
@@ -725,7 +713,7 @@ class TestWeightBoundSweep:
             clean = True
             for _ in range(40):
                 G = random_full_consecutive(rng, n, t, k, m)
-                if not check_weight_bound(G, p).holds:
+                if not check_instance(G, p)["weight_bound"]["holds"]:
                     clean = False
                     assert n < analytic, (
                         f"weight bound violated at n={n} >= threshold {analytic}")
@@ -759,7 +747,7 @@ class TestAveraging:
 
 
 CHECKS_WITH_PARAMS = [fill_full, g_profile, check_count_inequalities, check_complement_closure,
-                      check_weight_bound, check_instance]
+                      check_instance]
 
 
 @pytest.mark.parametrize("check", CHECKS_WITH_PARAMS, ids=lambda fn: fn.__name__)
@@ -828,15 +816,16 @@ def test_check_instance_ok_on_full_consecutive(t, m, data):
 @given(st.integers(1, 4), st.integers(0, 2), st.data())
 def test_chain_weighs_like_the_cycle_layer(t, m, data):
     # the coefficient layer's weighted sum and final bound are the cycle
-    # layer's interval weight and weight bound, each computed on its own
+    # layer's interval weight and n times the k middle binomials, each
+    # computed on its own
     k = data.draw(st.integers(m + 1, 3))
     n = t + 2 * (m + k) + 2 * data.draw(st.integers(0, 8))
     seed = data.draw(st.integers(0, 2**32 - 1))
     G = random_full_consecutive(random.Random(seed), n, t, k, m)
     p = Params(n=n, t=t, k=k)
-    rep, wb = verify_chain(g_profile(G, p)), check_weight_bound(G, p)
-    assert rep.weighted_g == interval_weight(G) == wb.total_weight
-    assert rep.final_bound == wb.bound
+    rep, (lo, hi) = verify_chain(g_profile(G, p)), p.band(0)
+    assert rep.weighted_g == interval_weight(G)
+    assert rep.final_bound == n * sum(math.comb(n, s) for s in range(lo, hi + 1))
 
 
 def heaviest_arc_families(n, lo, hi):

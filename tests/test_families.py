@@ -595,6 +595,9 @@ class TestKatonaShadow:
             n = rng.randint(3, 10)
             r = rng.randint(2, n - 1)
             t = rng.randint(1, r)
-            fam = random_uniform_t_intersecting(rng, n, r, t, target=rng.randint(1, 14))
+            size = rng.randint(1, 14)
+            fam = random_uniform_t_intersecting(rng, n, r, t)
+            # a prefix of an r-uniform t-intersecting family is one too
+            fam = Family(n, fam.members[:size])
             lvl = rng.randint(max(0, r - t), r)
             assert verify_katona_shadow(fam, r, t, lvl).holds

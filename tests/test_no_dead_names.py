@@ -2,14 +2,14 @@
 every parameter default is both overridden and relied on somewhere.
 
 A name defined in src/spernerlab/*.py must occur as a whole word at least
-once outside its own definition, in src/, tests/ or demos/.  This file
-does not count, so dead API cannot hide behind it.
+once outside its own definition, in src/ or demos/.  Tests do not count,
+so a name only tests call is dead API.
 
 A parameter with a default, in any function or method of the package,
-must be passed in at least one call in the same files, and left out of
-at least one other.  Calls match by callee name (`__init__` by its class
-name); a parameter counts as passed by keyword, by position, or through
-`*` or `**`.
+must be passed in at least one call in src/, tests/ or demos/ (this file
+aside), and left out of at least one other.  Calls match by callee name
+(`__init__` by its class name); a parameter counts as passed by keyword,
+by position, or through `*` or `**`.
 """
 
 import ast
@@ -44,8 +44,9 @@ def _files():
 
 
 def _corpus():
-    """Source lines to search, per file."""
-    return {path: path.read_text().splitlines() for path in _files()}
+    """Source lines to search for names, per file under src/ and demos/."""
+    return {path: path.read_text().splitlines() for path in _files()
+            if path.relative_to(ROOT).parts[0] != "tests"}
 
 
 def test_every_module_level_name_is_used():
