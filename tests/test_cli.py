@@ -274,6 +274,12 @@ class TestAudits:
          "e465e8bd5ff602a00dbe921f5c160ff30c17af1630d1b25c628068c5079de2c5"),
         ("cycle-audit --n 14 --t 4 --k 2 --trials 40 --seed 3",
          "b83acdb4e64a9d614ef4a4a19b88e89cd30eda42aec603cd436b5285def49022"),
+        # k = 3 and 4: the trials hold all four inequality kinds, where the
+        # k = 2 pins above hold only "one" and "four"
+        ("cycle-audit --n 20 --t 2 --k 3 --trials 60 --seed 11",
+         "aac4d0f449cd67f6317bd36bad9c9839a8bb2d408fba1840a354ce3b02dfa023"),
+        ("cycle-audit --n 26 --t 2 --k 4 --trials 60 --seed 12",
+         "ecd5ef9ad9e639885fc1f2f7bcb4ba89b9c2d26874f9d5f1b1f47772b435ad2f"),
         ("scan --seed 7 --n-max 4 --trials 4",
          "3616c7907c17dde05618859b415d95b7027791de1ad8908b7d634dc027b5128a"),
         ("construct --which layers --n 14 --t 2 --k 2",

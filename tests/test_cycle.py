@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spernerlab import cycle
-from spernerlab.coefficients import verify_chain
+from spernerlab.coefficients import minimal_chain_n, profile_vector, verify_chain
 from spernerlab.compression import down_shift, normalize, up_compress
 from spernerlab.cycle import (
     AveragingCheck,
@@ -669,8 +669,18 @@ class TestInequalities:
             records = check_count_inequalities(G, Params(n=n, t=t, k=k))
             assert all(r.holds for r in records), [(r.name, r.j, r.lhs, r.rhs) for r in records]
 
-    def test_fabricated_violation_detected(self):
-        assert not InequalityRecord("one", 0, lhs=21, rhs=20).holds
+    def test_fabricated_violation_detected(self, monkeypatch):
+        # n = 14 is below the chain threshold of 22 at (t, k, m) = (4, 2, 1),
+        # so ok hangs on the inequalities and the closure alone
+        assert minimal_chain_n(4, 2, 1, 100) == 22
+        G = random_full_consecutive(random.Random(3), 14, 4, 2, 1)
+        fake = profile_vector(14, 4, 2, 1, (1, 14, 0, 1))
+        monkeypatch.setattr(cycle, "g_profile", lambda G, params: fake)
+        rec = check_instance(G, Params(14, 4, 2))
+        assert rec["inequalities"][0] == {"name": "one", "j": 0, "lhs": 15, "rhs": 14,
+                                          "holds": False}
+        assert rec["complement_closure"] and not rec["above_chain_threshold"]
+        assert not rec["ok"]
 
 
 class TestWeightBound:
@@ -700,8 +710,6 @@ class TestWeightBoundSweep:
         # scan upward for the smallest n at which every generated instance
         # satisfies the weight bound; from the analytic swap threshold on,
         # no violation may appear
-        from spernerlab.coefficients import minimal_chain_n
-
         t, k, m = 4, 2, 1
         analytic = minimal_chain_n(t, k, m, 100)
         rng = random.Random(31)
