@@ -14,7 +14,6 @@ from spernerlab.cycle import (
     averaging_identity,
     bar_complement,
     check_complement_closure,
-    check_count_inequalities,
     check_instance,
     fill_full,
     g_profile,
@@ -64,9 +63,9 @@ p = Params(n=20, t=2, k=3)
 G = random_full_consecutive(rng, 20, 2, 3, m=2)
 prof = g_profile(G, p)
 print("size-class profile (classes -m..k+m-1):", prof.values, " total", prof.total())
-for r in check_count_inequalities(G, p):
-    print(f"  inequality ({r.name}) at j={r.j}: {r.lhs} <= {r.rhs}  -> {r.holds}")
 rec = check_instance(G, p)
+for r in rec["inequalities"]:
+    print(f"  inequality ({r['name']}) at j={r['j']}: {r['lhs']} <= {r['rhs']}  -> {r['holds']}")
 print("missing-interval side families disjoint:", rec["side_families_disjoint"])
 print("bar-complement closure:", not check_complement_closure(G, p))
 wb = rec["weight_bound"]

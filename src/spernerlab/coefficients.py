@@ -14,6 +14,7 @@ rely on and raise InvariantViolation when one fails (bug traps).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -111,13 +112,8 @@ def minimal_n0(a: int, b: int, n_max: int):
     n in [N, n_max]; None if even n_max itself fails."""
     if not (a < b and b > 0):
         raise PreconditionError("minimal_n0 needs a < b and b > 0")
-    best = None
-    for n in range(n_max, 0, -1):
-        if binom_swap(n, a, b):
-            best = n
-        else:
-            break
-    return best
+    return min(itertools.takewhile(lambda n: binom_swap(n, a, b), range(n_max, 0, -1)),
+               default=None)
 
 
 def star_inequality_check(g: CoeffVector) -> bool:
@@ -234,13 +230,10 @@ def minimal_chain_n(t: int, k: int, m: int, n_max: int):
     Harvest sizes for the rebalancing chain should not go below this.
     """
     start = n_max if (n_max + t) % 2 == 0 else n_max - 1
-    best = None
-    for n in range(start, max(t, 2 * m) , -2):
-        if all(lhs <= rhs for lhs, rhs in (_fold_step(n, t, k, j) for j in range(1, m + 1))):
-            best = n
-        else:
-            break
-    return best
+
+    def holds(n):
+        return all(lhs <= rhs for lhs, rhs in (_fold_step(n, t, k, j) for j in range(1, m + 1)))
+    return min(itertools.takewhile(holds, range(start, max(t, 2 * m), -2)), default=None)
 
 
 @dataclass(frozen=True, slots=True)

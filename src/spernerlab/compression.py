@@ -219,7 +219,7 @@ def normalize(fam: Family, params: Params) -> tuple[Family, NormalizationReport]
     never losing cardinality.  The input is checked once, as up_compress
     checks it, and the up pass keeps both properties; its chain levels
     serve the down pass when no round lifted."""
-    levels = _validate(fam, params, "up_compress")
+    levels = _validate(fam, params, "normalize")
     lifted, up_rep = _up_compress(fam, params)
     shifted, rep = _down_shift(lifted, params,
                                levels if lifted is fam else _chain_levels(lifted))

@@ -337,56 +337,6 @@ def g_profile(G: IntervalFamily, params: Params) -> CoeffVector:
     return profile_vector(G.n, params.t, params.k, m, counts)
 
 
-@dataclass(frozen=True, slots=True)
-class InequalityRecord:
-    name: str
-    j: int
-    lhs: int
-    rhs: int
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs <= self.rhs
-
-
-def check_count_inequalities(G: IntervalFamily, params: Params) -> tuple[InequalityRecord, ...]:
-    """The four counting inequalities a full consecutive family inside the
-    band must satisfy, one record per instance.  A record that does not
-    hold is a bug trap."""
-    return _profile_and_inequalities(G, params)[1]
-
-
-def _profile_and_inequalities(G: IntervalFamily, params: Params):
-    """(g_profile(G, params), check_count_inequalities(G, params)), with
-    the profile built once."""
-    n, k = G.n, params.k
-    if not is_full_consecutive(G, k):
-        raise PreconditionError("count inequalities need a full consecutive family")
-    prof = g_profile(G, params)  # refuses another n and n + t odd
-    m = prof.m
-    if m >= k:
-        raise PreconditionError(f"count inequalities need m < k, got m={m}")
-    g = prof.value
-    records = []
-    for j in range(0, m):
-        if j < k - m:
-            records.append(InequalityRecord("one", j, g(-j - 1) + g(j), n))
-        else:
-            lhs = sum(g(i) for i in range(-(j + 1), j + 1))
-            rhs = (j + 1) * n - sum(g(-i) for i in range(k - j, m + 1))
-            records.append(InequalityRecord("two", j, lhs, rhs))
-    for j in range(1, m + 1):
-        if j < k - m:
-            lhs = sum(g(i) for i in range(-m, k - j + 1))
-            rhs = (k - j + 1) * n - sum(g(-i) for i in range(j, m + 1))
-            records.append(InequalityRecord("three", j, lhs, rhs))
-    for j in range(1, m + 1):
-        lhs = sum(g(i) for i in range(-m, k - 1 + j))
-        rhs = k * n - sum(g(i) for i in range(-m, -j + 1))
-        records.append(InequalityRecord("four", j, lhs, rhs))
-    return prof, tuple(records)
-
-
 def check_instance(G: IntervalFamily, params: Params) -> dict:
     """Every cycle-method check on one full consecutive family inside the
     band, as a JSON-ready record.
@@ -398,17 +348,39 @@ def check_instance(G: IntervalFamily, params: Params) -> dict:
     a failure is a finding, not a bug, and does not clear `ok`.
     """
     n, t, k = params.n, params.t, params.k
-    # refuses any family not full consecutive
-    prof, records = _profile_and_inequalities(G, params)
+    if not is_full_consecutive(G, k):
+        raise PreconditionError("count inequalities need a full consecutive family")
+    prof = g_profile(G, params)  # refuses another n and n + t odd
+    m, g = prof.m, prof.value
+    if m >= k:
+        raise PreconditionError(f"count inequalities need m < k, got m={m}")
+    records = []  # (name, j, lhs, rhs)
+    for j in range(0, m):
+        if j < k - m:
+            records.append(("one", j, g(-j - 1) + g(j), n))
+        else:
+            lhs = sum(g(i) for i in range(-(j + 1), j + 1))
+            rhs = (j + 1) * n - sum(g(-i) for i in range(k - j, m + 1))
+            records.append(("two", j, lhs, rhs))
+    for j in range(1, m + 1):
+        if j < k - m:
+            lhs = sum(g(i) for i in range(-m, k - j + 1))
+            rhs = (k - j + 1) * n - sum(g(-i) for i in range(j, m + 1))
+            records.append(("three", j, lhs, rhs))
+    for j in range(1, m + 1):
+        lhs = sum(g(i) for i in range(-m, k - 1 + j))
+        rhs = k * n - sum(g(i) for i in range(-m, -j + 1))
+        records.append(("four", j, lhs, rhs))
+    inequalities = [{"name": name, "j": j, "lhs": lhs, "rhs": rhs, "holds": lhs <= rhs}
+                    for name, j, lhs, rhs in records]
     closure = not check_complement_closure(G, params) if t >= 2 else None
     # the chain report holds both sides of the weight bound
     chain = verify_chain(prof)
     weight, bound = chain.weighted_g, chain.final_bound
-    threshold = minimal_chain_n(t, k, prof.m, 4 * n + 100)
+    threshold = minimal_chain_n(t, k, m, 4 * n + 100)
     above = threshold is not None and n >= threshold
     return {
-        "inequalities": [{"name": r.name, "j": r.j, "lhs": r.lhs, "rhs": r.rhs,
-                          "holds": r.holds} for r in records],
+        "inequalities": inequalities,
         # a full consecutive family holds k consecutive lengths on every
         # chain and arcs on one chain nest, so a missing arc lies inside its
         # chain's members or around them, never in both side families
@@ -418,7 +390,7 @@ def check_instance(G: IntervalFamily, params: Params) -> dict:
                          "bound": bound, "margin": bound - weight},
         "coefficient_chain": chain.ok,
         "above_chain_threshold": above,
-        "ok": (all(r.holds for r in records) and closure is not False
+        "ok": (all(r["holds"] for r in inequalities) and closure is not False
                and (not above or (weight <= bound and chain.ok))),
     }
 

@@ -153,27 +153,6 @@ def _holders(masks, n):
     return [int("".join(column), 2) for column in zip(*rows)][::-1]
 
 
-def _count_classes(masks, n):
-    """A memoized map from an atom (a mask over [n]) to its count classes:
-    entry c is the bitmask of the indices j with |masks[j] & atom| = c.
-    It serves orbital branching only, so it holds the classes of the Venn
-    atoms the searches reach."""
-    has = _holders(masks, n)
-    everyone = (1 << len(masks)) - 1
-
-    @functools.cache
-    def classes(atom):
-        levels = [everyone]
-        for x in range(n):
-            if atom >> x & 1:
-                h = has[x]
-                levels = [levels[0] & ~h,
-                          *(hi & ~h | lo & h for lo, hi in zip(levels, levels[1:])),
-                          levels[-1] & h]
-        return levels
-    return classes
-
-
 def _fold_elements(masks, n, start, step):
     """Yield per mask m, in order, the state after step(state, x, m >> x & 1)
     is applied for x from n - 1 down to 0, starting from start.  The state
@@ -189,38 +168,52 @@ def _fold_elements(masks, n, start, step):
         last = m
 
 
-def _t_conflicts(masks, has, t):
-    """Per candidate, the bitmask of the candidates that meet it in fewer
-    than t elements; has is _holders(masks, n).  Level c holds the
-    candidates that meet the elements read so far in exactly c of them,
-    for c < t; one that reaches t leaves."""
-    if not t:
-        return [0] * len(masks)
-
+def _count_step(has):
+    """The step for _fold_elements whose state is a list of count levels
+    over the candidates (has is _holders of the candidate list): level c
+    holds the candidates that hold exactly c of the elements read so far.
+    The list keeps its length, so a candidate that reaches it leaves."""
     def step(levels, x, held):
         if not held:
             return levels
         h = has[x]
         return [levels[0] & ~h, *(hi & ~h | lo & h for lo, hi in zip(levels, levels[1:]))]
+    return step
+
+
+def _count_classes(masks, has):
+    """A memoized map from an atom (a mask over [n]) to its count classes:
+    entry c is the bitmask of the indices j with |masks[j] & atom| = c.
+    It serves orbital branching only, so it holds the classes of the Venn
+    atoms the searches reach."""
+    n = len(has)
+    start, step = [(1 << len(masks)) - 1, *[0] * n], _count_step(has)
+    return functools.cache(lambda atom: next(_fold_elements((atom,), n, start, step)))
+
+
+def _t_conflicts(masks, has, t):
+    """Per candidate, the bitmask of the candidates that meet it in fewer
+    than t elements, from t count levels; has is _holders(masks, n)."""
+    if not t:
+        return [0] * len(masks)
     start = [(1 << len(masks)) - 1, *[0] * (t - 1)]
-    return list(map(sum, _fold_elements(masks, len(has), start, step)))
+    return list(map(sum, _fold_elements(masks, len(has), start, _count_step(has))))
 
 
-def _relations(masks, n, t):
+def _relations(masks, has, t):
     """Per candidate i, bitmasks over the candidate indices: tconf[i], the
     candidates that meet masks[i] in fewer than t elements; sup[i] and
     sub[i], the other candidates that contain it and that it contains.
     The supersets of m hold every element of m, its subsets none outside
     it.  Every candidate has at least t elements, so no candidate is a
-    t-conflict of itself."""
-    has = _holders(masks, n)
+    t-conflict of itself.  has is _holders(masks, n)."""
     everyone = (1 << len(masks)) - 1
 
     def step(state, x, held):
         inside, outside = state
         return (inside & has[x], outside) if held else (inside, outside | has[x])
     sup, sub = [], []
-    for i, (inside, outside) in enumerate(_fold_elements(masks, n, (everyone, 0), step)):
+    for i, (inside, outside) in enumerate(_fold_elements(masks, len(has), (everyone, 0), step)):
         sup.append(inside ^ 1 << i)
         sub.append(everyone ^ outside ^ 1 << i)
     return _t_conflicts(masks, has, t), sup, sub
@@ -315,8 +308,9 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
                  and (k >= 2 or (m & chosen0) != chosen0)]
         masks.sort(key=lambda m: (-math.comb(n, m.bit_count()), m.bit_count(), m))
         C = len(masks)
-        classes = _count_classes(masks, n)
-        tconf, sup, sub = _relations(masks, n, t)
+        has = _holders(masks, n)
+        classes = _count_classes(masks, has)
+        tconf, sup, sub = _relations(masks, has, t)
         # One packed vector per member; packed is their sum over the live
         # ones, chosen or in the pool.  First a w-bit counter per symmetric
         # chain, then one bit at the complement's index for the lower member
@@ -566,8 +560,9 @@ def g_function(params: Params, budget: Budget | None = None) -> GFunctionResult:
     layer.sort()
     top_index = {m: i for i, m in enumerate(layer_masks(n, top))}
     shades = [sum(1 << top_index[sm] for sm in layer_masks(n, top, required=m)) for m in layer]
-    classes = _count_classes(layer, n)
-    tconf = _t_conflicts(layer, _holders(layer, n), t)
+    has = _holders(layer, n)
+    classes = _count_classes(layer, has)
+    tconf = _t_conflicts(layer, has, t)
     matching = functools.cache(lambda pool: _greedy_matching(pool, tconf))
     best, witness = 0, ()
     nodes, proven = 0, True

@@ -216,6 +216,14 @@ class TestNormalize:
         assert len(out) == 0
         assert (rep.band, rep.m, rep.steps) == (None, 0, ())
 
+    @pytest.mark.parametrize("sets, message", [
+        ([[1, 2], [3, 4]], "normalize: family is not 1-intersecting"),
+        ([[1, 2], [1, 2, 3]], "normalize: family has a chain longer than k=1"),
+    ], ids=["disjoint", "chain"])
+    def test_refuses_under_its_own_name(self, sets, message):
+        with pytest.raises(PreconditionError, match=message):
+            normalize(Family.from_sets(4, sets), Params(n=4, t=1, k=1))
+
 
 def test_pass_outputs_and_reports_pinned():
     # every pass's members and report on 300 seeded draws, as the sha256 of

@@ -15,13 +15,11 @@ from spernerlab.cycle import (
     CyclicPerm,
     Interval,
     IntervalFamily,
-    InequalityRecord,
     all_cyclic_perms,
     arc_mask,
     averaging_identity,
     bar_complement,
     check_complement_closure,
-    check_count_inequalities,
     check_instance,
     fill_full,
     g_profile,
@@ -657,7 +655,7 @@ class TestGProfile:
 class TestInequalities:
     def test_pure_layers_vacuous(self):
         p = Params(n=8, t=2, k=2)
-        assert check_count_inequalities(layers_interval_family(8, 2, 2), p) == ()
+        assert check_instance(layers_interval_family(8, 2, 2), p)["inequalities"] == []
 
     def test_random_instances(self):
         rng = random.Random(28)
@@ -666,8 +664,8 @@ class TestInequalities:
             m = rng.randint(0, k - 1)
             n = rng.choice([14, 16, 20])
             G = random_full_consecutive(rng, n, t, k, m)
-            records = check_count_inequalities(G, Params(n=n, t=t, k=k))
-            assert all(r.holds for r in records), [(r.name, r.j, r.lhs, r.rhs) for r in records]
+            records = check_instance(G, Params(n=n, t=t, k=k))["inequalities"]
+            assert all(r["holds"] for r in records), records
 
     def test_fabricated_violation_detected(self, monkeypatch):
         # n = 14 is below the chain threshold of 22 at (t, k, m) = (4, 2, 1),
@@ -754,8 +752,7 @@ class TestAveraging:
             averaging_identity(Family(8))
 
 
-CHECKS_WITH_PARAMS = [fill_full, g_profile, check_count_inequalities, check_complement_closure,
-                      check_instance]
+CHECKS_WITH_PARAMS = [fill_full, g_profile, check_complement_closure, check_instance]
 
 
 @pytest.mark.parametrize("check", CHECKS_WITH_PARAMS, ids=lambda fn: fn.__name__)

@@ -153,7 +153,8 @@ def test_orbit_matches_brute_force(case):
     assert len(group) == math.prod(math.factorial(a.bit_count()) for a in atoms)
     targets = {image(p, masks[i]) for p in group}
     expected = sum(1 << j for j, m in enumerate(masks) if m in targets)
-    assert search._orbit(search._count_classes(masks, n), atoms, masks[i]) == expected
+    classes = search._count_classes(masks, search._holders(masks, n))
+    assert search._orbit(classes, atoms, masks[i]) == expected
 
 
 def pairwise_relations(masks, t):
@@ -203,7 +204,7 @@ def test_relations_match_pairwise():
                 if rng.random() < 0.5:
                     picked.sort()
                 masks = [masks[j] for j in picked]
-                got = search._relations(masks, n, t)
+                got = search._relations(masks, search._holders(masks, n), t)
                 assert list(got) == list(pairwise_relations(masks, t)), (n, t, plan)
 
 
