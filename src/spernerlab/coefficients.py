@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, replace
 
 from .families import InvariantViolation, Params, PreconditionError, binomial
@@ -79,8 +78,9 @@ def binom_swap(n: int, a: int, b: int) -> bool:
     at this n.
 
     Large n avoids materializing the binomials: dividing through by the
-    smallest one leaves products of at most |b - a| + 1 small ratios, which
-    are compared exactly over a common denominator.
+    smallest one leaves products of at most |b - a| + 1 small ratios, built
+    as one running product and compared exactly over its last denominator,
+    which every earlier one divides.
     """
     if not (a < b and b > 0):
         raise PreconditionError("binom_swap needs a < b and b > 0")
@@ -92,17 +92,13 @@ def binom_swap(n: int, a: int, b: int) -> bool:
         return (binomial(n, h + a) + binomial(n, h + b)
                 <= binomial(n, h + a + 1) + binomial(n, h + b - 1))
     base = h + min(offsets)
-
-    def scaled(off):
-        # C(n, h+off) / C(n, base) as (numerator, denominator)
-        num = den = 1
-        for i in range(base, h + off):
-            num *= n - i
-            den *= i + 1
-        return num, den
-
-    terms = [scaled(off) for off in offsets]
-    common = math.lcm(*(d for _, d in terms))
+    # ratios[j]: C(n, base+j) / C(n, base) as (numerator, denominator)
+    ratios = [(1, 1)]
+    for i in range(base, h + max(offsets)):
+        num, den = ratios[-1]
+        ratios.append((num * (n - i), den * (i + 1)))
+    terms = [ratios[h + off - base] for off in offsets]
+    common = ratios[-1][1]
     vals = [num * (common // den) for num, den in terms]
     return vals[0] + vals[1] <= vals[2] + vals[3]
 

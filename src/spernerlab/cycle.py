@@ -154,8 +154,22 @@ def is_sigma_ks_ti(G: IntervalFamily, params: Params) -> bool:
     chains = G.chains
     if any(len(run) > k or (len(run) > 1 and run[0] < t) for run in chains.values()):
         return False
-    lows = [arc_mask(n, run[0], h) for h, run in chains.items()]
-    return all((a & b).bit_count() >= t for a, b in itertools.combinations(lows, 2))
+    # arcs of lengths a and b share at least a + b - n positions: in length
+    # order a low needs masks only for the earlier lows below n + t - a
+    lows = sorted((run[0], h) for h, run in chains.items())
+    shorter = []  # (length, mask) of the lows passed
+    for a, h in lows:
+        floor = n + t - a
+        if lows[0][0] >= floor:
+            break
+        x = arc_mask(n, a, h)
+        for b, y in shorter:
+            if b >= floor:
+                break
+            if (x & y).bit_count() < t:
+                return False
+        shorter.append((a, x))
+    return True
 
 
 def _close_gaps(run, n: int) -> list[int]:
@@ -166,6 +180,8 @@ def _close_gaps(run, n: int) -> list[int]:
     minimum otherwise.  Every replacement strictly increases the weight.
     """
     run = sorted(run)
+    if not run or run[-1] - run[0] == len(run) - 1:
+        return run
     for _ in range(n * n):
         g = next((a + 1 for a, b in zip(run, run[1:]) if b > a + 1), None)
         if g is None:
@@ -252,12 +268,11 @@ def fill_full(G: IntervalFamily, params: Params) -> IntervalFamily:
         run = _close_gaps(chains.get(h, ()), n)
         while len(run) < k:
             if run and run[-1] + 1 <= top:
-                add = run[-1] + 1
+                run.append(run[-1] + 1)  # a consecutive run stays consecutive
             elif patch in run:
                 raise InvariantViolation("fill_full patch interval already present")
             else:
-                add = patch
-            run = _close_gaps(run + [add], n)
+                run = _close_gaps(run + [patch], n)
         members.extend(Interval(length=ell, start=h) for ell in run)
     cur = IntervalFamily(n, members)
     if not is_full_consecutive(cur, k):
@@ -307,19 +322,23 @@ def check_complement_closure(G: IntervalFamily, params: Params) -> tuple[str, ..
         raise PreconditionError("band bottom too small for bar complements")
     chains = G.chains
     # a chain holds a proper subinterval of an arc iff its shortest member
-    # lies inside the arc and is not the arc itself
-    lows = [(run[0], h, arc_mask(n, run[0], h)) for h, run in chains.items()]
+    # lies inside the arc and is not the arc itself; an arc of length ell
+    # lies inside the arc (b, s) iff it starts at most b - ell after s
+    starts: dict[int, int] = {}  # shortest length -> mask of the chains it starts
+    for h, run in chains.items():
+        starts[run[0]] = starts.get(run[0], 0) | 1 << h
     failures = []
     for iv in G.members:
         bc = bar_complement(iv, n, t)
-        bar = arc_mask(n, bc.length, bc.start)
-        hits = [(ell, (h - bc.start) % n) for ell, h, low in lows
-                if low & ~bar == 0 and low != bar]
-        if hits:
-            ell, off = min(hits)
-            sub = Interval(length=ell, start=(bc.start + off) % n)
-            failures.append(
-                f"proper subinterval {sub} of bar complement of {iv} is a member")
+        b, s = bc
+        for ell, mask in starts.items():
+            if ell < b and mask & arc_mask(n, b - ell + 1, s):
+                ell, off = min((run[0], (h - s) % n) for h, run in chains.items()
+                               if run[0] < b and (h - s) % n <= b - run[0])
+                sub = Interval(length=ell, start=(s + off) % n)
+                failures.append(
+                    f"proper subinterval {sub} of bar complement of {iv} is a member")
+                break
         if iv.length == lo and bc.length not in chains.get(bc.start, ()):
             failures.append(f"bar complement {bc} of bottom member {iv} is missing")
     return tuple(failures)

@@ -97,7 +97,10 @@ def random_valid_family(rng: random.Random, n: int, t: int, k: int) -> Family:
 def random_uniform_t_intersecting(rng: random.Random, n: int, r: int, t: int) -> Family:
     """An r-uniform t-intersecting family of at most 12 members: a random
     core superset first, then random layer sets kept only when compatible
-    with everything so far."""
+    with everything so far.
+
+    All 360 attempts are drawn even once the family is maximal: stopping
+    early would shift every later draw, and so every `scan` byte."""
     if not (0 < t <= r <= n):
         raise PreconditionError("need 0 < t <= r <= n")
     bits = [1 << e for e in range(n)]
@@ -156,9 +159,11 @@ def random_full_consecutive(rng: random.Random, n: int, t: int, k: int, m: int) 
     # a + b - n positions, t + 2m for two bottoms at high and t for the
     # pinned lo against high, so every short pair has a raisable bottom.
     # Each raise lifts one bottom, which stops at high, so the pass ends.  A
-    # raise only lengthens an arc, so every pair already passed stays good.
+    # raise only lengthens an arc, so every pair already passed stays good,
+    # and so does a pair whose bottoms sum to n + t or more: it needs no mask.
     for h1 in range(n):
-        for h2 in range(h1 + 1, n):
+        floor = n + t - bottoms[h1]
+        for h2 in [h for h in range(h1 + 1, n) if bottoms[h] < floor]:
             while (arcs[h1] & arcs[h2]).bit_count() < t:
                 raisable = [h for h in (h1, h2) if h != pinned and bottoms[h] < high]
                 if not raisable:
@@ -178,8 +183,8 @@ def random_sigma_ksti(rng: random.Random, n: int, t: int, k: int, m: int) -> Int
     t-intersecting family with member sizes inside the band."""
     lo, hi = interval_band(Params(n=n, t=t, k=k), m)
     target = rng.randint(1, k * n // 2)
-    members: list[Interval] = []
-    arcs: list[int] = []  # members' position masks
+    members: set[Interval] = set()
+    arcs: list[tuple[int, int]] = []  # members' lengths and position masks
     per_chain = [0] * n
     attempts = 40 * target
     while len(members) < target and attempts:
@@ -190,13 +195,14 @@ def random_sigma_ksti(rng: random.Random, n: int, t: int, k: int, m: int) -> Int
         cand = Interval(length=rng.randint(lo, hi), start=h)
         if cand in members:
             continue
+        floor = n + t - cand.length  # members at least this long meet cand in t
         arc = arc_mask(n, cand.length, h)
-        for other in arcs:
-            if (arc & other).bit_count() < t:
+        for ell, other in arcs:
+            if ell < floor and (arc & other).bit_count() < t:
                 break
         else:
-            members.append(cand)
-            arcs.append(arc)
+            members.add(cand)
+            arcs.append((cand.length, arc))
             per_chain[h] += 1
     return IntervalFamily(n, members)
 

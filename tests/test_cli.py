@@ -280,6 +280,12 @@ class TestAudits:
          "aac4d0f449cd67f6317bd36bad9c9839a8bb2d408fba1840a354ce3b02dfa023"),
         ("cycle-audit --n 26 --t 2 --k 4 --trials 60 --seed 12",
          "ecd5ef9ad9e639885fc1f2f7bcb4ba89b9c2d26874f9d5f1b1f47772b435ad2f"),
+        # the largest audit cells: k = 3 at n = 32, and the t = 1 path,
+        # where the closure check is out of force
+        ("cycle-audit --n 32 --t 4 --k 3 --trials 40 --seed 21",
+         "2db681d5ba184674541c3572261b500b307aaea5ee9263076fc49bafbb0602d9"),
+        ("cycle-audit --n 21 --t 1 --k 3 --trials 40 --seed 22",
+         "8bd87e1c9372e75b387b9a5942a7be6e77cfb1af919c353549e434961851e321"),
         ("scan --seed 7 --n-max 4 --trials 4",
          "3616c7907c17dde05618859b415d95b7027791de1ad8908b7d634dc027b5128a"),
         ("construct --which layers --n 14 --t 2 --k 2",

@@ -57,6 +57,18 @@ class TestBinomSwap:
             assert binom_swap(n, 1, 2)
             assert c(n, h + 1) + c(n, h + 2) == c(n, h + 2) + c(n, h + 1)
 
+    def test_large_n_matches_math_comb(self):
+        # above n = 60 the swap is decided on ratios to the smallest binomial
+        def c(n, r):
+            return math.comb(n, r) if 0 <= r <= n else 0
+
+        for n in range(61, 701):
+            h = n // 2
+            for a in range(-3, 6):
+                for b in range(max(a, 0) + 1, 7):
+                    expected = c(n, h + a) + c(n, h + b) <= c(n, h + a + 1) + c(n, h + b - 1)
+                    assert binom_swap(n, a, b) == expected, (n, a, b)
+
     def test_known_failure_below_threshold(self):
         # (a, b) = (0, 3) fails at n = 4: C(4,2)+0 = 6 > C(4,3)+C(4,4) = 5
         assert not binom_swap(4, 0, 3)

@@ -185,6 +185,18 @@ class TestPermsAndIntervals:
                 for b in ivs:
                     assert overlap(n, a, b) == reference_overlap(n, a, b), (n, a, b)
 
+    def test_arc_facts_behind_the_length_skips(self):
+        # two arcs share at least a + b - n positions, and an arc of length
+        # ell lies inside the arc (b, s) iff it starts at most b - ell after s
+        for n in range(3, 13):
+            ivs = [Interval(length=ell, start=h) for ell in range(1, n) for h in range(n)]
+            for a in ivs:
+                for b in ivs:
+                    o = reference_overlap(n, a, b)
+                    assert o >= a.length + b.length - n, (n, a, b)
+                    inside = (a.start - b.start) % n <= b.length - a.length
+                    assert (o == a.length) == inside, (n, a, b)
+
     @pytest.mark.parametrize("n", [32, 40])
     def test_overlap_matches_reference_at_large_n(self, n):
         rng = random.Random(n)
@@ -371,6 +383,24 @@ class TestSigmaPredicate:
                 h = rng.choice(members).start if members and rng.random() < 0.4 else rng.randrange(n)
                 members.append(Interval(length=rng.randint(max(1, t - 1), n - 1), start=h))
             G = IntervalFamily(n, members)
+            expected = pairwise(G, t, k)
+            assert is_sigma_ks_ti(G, Params(n=n, t=t, k=k)) == expected, (n, t, k, G.members)
+            seen.add(expected)
+        assert seen == {True, False}
+
+        # full consecutive families up to n = 40 at m = k - 1, whose lows
+        # reach below (n + t)/2, half of them with one chain lowered
+        seen = set()
+        for _ in range(60):
+            t = rng.randint(1, 4)
+            k = rng.randint(1, 3)
+            n = rng.choice(range(t + 4 * k - 2, 41, 2))  # the band of m = k - 1 fits
+            G = random_full_consecutive(rng, n, t, k, k - 1)
+            if rng.random() < 0.5:
+                h = rng.randrange(n)
+                drop = rng.randint(1, G.chains[h][0] - 1)
+                G = IntervalFamily(n, [iv for iv in G.members if iv.start != h]
+                                   + [Interval(length=ell - drop, start=h) for ell in G.chains[h]])
             expected = pairwise(G, t, k)
             assert is_sigma_ks_ti(G, Params(n=n, t=t, k=k)) == expected, (n, t, k, G.members)
             seen.add(expected)
