@@ -95,15 +95,16 @@ class IntervalFamily:
         if n < 3:
             raise PreconditionError("interval families need n >= 3")
         members = tuple(sorted(set(self.members)))
-        for iv in members:
-            if not 1 <= iv.length <= n - 1:
-                raise PreconditionError(f"interval length {iv.length} outside [1, {n - 1}]")
-            if not 0 <= iv.start < n:
-                raise PreconditionError(f"interval start {iv.start} outside [0, {n})")
-        object.__setattr__(self, "members", members)
+        for ell in (members[0].length, members[-1].length) if members else ():
+            if not 1 <= ell <= n - 1:  # ordered by length first
+                raise PreconditionError(f"interval length {ell} outside [1, {n - 1}]")
         chains: dict[int, list[int]] = {}
-        for iv in members:  # ordered by length first
-            chains.setdefault(iv.start, []).append(iv.length)
+        for ell, h in members:
+            chains.setdefault(h, []).append(ell)
+        for h in chains:
+            if not 0 <= h < n:
+                raise PreconditionError(f"interval start {h} outside [0, {n})")
+        object.__setattr__(self, "members", members)
         object.__setattr__(self, "chains", {h: tuple(run) for h, run in chains.items()})
 
     def __len__(self):
@@ -128,16 +129,15 @@ def restrict_to_cycle(fam: Family, perm: CyclicPerm) -> IntervalFamily:
     n = perm.n
     if fam.n != n:
         raise PreconditionError("family and cyclic order disagree on n")
-    pos = {e: p for p, e in enumerate(perm.order)}
+    place = [1 << perm.order.index(e) for e in range(1, n + 1)]  # element bit -> position bit
     ivs = []
     for mask in fam.members:
-        c = mask.bit_count()
-        if c == 0 or c == n:
-            continue
-        ps = {pos[e + 1] for e in range(n) if mask >> e & 1}
-        starts = [p for p in ps if (p - 1) % n not in ps]
-        if len(starts) == 1:
-            ivs.append(Interval(length=c, start=starts[0]))
+        x = sum(b for e, b in enumerate(place) if mask >> e & 1)
+        # the positions whose predecessor is out: an arc has one, and the
+        # empty set and the full set have none
+        starts = x & ~(x << 1 | x >> (n - 1))
+        if starts and not starts & (starts - 1):
+            ivs.append(Interval(length=x.bit_count(), start=starts.bit_length() - 1))
     return IntervalFamily(n, ivs)
 
 
@@ -329,8 +329,8 @@ def check_complement_closure(G: IntervalFamily, params: Params) -> tuple[str, ..
         starts[run[0]] = starts.get(run[0], 0) | 1 << h
     failures = []
     for iv in G.members:
-        bc = bar_complement(iv, n, t)
-        b, s = bc
+        # its bar complement (b, s), an arc: every length is at least lo >= t + 1
+        b, s = n + t - iv.length, (iv.start + iv.length - t // 2) % n
         for ell, mask in starts.items():
             if ell < b and mask & arc_mask(n, b - ell + 1, s):
                 ell, off = min((run[0], (h - s) % n) for h, run in chains.items()
@@ -339,8 +339,8 @@ def check_complement_closure(G: IntervalFamily, params: Params) -> tuple[str, ..
                 failures.append(
                     f"proper subinterval {sub} of bar complement of {iv} is a member")
                 break
-        if iv.length == lo and bc.length not in chains.get(bc.start, ()):
-            failures.append(f"bar complement {bc} of bottom member {iv} is missing")
+        if iv.length == lo and b not in chains.get(s, ()):
+            failures.append(f"bar complement {Interval(b, s)} of bottom member {iv} is missing")
     return tuple(failures)
 
 
@@ -432,9 +432,7 @@ def averaging_identity(fam: Family) -> AveragingCheck:
     if n > 7:
         raise PreconditionError("averaging identity enumerates (n-1)! orders; need n <= 7")
     inner = [m for m in fam.members if 0 < m.bit_count() < n]
-    inner_fam = Family(n, inner)
-    lhs = sum(interval_weight(restrict_to_cycle(inner_fam, perm))
-              for perm in all_cyclic_perms(n))
+    lhs = sum(interval_weight(restrict_to_cycle(fam, perm)) for perm in all_cyclic_perms(n))
     rhs = math.factorial(n) * len(inner)
     return AveragingCheck(holds=lhs == rhs, lhs=lhs, rhs=rhs)
 

@@ -13,11 +13,14 @@ always drawn, so a seed names the same instances (and the same `scan` and
 `_sample_masks`, which mirrors `Random.sample` call for call on
 `getrandbits`; `tests/test_families.py::test_sample_masks_mirror_sample`,
 not this docstring, is what guards that mirror on every supported Python
-(`requires-python >= 3.10`).
+(`requires-python >= 3.10`).  A draw whose mask cannot change the result
+still makes its calls, through `_skip_draws`, which builds no mask.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from collections.abc import Iterator
 
@@ -34,6 +37,7 @@ from .families import (
     InvariantViolation,
     Params,
     PreconditionError,
+    layer_masks,
     longest_chain_members,
 )
 
@@ -52,7 +56,7 @@ def _sample_masks(rng: random.Random, bits: list[int], r: int) -> Iterator[int]:
         while True:
             yield sum(rng.sample(bits, r))
     getrandbits = rng.getrandbits
-    steps = [(i, i.bit_length()) for i in range(len(bits), len(bits) - r, -1)]
+    steps = _steps(len(bits), r)
     while True:
         pool = bits[:]
         mask = 0
@@ -63,6 +67,25 @@ def _sample_masks(rng: random.Random, bits: list[int], r: int) -> Iterator[int]:
             mask |= pool[j]
             pool[j] = pool[i - 1]
         yield mask
+
+
+@functools.cache
+def _steps(size: int, r: int) -> tuple[tuple[int, int], ...]:
+    """(i, i.bit_length()) for the i elements left at each of r draws."""
+    return tuple((i, i.bit_length()) for i in range(size, size - r, -1))
+
+
+def _skip_draws(rng: random.Random, bits: list[int], r: int, count: int) -> None:
+    """The rng calls of `count` next() calls of _sample_masks(rng, bits, r)."""
+    if len(bits) > 21 and r <= 5:  # sample's set path: its own calls
+        for _ in zip(range(count), _sample_masks(rng, bits, r)):
+            pass
+        return
+    getrandbits, steps = rng.getrandbits, _steps(len(bits), r)
+    for _ in range(count):  # the index draws alone: no pool, no mask
+        for i, width in steps:
+            while getrandbits(width) >= i:
+                pass
 
 
 def random_valid_family(rng: random.Random, n: int, t: int, k: int) -> Family:
@@ -100,7 +123,9 @@ def random_uniform_t_intersecting(rng: random.Random, n: int, r: int, t: int) ->
     with everything so far.
 
     All 360 attempts are drawn even once the family is maximal: stopping
-    early would shift every later draw, and so every `scan` byte."""
+    early would shift every later draw, and so every `scan` byte.  When
+    C(n, r) is at most 360, the r-sets that could still join are kept, and
+    once none is left the rest are drawn without masks (`_skip_draws`)."""
     if not (0 < t <= r <= n):
         raise PreconditionError("need 0 < t <= r <= n")
     bits = [1 << e for e in range(n)]
@@ -108,7 +133,9 @@ def random_uniform_t_intersecting(rng: random.Random, n: int, r: int, t: int) ->
     members = [core | next(_sample_masks(rng, [b for b in bits if not b & core], r - t))]
     draws = _sample_masks(rng, bits, r)
     attempts = 360
-    while len(members) < 12 and attempts:
+    joinable = None if math.comb(n, r) > attempts else {
+        x for x in layer_masks(n, r) if x != members[0] and (x & members[0]).bit_count() >= t}
+    while len(members) < 12 and attempts and joinable != set():
         attempts -= 1
         cand = next(draws)
         for m in members:
@@ -117,6 +144,10 @@ def random_uniform_t_intersecting(rng: random.Random, n: int, r: int, t: int) ->
         else:
             if cand not in members:
                 members.append(cand)
+                if joinable is not None:
+                    joinable = {x for x in joinable if x != cand and (x & cand).bit_count() >= t}
+    if len(members) < 12:  # the attempts left once no r-set could join
+        _skip_draws(rng, bits, r, attempts)
     return Family(n, members)
 
 

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -231,6 +232,49 @@ class TestRestrictAndChains:
         expected = sum(math.factorial(m.bit_count()) * math.factorial(n - m.bit_count())
                        for m in fam.members)
         assert total == expected
+
+    def test_matches_position_set_reference_on_every_order(self):
+        # every cyclic order for n = 3..7, on random families that hold the
+        # empty set and the full set
+        rng = random.Random(35)
+        for n in range(3, 8):
+            for density in (0.2, 0.6):
+                fam = Family(n, random_inner_family(rng, n, density).members + (0, (1 << n) - 1))
+                for perm in all_cyclic_perms(n):
+                    assert restrict_to_cycle(fam, perm) == reference_restrict(fam, perm), (
+                        n, perm.order)
+
+
+def reference_restrict(fam, perm):
+    """Reference: each member's positions as a set; an interval has exactly
+    one position whose predecessor is not in the set."""
+    n = perm.n
+    pos = {e: p for p, e in enumerate(perm.order)}
+    ivs = []
+    for mask in fam.members:
+        c = mask.bit_count()
+        if c == 0 or c == n:
+            continue
+        ps = {pos[e + 1] for e in range(n) if mask >> e & 1}
+        starts = [p for p in ps if (p - 1) % n not in ps]
+        if len(starts) == 1:
+            ivs.append(Interval(length=c, start=starts[0]))
+    return IntervalFamily(n, ivs)
+
+
+@pytest.mark.parametrize("n, bad, message", [
+    (2, [], "interval families need n >= 3"),
+    (6, [Interval(0, 2)], "interval length 0 outside [1, 5]"),
+    (6, [Interval(6, 2)], "interval length 6 outside [1, 5]"),
+    (6, [Interval(2, -1)], "interval start -1 outside [0, 6)"),
+    (6, [Interval(2, 6)], "interval start 6 outside [0, 6)"),
+])
+def test_interval_family_refusals(n, bad, message):
+    # each bad member among good ones, on either side of them in the
+    # canonical order
+    good = [Interval(3, 1), Interval(2, 2), Interval(5, 0)]
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        IntervalFamily(n, good + bad)
 
 
 class TestChainsField:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from spernerlab.families import (
 )
 from spernerlab.generators import (
     _sample_masks,
+    _skip_draws,
     random_inner_family,
     random_uniform_t_intersecting,
     random_valid_family,
@@ -288,6 +290,64 @@ def test_sample_masks_mirror_sample(case):
     for _ in range(3):
         assert next(draws) == sum(ref.sample(bits, r))
         assert mine.getstate() == ref.getstate()
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.one_of(st.integers(1, 21), st.integers(22, MAX_ENUM_N)).flatmap(lambda size: st.tuples(
+    st.just(size), st.integers(0, size), st.integers(0, 40), st.integers(0, 2**32 - 1))))
+def test_skip_draws_match_sample_masks(case):
+    # skipping count draws leaves the rng where count next() calls of the
+    # stream leave a twin, over both of sample's paths
+    size, r, count, seed = case
+    bits = [1 << e for e in range(size)]
+    mine, ref = random.Random(seed), random.Random(seed)
+    _skip_draws(mine, bits, r, count)
+    draws = _sample_masks(ref, bits, r)
+    for _ in range(count):
+        next(draws)
+    assert mine.getstate() == ref.getstate()
+
+
+def reference_uniform_t_intersecting(rng, n, r, t):
+    """Reference: every one of the 360 attempts builds its mask and is
+    tested against every member."""
+    bits = [1 << e for e in range(n)]
+    core = next(_sample_masks(rng, bits, t))
+    members = [core | next(_sample_masks(rng, [b for b in bits if not b & core], r - t))]
+    draws = _sample_masks(rng, bits, r)
+    attempts = 360
+    while len(members) < 12 and attempts:
+        attempts -= 1
+        cand = next(draws)
+        for m in members:
+            if (cand & m).bit_count() < t:
+                break
+        else:
+            if cand not in members:
+                members.append(cand)
+    return Family(n, members)
+
+
+def test_uniform_t_intersecting_matches_reference():
+    # n = 4..12 with every r and t, so C(n, r) falls on both sides of the
+    # 360 attempts: the same members and the same rng state after the call
+    ends = {"twelve": 0, "maximal": 0}
+    for n in range(4, 13):
+        for r in range(1, n + 1):
+            for t in range(1, r + 1):
+                seed = n * 10_000 + r * 100 + t
+                mine, ref = random.Random(seed), random.Random(seed)
+                fam = random_uniform_t_intersecting(mine, n, r, t)
+                assert fam == reference_uniform_t_intersecting(ref, n, r, t), (n, r, t)
+                assert mine.getstate() == ref.getstate(), (n, r, t)
+                if len(fam) == 12:
+                    ends["twelve"] += 1
+                elif math.comb(n, r) <= 360 and not any(
+                        x not in fam.members and all((x & m).bit_count() >= t
+                                                     for m in fam.members)
+                        for x in layer_masks(n, r)):
+                    ends["maximal"] += 1
+    assert ends["twelve"] >= 100 and ends["maximal"] >= 100, ends
 
 
 def pair_loop_t_intersecting(fam, t):
