@@ -20,8 +20,6 @@ no list of element lists is built on the way out.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import random
 import sys
@@ -158,7 +156,7 @@ def cmd_check(args) -> int:
     fam = _load_family(args.family)
     p = Params(n=fam.n, t=args.t, k=args.k)
     chain = longest_chain(fam)
-    m = max(0, p.half_up - fam.min_size()) if len(fam) else 0
+    m = p.half_width(fam.min_size()) if len(fam) else 0
     lo, hi = p.band(m)
     report = {
         "n": fam.n, "t": p.t, "k": p.k, "size": len(fam),
@@ -257,16 +255,6 @@ def cmd_coeff_audit(args) -> int:
 
 # ---------------------------------------------------------------- search
 
-def _layer_window(text):
-    """Parse the --layers argument "lo:hi" into a pair of ints;
-    max_family_size checks that 0 <= lo <= hi."""
-    lo, _, hi = text.partition(":")
-    try:
-        return int(lo), int(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}") from None
-
-
 def _positive_int(text):
     """Parse a count that must be at least 1."""
     try:
@@ -280,12 +268,10 @@ def _positive_int(text):
 
 def cmd_search(args) -> int:
     t0 = time.monotonic()
-    res = max_family_size(args.n, args.t, args.k, layer_window=args.layers,
-                          use_compression=args.use_compression,
+    res = max_family_size(args.n, args.t, args.k, use_compression=args.use_compression,
                           budget=Budget(nodes=args.budget_nodes, seconds=args.budget_secs))
     doc = {
         "n": args.n, "t": args.t, "k": args.k,
-        "layers": list(args.layers) if args.layers else None,
         "use_compression": args.use_compression,
         "best_size": res.best_size,
         "proven_optimal": res.proven_optimal,
@@ -473,23 +459,9 @@ def _scan_records(args):
     return records
 
 
-CSV_COLUMNS = ["check", "params", "verdict", "margin", "witness_path", "note"]
-
-
 def cmd_scan(args) -> int:
     records = _scan_records(args)
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for r in records:
-            row = dict(r)
-            row["params"] = json.dumps(r["params"], sort_keys=True)
-            writer.writerow(row)
-        text = buf.getvalue()
-    else:
-        text = _dump({"seed": args.seed, "records": records})
-    _emit(text, args.out)
+    _emit(_dump({"seed": args.seed, "records": records}), args.out)
     violated = any(r["verdict"] == "violated" for r in records)
     return 1 if violated else 0
 
@@ -535,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=cmd_coeff_audit)
 
     c = sub.add_parser("search", parents=[ntk], help="exact maximum family search")
-    c.add_argument("--layers", type=_layer_window, help="lo:hi member-size window")
     c.add_argument("--use-compression", action="store_true")
     c.add_argument("--budget-nodes", type=_positive_int, default=DEFAULT_NODE_BUDGET)
     c.add_argument("--budget-secs", type=float, default=DEFAULT_TIME_BUDGET)
@@ -554,7 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=1729)
     c.add_argument("--n-max", type=int, default=6)
     c.add_argument("--trials", type=_positive_int, default=60)
-    c.add_argument("--format", choices=["json", "csv"], default="json")
     c.add_argument("--no-cache", action="store_true", help=NO_CACHE_HELP)
     c.add_argument("--inject-violation", action="store_true", help=argparse.SUPPRESS)
     c.set_defaults(fn=cmd_scan)

@@ -275,23 +275,28 @@ class ChainReport:
                 and all(s.holds for s in self.swap_steps))
 
 
+def weight_bound(n: int, t: int, k: int) -> int:
+    """n * (sum of the k middle binomials C(n, (n+t)/2 + i), i = 0..k-1):
+    the bound the rebalancing chain shows a profile's weighted sum obeys."""
+    mid = (n + t) // 2
+    return n * sum(binomial(n, mid + i) for i in range(k))
+
+
 def verify_chain(g: CoeffVector) -> ChainReport:
     """Run the full rebalancing chain on a stage-g vector and report every
     monotonicity, prefix and swap checkpoint."""
     gp = to_gprime(g)
     gpp = to_gdoubleprime(gp)
     n, t, k, m = g.n, g.t, g.k, g.m
-    mid = (n + t) // 2
     steps = []
     for j in range(1, m + 1):
         lhs, rhs = _fold_step(n, t, k, j)
         steps.append(SwapStep(j=j, lhs=lhs, rhs=rhs, active=gp.value(j) > 0))
-    final = n * sum(binomial(n, mid + i) for i in range(k))
     return ChainReport(
         weighted_g=weighted_sum(g),
         weighted_gprime=weighted_sum(gp),
         weighted_gdoubleprime=weighted_sum(gpp),
-        final_bound=final,
+        final_bound=weight_bound(n, t, k),
         swap_steps=tuple(steps),
         prefix=tuple(prefix_bounds(gpp)),
     )

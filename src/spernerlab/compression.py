@@ -57,7 +57,7 @@ class NormalizationReport:
 def _report(fam: Family, params: Params, c: int, steps) -> NormalizationReport:
     """The report of a pass that applied c and steps and produced fam."""
     band = (fam.min_size(), fam.max_size()) if len(fam) else None
-    m = max(0, params.half_up - band[0]) if band else 0
+    m = params.half_width(band[0]) if band else 0
     return NormalizationReport(m=m, c=c, steps=tuple(steps), band=band)
 
 
@@ -180,7 +180,7 @@ def _down_shift(fam: Family, params: Params, levels) -> tuple[Family, Normalizat
     # The literal parameter may be negative for families living entirely
     # above the middle; thresholds below the middle would not keep the
     # family t-intersecting, so clamp at 0 (see design notes).
-    c = max(0, mid - fam.min_size()) if ms else 0
+    c = params.half_width(fam.min_size()) if ms else 0
     if len(levels) > params.k:
         raise InvariantViolation(
             "peeling needed more than k antichains: input had a chain longer than k")

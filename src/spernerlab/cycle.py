@@ -29,7 +29,14 @@ import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .coefficients import CoeffVector, minimal_chain_n, profile_vector, verify_chain
+from .coefficients import (
+    CoeffVector,
+    minimal_chain_n,
+    profile_vector,
+    verify_chain,
+    weight_bound,
+    weighted_sum,
+)
 from .families import (
     Family,
     InvariantViolation,
@@ -225,7 +232,7 @@ def _band(G: IntervalFamily, params: Params) -> tuple[int, int, int]:
             f"interval family on a cycle of length {G.n} but params.n={params.n}")
     if (params.n + params.t) % 2:
         raise PreconditionError("the cycle checks need n + t even")
-    m = max(0, params.half_up - G.members[0].length) if G.members else 0
+    m = params.half_width(G.members[0].length) if G.members else 0
     return (m, *params.band(m))
 
 
@@ -364,7 +371,9 @@ def check_instance(G: IntervalFamily, params: Params) -> dict:
     reads None there.  The two missing-interval side families are disjoint
     by construction, so that field is a constant.  The weight bound and the
     rebalancing chain only promise to hold above a size threshold; below it
-    a failure is a finding, not a bug, and does not clear `ok`.
+    a failure is a finding, not a bug, and does not clear `ok`.  The chain
+    needs the star inequality, which the "four" records state; where one
+    fails, `ok` is False and the chain reads None.
     """
     n, t, k = params.n, params.t, params.k
     if not is_full_consecutive(G, k):
@@ -393,9 +402,11 @@ def check_instance(G: IntervalFamily, params: Params) -> dict:
     inequalities = [{"name": name, "j": j, "lhs": lhs, "rhs": rhs, "holds": lhs <= rhs}
                     for name, j, lhs, rhs in records]
     closure = not check_complement_closure(G, params) if t >= 2 else None
-    # the chain report holds both sides of the weight bound
-    chain = verify_chain(prof)
-    weight, bound = chain.weighted_g, chain.final_bound
+    # G's total mass is k*n, so "four" at j is the star inequality at j that
+    # the chain's first stage needs: where one fails the chain does not run
+    star = all(r["holds"] for r in inequalities if r["name"] == "four")
+    chain = verify_chain(prof) if star else None
+    weight, bound = weighted_sum(prof), weight_bound(n, t, k)
     threshold = minimal_chain_n(t, k, m, 4 * n + 100)
     above = threshold is not None and n >= threshold
     return {
@@ -407,8 +418,9 @@ def check_instance(G: IntervalFamily, params: Params) -> dict:
         "complement_closure": closure,
         "weight_bound": {"holds": weight <= bound, "weight": weight,
                          "bound": bound, "margin": bound - weight},
-        "coefficient_chain": chain.ok,
+        "coefficient_chain": chain.ok if chain else None,
         "above_chain_threshold": above,
+        # chain is None only where an inequality fails, which clears ok first
         "ok": (all(r["holds"] for r in inequalities) and closure is not False
                and (not above or (weight <= bound and chain.ok))),
     }

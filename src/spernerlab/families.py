@@ -97,6 +97,11 @@ class Params:
         is even."""
         return (self.n + self.t + 1) // 2
 
+    def half_width(self, shortest: int) -> int:
+        """max(0, ceil((n+t)/2) - shortest): the half-width m of the
+        smallest band that reaches down to a shortest member of that size."""
+        return max(0, self.half_up - shortest)
+
     def band(self, m: int) -> tuple[int, int]:
         """The size band of half-width m, [ceil((n+t)/2) - m,
         ceil((n+t)/2) + k - 1 + m]: the k middle sizes widened by m on each

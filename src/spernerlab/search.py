@@ -23,10 +23,8 @@ symmetry cut:
 * pairwise intersection conflicts filter the pool on every inclusion;
 * an exact incremental chain tracker, `families.include_in_chains`, drops
   candidates that would close a chain of k+1 nested members;
-* upper bounds: remaining-count, a symmetric-chain-decomposition cap
-  (at most k live members, chosen or in the pool, per chain), and a
-  complement-pair cap (a set and its complement never share a family when
-  t >= 1);
+* upper bounds: remaining-count and a symmetric-chain-decomposition cap
+  (at most k live members, chosen or in the pool, per chain);
 * orbital branching (Ostrowski, Linderoth, Rossi, Smriglio, "Orbital
   branching", Math. Programming 2011), also in g_function.  At a node let
   G be the relabellings of [n] that fix every chosen set: {1..s} and the
@@ -43,11 +41,11 @@ symmetry cut:
   same size and objective that holds i, and the include subtree, explored
   first, leaves an incumbent at least as good.
 
-The caps are read from an incrementally maintained live vector: the sum
-over the live members of one packed vector per member, the chain counters
-and complement bits of the caps.  The branch candidate, the most conflicted
-one in the pool, lowest index first, is read from bit planes, as in
-bit-parallel maximum-clique search (San Segundo, Rodriguez-Losada, Jimenez,
+The chain cap is read from an incrementally maintained live vector: the
+sum over the live members of one packed vector per member, a counter per
+symmetric chain.  The branch candidate, the most conflicted one in the
+pool, lowest index first, is read from bit planes, as in bit-parallel
+maximum-clique search (San Segundo, Rodriguez-Losada, Jimenez,
 Computers & OR 2011): plane b holds bit b of each pool candidate's count of
 t-conflicts in the pool, and a walk down the planes keeps the candidates
 whose bit is set wherever some are.  Both ride on the explicit stack next
@@ -67,9 +65,9 @@ never also counted as nested, because every candidate meets {1..s} in at
 least t elements (in g_function, all have the same size, at least t): a
 nested pair meets in at least t elements and is no t-conflict.
 
-With `use_compression` the candidate sizes are confined to the band the
-compression transforms land in; the justification is recorded in the
-result notes per parity.  The unrestricted mode stays available as ground
+Two plans: with `use_compression` the candidate sizes are confined to the
+band the compression transforms land in, the justification recorded in the
+result notes per parity; without it every size is searched, as ground
 truth.
 """
 
@@ -311,24 +309,14 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
         has = _holders(masks, n)
         classes = _count_classes(masks, has)
         tconf, sup, sub = _relations(masks, has, t)
-        # One packed vector per member; packed is their sum over the live
-        # ones, chosen or in the pool.  First a w-bit counter per symmetric
-        # chain, then one bit at the complement's index for the lower member
-        # of each complement pair.  A counter stays below n + 2 and its top
-        # bit is a guard that the tests below set without carrying further.
+        # One packed vector per member, a w-bit counter per symmetric chain;
+        # packed is their sum over the live ones, chosen or in the pool.  A
+        # counter stays below n + 2 and its top bit is a guard that the test
+        # below sets without carrying further.
         chain_of = {}
         w = max(n + 1, k).bit_length() + 1
         vec = [1 << w * chain_of.setdefault(scd_anchor(m, n), len(chain_of)) for m in masks]
         c0 = chain_of.setdefault(scd_anchor(chosen0, n), len(chain_of))
-        off = w * len(chain_of)
-        if t:
-            # a set and its complement never share a t-intersecting family
-            index = {m: i for i, m in enumerate(masks)}
-            full = (1 << n) - 1
-            for i, m in enumerate(masks):
-                j = index.get(full ^ m, -1)
-                if j > i:
-                    vec[i] |= 1 << off + j
         # Bit-sliced conflict counts: planes[b] holds bit b of each pool
         # candidate's number of t-conflicts in the pool.
         degree = [tc.bit_count() for tc in tconf]
@@ -366,9 +354,7 @@ def _max_family_engine(n: int, t: int, k: int, branches, budget: Budget,
             size = pool.bit_count()
             if (cc + size > best
                     # at most k live members per symmetric chain
-                    and sum(map(bit_count, map(guard.__and__, map(packed.__add__, ge)))) > best
-                    # at most one member per complement pair
-                    and cc + size - (packed >> off & pool).bit_count() > best):
+                    and sum(map(bit_count, map(guard.__and__, map(packed.__add__, ge)))) > best):
                 i = _most_conflicted(pool, planes)
                 bit = 1 << i
                 stack.append((pool, packed, planes, cc, i, below, above, atoms, chosen))
@@ -470,14 +456,14 @@ def _construction_seeds(n, t, k):
     return seeds
 
 
-def max_family_size(n: int, t: int, k: int, *, layer_window=None,
-                    use_compression=False, budget: Budget | None = None) -> SearchResult:
+def max_family_size(n: int, t: int, k: int, *, use_compression=False,
+                    budget: Budget | None = None) -> SearchResult:
     """Exact maximum size of a t-intersecting k-Sperner family over [n].
 
     t = 0 disables the intersection constraint (classical Sperner/Erdos
-    territory).  `layer_window` restricts member sizes; `use_compression`
-    confines the search to the band the normalization transforms land in,
-    which preserves the true optimum.
+    territory).  `use_compression` confines the search to the band the
+    normalization transforms land in, which preserves the true optimum;
+    without it every member size is searched.
     """
     if budget is None:
         budget = Budget()
@@ -486,16 +472,7 @@ def max_family_size(n: int, t: int, k: int, *, layer_window=None,
     if n < 1 or t < 0 or not 1 <= k <= MAX_FORMULA_N + 1:
         raise PreconditionError(f"engine needs n >= 1, t >= 0, 1 <= k <= {MAX_FORMULA_N + 1}")
     notes = []
-    if layer_window is not None:
-        lo, hi = layer_window
-        if not 0 <= lo <= hi:
-            raise PreconditionError(f"layer window needs 0 <= lo <= hi, got {layer_window}")
-        notes.append(f"window restricted to sizes [{lo}, {hi}]: optimum relative to the window")
-    else:
-        lo, hi = (0 if t == 0 else 1), n
-    # no member is larger than [n]: the plan's sizes stop at n, while the
-    # notes and the witness check keep the caller's window
-    top = min(hi, n)
+    lo = 0 if t == 0 else 1
     if use_compression:
         if (n + t) % 2 == 0:
             notes.append(
@@ -506,14 +483,12 @@ def max_family_size(n: int, t: int, k: int, *, layer_window=None,
                 "ceil-variant down-shift (documented extension)")
         band = Params(n, t, k).band  # needs 1 <= t <= n: refuses t = 0 and t > n
         # one branch (s, band top) per band(m), m = k-1 .. 0; s <= its top
-        branches = [(s, min(top, up)) for s, up in map(band, range(k - 1, -1, -1))
-                    if lo <= s <= top]
+        branches = [(s, min(n, up)) for s, up in map(band, range(k - 1, -1, -1))
+                    if lo <= s <= n]
     else:
-        branches = [(s, top) for s in range(lo, top + 1)]
-    # a subfamily of a t-intersecting k-Sperner family is one too
-    seeds = [tuple(m for m in seed if lo <= m.bit_count() <= hi)
-             for seed in _construction_seeds(n, t, k)]
-    best, witness, proven, nodes, closed = _max_family_engine(n, t, k, branches, budget, seeds)
+        branches = [(s, n) for s in range(lo, n + 1)]
+    best, witness, proven, nodes, closed = _max_family_engine(
+        n, t, k, branches, budget, _construction_seeds(n, t, k))
     notes += [f"root branch with member sizes [{s}, {hi}] closed by the cycle bound"
               for s, hi in closed]
     if not proven:
@@ -522,10 +497,10 @@ def max_family_size(n: int, t: int, k: int, *, layer_window=None,
             notes.append("the time budget ran out first: the result depends on machine speed")
     fam = Family(n, witness)
     if (len(fam) != best or not is_t_intersecting(fam, t) or longest_chain(fam) > k
-            or any(not lo <= m.bit_count() <= hi for m in fam)):
+            or any(m.bit_count() < lo for m in fam)):
         raise InvariantViolation(
             f"search ({n},{t},{k}) returned a witness that is not a {t}-intersecting "
-            f"{k}-Sperner family of size {best} with member sizes in {[lo, hi]}")
+            f"{k}-Sperner family of size {best} with member sizes in {[lo, n]}")
     return SearchResult(best_size=best, witness=fam,
                         proven_optimal=proven, nodes=nodes, notes=tuple(notes))
 

@@ -105,7 +105,7 @@ def test_criterion_2_odd_small_case():
     # cross-check against the fully unrestricted oracle
     unres = max_family_size(5, 2, 2)
     ok = ok and unres.proven_optimal and unres.best_size == 9
-    # stretch target: window limited, one-hour-scale budget trimmed to CI
+    # stretch target: banded, one-hour-scale budget trimmed to CI
     # scale; a budget-exceeded outcome must be labeled as such
     stretch = max_family_size(7, 2, 2, use_compression=True,
                               budget=Budget(nodes=2_000_000, seconds=300))

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spernerlab
-from spernerlab import cli, search
+from spernerlab import cli, cycle, search
+from spernerlab.coefficients import profile_vector
 from spernerlab.cli import _dump, main
 from spernerlab.families import MAX_ENUM_N, Family, is_t_intersecting, longest_chain
 from spernerlab.generators import random_full_consecutive, random_sigma_ksti
@@ -115,21 +116,6 @@ class TestSearchCommand:
             assert rc == 0
         assert a.read_bytes() == b.read_bytes()
         assert json.loads(a.read_text())["best_size"] == 4
-
-    def test_layer_window(self, tmp_path):
-        out = tmp_path / "r.json"
-        rc = main(["search", "--n", "5", "--t", "1", "--k", "1",
-                   "--layers", "3:3", "--no-cache", "--out", str(out)])
-        assert rc == 0
-        assert json.loads(out.read_text())["best_size"] == 10
-        assert main(["search", "--n", "5", "--t", "1", "--k", "1", "--layers", "3"]) == 2
-
-    @pytest.mark.parametrize("window", ["3:1", "-1:2"])
-    def test_bad_layer_window_exits_2(self, tmp_path, window):
-        out = tmp_path / "r.json"
-        assert main(["search", "--n", "4", "--t", "1", "--k", "1", f"--layers={window}",
-                     "--out", str(out)]) == 2
-        assert not out.exists()
 
     @pytest.mark.parametrize("budget", ["-1", "0"])
     def test_bad_node_budget_exits_2(self, tmp_path, budget):
@@ -293,7 +279,7 @@ class TestAudits:
         ("construct --which B --n 13 --t 2 --k 2",
          "233573240ddde259768a65f74aaf8b5ba63f3ec0af1862a38609f2c96cc0e29f"),
         ("search --n 7 --t 1 --k 3 --use-compression",
-         "7f59e63b42f14ebf451119fe07f1730de8d2dcff04c0da62b35ae15122a692ab"),
+         "2af8241940e3133758d156eb99c25b9c87b6d438f696de250c15b1bc9ef2f37a"),
         ("scan --seed 1729 --trials 300",
          "3918fb1eb99f3cfe308681322cd2c89a9c78ca8d0a90a9a2ba42b50a01009f80"),
         # 24,310 members with elements in the third byte of a mask
@@ -301,7 +287,7 @@ class TestAudits:
          "9671c5f4eb9d4e2df64147e10016d4922163a72b42011feca8b3e3c38f5f2194"),
         # a witness that holds the empty set
         ("search --n 3 --t 0 --k 4",
-         "80d6e9db0e55f4f5b45fb385c843601866d7a68675211f9adcf64f33c8140479"),
+         "5c37ec221b7bdc1ee7d9b56fa6afb04421b6be2b173c2ca96372220eb29ba67a"),
     ])
     def test_output_bytes_pinned(self, tmp_path, argv, digest):
         out = tmp_path / "out.json"
@@ -358,6 +344,19 @@ class TestAudits:
             assert trial["weight_monotone"] is True and trial["m"] == m
             assert trial["witness"]["members"] == [[iv.start, iv.length] for iv in G]
             assert "loose_witness" not in trial
+
+    def test_cycle_audit_star_violation_exits_1(self, tmp_path, monkeypatch):
+        # a profile whose "four" inequality fails at j = 1: each trial is
+        # written with ok false and its witness, and the audit exits 1
+        fake = profile_vector(14, 4, 2, 1, (3, 14, 11, 0))
+        monkeypatch.setattr(cycle, "g_profile", lambda G, params: fake)
+        out = tmp_path / "out.json"
+        assert main(["cycle-audit", "--n", "14", "--t", "4", "--k", "2", "--trials", "3",
+                     "--seed", "3", "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert doc["violations"] == 3
+        assert all(not tr["ok"] and tr["coefficient_chain"] is None and tr["witness"]
+                   for tr in doc["trials"])
 
     @pytest.mark.parametrize("trials", ["-1", "0"])
     def test_cycle_audit_bad_trials_exits_2(self, tmp_path, trials):
@@ -478,15 +477,6 @@ class TestScan:
                    "--no-cache", "--inject-violation", "--out", str(out)])
         assert rc == 1
 
-    def test_csv_projection(self, tmp_path):
-        out = tmp_path / "s.csv"
-        rc = main(["scan", "--seed", "7", "--n-max", "4", "--trials", "2",
-                   "--no-cache", "--format", "csv", "--out", str(out)])
-        assert rc == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "check,params,verdict,margin,witness_path,note"
-        assert len(lines) > 10
-
     def test_no_cache_is_a_no_op(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out, flags in ((a, ["--no-cache"]), (b, [])):
@@ -557,6 +547,22 @@ class TestScan:
         for path in paths:
             assert path.startswith(str(b) + ".witness.")
             assert os.path.exists(path)
+
+    def test_star_violation_is_a_violated_record(self, tmp_path, monkeypatch):
+        # every cycle cell's profile puts all k*n members in class -1, so
+        # "four" fails at j = 1: scan records each cell as violated, with
+        # its witness, and exits 1
+        def fake(G, p):
+            return profile_vector(p.n, p.t, p.k, 1, (p.k * p.n, *[0] * (p.k + 1)))
+        monkeypatch.setattr(cycle, "g_profile", fake)
+        out = tmp_path / "s.json"
+        assert main(["scan", "--seed", "7", "--n-max", "2", "--trials", "1",
+                     "--out", str(out)]) == 1
+        cells = [r for r in json.loads(out.read_text())["records"]
+                 if r["check"] == "cycle_universals"]
+        assert len(cells) == 5
+        assert all(r["verdict"] == "violated" and os.path.exists(r["witness_path"])
+                   for r in cells)
 
 
 class TestEntryPoint:

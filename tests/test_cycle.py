@@ -754,6 +754,20 @@ class TestInequalities:
         assert rec["complement_closure"] and not rec["above_chain_threshold"]
         assert not rec["ok"]
 
+    def test_star_violation_fails_the_record(self, monkeypatch):
+        # mass k*n = 28, so "four" at j = 1 is the star inequality the chain
+        # needs; it fails, and the record says so instead of raising
+        G = random_full_consecutive(random.Random(3), 14, 4, 2, 1)
+        fake = profile_vector(14, 4, 2, 1, (3, 14, 11, 0))
+        monkeypatch.setattr(cycle, "g_profile", lambda G, params: fake)
+        rec = check_instance(G, Params(14, 4, 2))
+        assert rec["inequalities"][-1] == {"name": "four", "j": 1, "lhs": 28, "rhs": 25,
+                                           "holds": False}
+        assert rec["coefficient_chain"] is None and not rec["ok"]
+        # 3 C(14,8) + 14 C(14,9) + 11 C(14,10) against 14 (C(14,9) + C(14,10))
+        assert rec["weight_bound"] == {"holds": False, "weight": 48_048, "bound": 42_042,
+                                       "margin": -6_006}
+
 
 class TestWeightBound:
     def test_pure_layers_equality(self):

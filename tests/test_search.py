@@ -38,10 +38,10 @@ from spernerlab.search import (
 @functools.cache
 def _subfamily_records(n):
     """One record per subfamily S of 2^[n], n <= 4, as
-    (least pairwise meet, longest chain, smallest and largest member size)
-    mapped to the largest S with that record.  The masks are in size order,
-    and S is reached from S' = S minus its last mask m: every chain through
-    m ends at m, so longest(S) = max(longest(S'), 1 + longest(S' below m))."""
+    (least pairwise meet, longest chain) mapped to the largest S with that
+    record.  The masks are in size order, and S is reached from S' = S
+    minus its last mask m: every chain through m ends at m, so
+    longest(S) = max(longest(S'), 1 + longest(S' below m))."""
     masks = sorted(range(1 << n), key=int.bit_count)
     below = [sum(1 << j for j in range(i) if masks[j] & m == masks[j] != m)
              for i, m in enumerate(masks)]
@@ -58,23 +58,19 @@ def _subfamily_records(n):
         size[S] = size[rest] + 1
         longest[S] = max(longest[rest], 1 + longest[rest & below[i]])
         meet[S] = min(meet[rest], next((c for c in range(n + 1) if rest & meets[i][c]), n + 1))
-        key = (meet[S], longest[S], masks[(S & -S).bit_length() - 1].bit_count(),
-               masks[i].bit_count())
+        key = (meet[S], longest[S])
         if size[S] > records.get(key, (0, 0))[0]:
             records[key] = (size[S], [m for j, m in enumerate(masks) if S >> j & 1])
     return records
 
 
-def exhaustive_max(n, t, k, window=None):
+def exhaustive_max(n, t, k):
     """Ground-truth oracle: the largest t-intersecting k-Sperner subfamily of
-    2^[n] with member sizes in window, over every subfamily, n <= 4.  The
-    argmax is rechecked with the families predicates."""
-    lo, hi = window or (0, n)
-    best, members = max(((size, members)
-                         for (meet, longest, low, high), (size, members)
-                         in _subfamily_records(n).items()
-                         if meet >= t and longest <= k and lo <= low and high <= hi),
-                        default=(0, []))
+    2^[n], over every subfamily, n <= 4.  The argmax is rechecked with the
+    families predicates."""
+    best, members = max((size, members)
+                        for (meet, longest), (size, members) in _subfamily_records(n).items()
+                        if meet >= t and longest <= k)
     fam = Family(n, members)
     assert len(fam) == best and is_t_intersecting(fam, t) and is_k_sperner(fam, k)
     return best
@@ -182,12 +178,13 @@ def test_relations_match_pairwise():
     # for every n <= 9, 0 <= t <= n and t <= a <= n, candidate lists as
     # the engines build them, subsampled and either kept in order or
     # shuffled: a root branch of the banded plan from s = min(a, mid_up),
-    # of the windowed plan over sizes a to b, or the layer a in g_function
+    # of the unrestricted plan from s = a, or the layer a in g_function
     rng = random.Random(31)
     for n in range(1, 10):
         for t in range(n + 1):
-            for plan, a in itertools.product(("banded", "windowed", "layer"), range(t, n + 1)):
-                b, k = rng.randint(t, n), rng.randint(1, 3)
+            for plan, a in itertools.product(("banded", "unrestricted", "layer"),
+                                             range(t, n + 1)):
+                k = rng.randint(1, 3)
                 if plan == "layer":
                     masks = list(layer_masks(n, a))
                 else:
@@ -196,7 +193,7 @@ def test_relations_match_pairwise():
                         s = min(a, mid_up)
                         hi = min(n, 2 * mid_up - s + k - 1)
                     else:
-                        s, hi = min(a, b), max(a, b)
+                        s, hi = a, n
                     chosen0 = (1 << s) - 1
                     masks = [m for size in range(s, hi + 1) for m in layer_masks(n, size)
                              if m != chosen0 and (m & chosen0).bit_count() >= t]
@@ -292,23 +289,14 @@ class TestSCD:
 
 class TestOracleSmall:
     def test_n4_against_exhaustive(self):
-        # windows may reach above n; one that lies above n holds no set
-        windows = [None] + [(lo, hi) for lo in range(10) for hi in range(lo, 10)]
+        # the unrestricted plan, and the banded one wherever t >= 1
         for t in range(5):
             for k in (1, 2, 3):
-                for window in windows:
-                    expected = exhaustive_max(4, t, k, window)
-                    res = max_family_size(4, t, k, layer_window=window)
+                expected = exhaustive_max(4, t, k)
+                for use_compression in (False, True)[:1 + bool(t)]:
+                    res = max_family_size(4, t, k, use_compression=use_compression)
                     assert res.proven_optimal
-                    assert res.best_size == expected, (t, k, window, res.best_size, expected)
-                    if window and window[0] > 4:
-                        assert res.nodes == 0
-
-    def test_window_above_n_keeps_the_callers_window(self):
-        res = max_family_size(4, 0, 2, layer_window=(5, 5))
-        assert (res.best_size, res.proven_optimal, res.nodes) == (0, True, 0)
-        assert len(res.witness) == 0
-        assert res.notes == ("window restricted to sizes [5, 5]: optimum relative to the window",)
+                    assert res.best_size == expected, (t, k, use_compression, res.best_size)
 
     def test_banded_matches_unrestricted(self):
         """The admissibility gate for the band and every prune.  OPTIMA_N7
@@ -442,32 +430,14 @@ class TestOracleSmall:
                    "--out", str(out)])
         assert rc == 1 and not out.exists()
 
-    def test_window_restriction_flagged(self):
-        res = max_family_size(5, 1, 1, layer_window=(3, 3))
-        assert res.best_size == binomial(5, 3)
-        assert any("window" in note for note in res.notes)
-
-    def test_window_bounds_the_seeds(self):
-        # the constructions hold sets of sizes 2 and 3 only: a window that
-        # excludes them must not let them through as the incumbent
-        res = max_family_size(4, 1, 1, layer_window=(4, 4))
-        assert (res.best_size, res.proven_optimal) == (1, True)
-        res = max_family_size(4, 1, 1, layer_window=(3, 3))
-        assert (res.best_size, res.proven_optimal) == (4, True)
-        assert all(m.bit_count() == 3 for m in res.witness)
-
-    @pytest.mark.parametrize("window", [(-1, 2), (3, 1)])
-    def test_window_needs_0_le_lo_le_hi(self, window):
-        # (-1, 2) ran a root branch at s = -1, and (3, 1) reported 0 as proven
-        with pytest.raises(PreconditionError, match="0 <= lo <= hi"):
-            max_family_size(4, 1, 1, layer_window=window)
-
-    def test_witness_outside_window_is_caught(self, monkeypatch):
-        def engine(n, t, k, branches, budget, seeds):
-            return 1, (0b0011,), True, 1, ()
-        monkeypatch.setattr(search, "_max_family_engine", engine)
-        with pytest.raises(InvariantViolation):
-            max_family_size(4, 1, 1, layer_window=(3, 3))
+    def test_bad_witness_is_caught(self, monkeypatch):
+        # at (4, 1, 1): {1,2} inside {1,2,3} is a chain of two; {1,2} and
+        # {3,4} share nothing; the empty set is below every size searched
+        for witness in ((0b0011, 0b0111), (0b0011, 0b1100), (0,)):
+            monkeypatch.setattr(search, "_max_family_engine",
+                                lambda *args: (len(witness), witness, True, 1, ()))
+            with pytest.raises(InvariantViolation):
+                max_family_size(4, 1, 1)
 
     def test_matches_intersecting_k_sperner_theorem(self):
         # the t=1 maxima have known closed forms for both parities of n
@@ -527,7 +497,6 @@ class TestEngineNodeCounts:
 
     @pytest.mark.parametrize("cell, kwargs, expected", [
         ((6, 1, 2), {}, (26, True, 164)),
-        ((6, 1, 2), {"layer_window": (2, 5)}, (26, True, 96)),
         ((6, 0, 2), {}, (35, True, 7)),
         # unseeded, the exact chain tracker decides what the family holds
         ((4, 0, 3), {"seeds": []}, (14, True, 125)),
@@ -536,13 +505,12 @@ class TestEngineNodeCounts:
         # k = 1 the pinned member lies on no candidate's chain
         ((6, 1, 1), {"seeds": []}, (15, True, 306)),
         ((7, 2, 2), {"use_compression": True, "seeds": []}, (36, True, 13_932)),
-        # windows whose top is ceil(n/2), where the complement-pair cap
-        # decides nodes: without it these take 21,216 and 98 nodes
-        ((8, 1, 2), {"layer_window": (3, 4)}, (56, True, 1_072)),
-        ((6, 1, 2), {"layer_window": (0, 3)}, (15, True, 92)),
+        # unseeded and unrestricted: 1,576 nodes with the complement-pair
+        # cap the engine once had
+        ((7, 1, 1), {"seeds": []}, (35, True, 1_882)),
     ])
     def test_search_plans(self, monkeypatch, cell, kwargs, expected):
-        # the unrestricted, windowed and t = 0 branch plans; "seeds", when
+        # the unrestricted, banded and t = 0 branch plans; "seeds", when
         # given, replaces the construction seeds
         kwargs = dict(kwargs)
         if "seeds" in kwargs:
